@@ -60,14 +60,7 @@ from .qcmaps import (
     star_shaped_K,
 )
 from .reproduce import example_names
-from .special import (
-    RootBracket,
-    bessel_i,
-    bessel_j,
-    bessel_k,
-    find_root,
-    p_zero,
-)
+from .special import bessel_i, bessel_j, bessel_k, p_zero
 
 __version__ = "0.1.0"
 
@@ -79,7 +72,6 @@ __all__ = [
     "LowerBound",
     "Mesh",
     "NumericalError",
-    "RootBracket",
     "SpectrumResult",
     "StarShapeData",
     "affine_qc_coefficient",
@@ -93,7 +85,6 @@ __all__ = [
     "diameter",
     "example_names",
     "extension_ball_bound",
-    "find_root",
     "half_ball_reflection_norm_sq",
     "improvement_condition",
     "load_domain_spec",

@@ -29,10 +29,14 @@ from .special import p_zero
 _DEDUPE_TOL = 1e-12
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def ball_mu1(n: int, radius: float) -> float:
     """First nontrivial Neumann eigenvalue of a ball of given radius in R^n."""
-    if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    _require_positive("radius", radius)
     p = p_zero(n)
     return (p / radius) ** 2
 
@@ -40,16 +44,13 @@ def ball_mu1(n: int, radius: float) -> float:
 def extension_ball_bound(norm_sq: float, radius: float, n: int) -> float:
     """mu_1 >= p_{n/2}^2 / (||E||^2 R^2) from an extension into a ball of radius R."""
     _check_norm_sq(norm_sq)
-    if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     return ball_mu1(n, radius) / norm_sq
 
 
 def symmetric_domain_bound(norm_sq: float, diam: float, n: int) -> float:
     """The d/2 variant for centrally symmetric domains: (p/d)^2 (2/||E||)^2."""
     _check_norm_sq(norm_sq)
-    if not (isinstance(diam, (int, float)) and math.isfinite(diam) and diam > 0.0):
-        raise ValueError(f"diameter must be finite and > 0, got {diam!r}")
+    _require_positive("diameter", diam)
     p = p_zero(n)
     return (p / diam) ** 2 * (4.0 / norm_sq)
 
@@ -62,8 +63,7 @@ def quasidisc_bound(k: float, radius: float) -> float:
 
 def star_shaped_bound(beta: float, diam: float) -> float:
     """Planar beta-star-shaped domain: mu_1 >= 4 sin^4((1-beta) pi/4) (p_1/d)^2."""
-    if not (isinstance(diam, (int, float)) and math.isfinite(diam) and diam > 0.0):
-        raise ValueError(f"diameter must be finite and > 0, got {diam!r}")
+    _require_positive("diameter", diam)
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 <= beta < 1.0):
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
     s = math.sin(0.25 * math.pi * (1.0 - beta))
@@ -73,8 +73,7 @@ def star_shaped_bound(beta: float, diam: float) -> float:
 
 def payne_weinberger_bound(diam: float) -> float:
     """Classical convex-domain bound pi^2 / d^2 (not valid without convexity)."""
-    if not (isinstance(diam, (int, float)) and math.isfinite(diam) and diam > 0.0):
-        raise ValueError(f"diameter must be finite and > 0, got {diam!r}")
+    _require_positive("diameter", diam)
     return (math.pi / diam) ** 2
 
 
@@ -99,8 +98,7 @@ def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
 
 def poincare_constant(mu1: float) -> float:
     """Best constant in ||u - mean u||_2 <= C ||grad u||_2, namely mu_1^(-1/2)."""
-    if not (isinstance(mu1, (int, float)) and math.isfinite(mu1) and mu1 > 0.0):
-        raise ValueError(f"mu1 must be finite and > 0, got {mu1!r}")
+    _require_positive("mu1", mu1)
     return 1.0 / math.sqrt(mu1)
 
 
@@ -148,20 +146,17 @@ class BoundReport:
     """Every bound the metadata supports, plus the headline choice."""
 
     bounds: list[LowerBound]
-    best: int | None
+    best: LowerBound | None
     pw_comparison: bool | None
     notes: list[str] = field(default_factory=list)
     geometry: dict = field(default_factory=dict)
-
-    def best_bound(self) -> LowerBound | None:
-        return None if self.best is None else self.bounds[self.best]
 
     def as_dict(self) -> dict:
         return {
             "geometry": dict(self.geometry),
             "bounds": [b.as_dict() for b in self.bounds],
-            "best": self.best,
-            "best_value": None if self.best is None else self.bounds[self.best].value,
+            "best": None if self.best is None else self.bounds.index(self.best),
+            "best_value": None if self.best is None else self.best.value,
             "improves_on_payne_weinberger": self.pw_comparison,
             "notes": list(self.notes),
         }
@@ -275,11 +270,11 @@ def best_bound_report(
         )
     )
 
-    eligible = [i for i, e in enumerate(entries) if e.eligible_for_best and e.applicable]
+    eligible = [e for e in entries if e.eligible_for_best and e.applicable]
     if eligible:
-        best = max(eligible, key=lambda i: entries[i].value)
+        best = max(eligible, key=lambda e: e.value)
     else:
-        best = max(range(len(entries)), key=lambda i: entries[i].value)
+        best = max(entries, key=lambda e: e.value)
         notes.append("no bound is certified for this domain; best shown is reference only")
 
     pw_comparison = None if norm is None else improvement_condition(norm.value_sq, n)

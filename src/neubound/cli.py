@@ -125,7 +125,7 @@ def _cmd_pzero(args) -> dict:
 
 
 def _cmd_mikhlin(args) -> dict:
-    est = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r, path=args.path)
+    est = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
     return {
         "n": args.n,
         "R": args.big_r,
@@ -265,7 +265,6 @@ def _build_parser() -> _Parser:
     p = add("mikhlin", _cmd_mikhlin, "squared two-ball extension norm")
     p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
     p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > 1")
-    p.add_argument("--path", choices=("auto", "closed_form", "generic"), default="auto")
 
     p = add("mikhlin-star", _cmd_mikhlin_star, "star-shaped extension norm bound")
     p.add_argument("--m1", type=float, required=True, help="lower radial bound")

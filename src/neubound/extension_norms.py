@@ -13,11 +13,6 @@ values and estimates:
   * the (1 + K)^2 upper bound for K-quasidiscs in the plane;
   * the exact factor 2 of the mirror reflection across the flat face of a
     half-ball.
-
-The ball formula has a closed-form route for odd n (half-integer Bessel
-orders reduce to elementary functions) and a generic power-series route;
-the two agree to near machine precision and are kept separately callable
-on purpose, as a cross-check of the special-function layer.
 """
 
 from __future__ import annotations
@@ -77,50 +72,31 @@ class StarShapeData:
             raise ValueError(f"outer radius must be > 1, got {self.big_r}")
 
 
-def _mikhlin_fraction(n: int, big_r: float, path: str) -> float:
-    alpha = 0.5 * (n - 2)
-    if path == "closed_form":
-        i_a1 = special.bessel_i_half(alpha, 1.0)
-        i_b1 = special.bessel_i_half(alpha + 1.0, 1.0)
-        i_ar = special.bessel_i_half(alpha, big_r)
-        k_a1 = special.bessel_k_half(alpha, 1.0)
-        k_b1 = special.bessel_k_half(alpha + 1.0, 1.0)
-        k_ar = special.bessel_k_half(alpha, big_r)
-    else:
-        i_a1 = special.bessel_i(alpha, 1.0)
-        i_b1 = special.bessel_i(alpha + 1.0, 1.0)
-        i_ar = special.bessel_i(alpha, big_r)
-        k_a1 = special.bessel_k(alpha, 1.0)
-        k_b1 = special.bessel_k(alpha + 1.0, 1.0)
-        k_ar = special.bessel_k(alpha, big_r)
-    denom = i_ar * k_a1 - k_ar * i_a1
-    if denom <= 0.0:
-        raise NumericalError(
-            f"ball-norm denominator is not positive at n={n}, R={big_r}: {denom}"
-        )
-    return (i_a1 / i_b1) * (i_ar * k_b1 + k_ar * i_b1) / denom
-
-
-def mikhlin_ball_norm_sq(n: int, big_r: float, path: str = "auto") -> ExtensionNormEstimate:
+def mikhlin_ball_norm_sq(n: int, big_r: float) -> ExtensionNormEstimate:
     """Exact squared norm of the ball-to-ball extension, dimensions n > 2.
 
-    The inner ball has radius 1, the outer radius R > 1.  path selects the
-    Bessel evaluation route: "closed_form" (odd n only, elementary
-    functions), "generic" (power series and quadrature), or "auto".
-    Diverges as R -> 1+ and decreases toward a finite limit as R -> inf.
+    The inner ball has radius 1, the outer radius R > 1.  Diverges as
+    R -> 1+ and decreases toward a finite limit as R -> inf.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n <= 2:
         raise ValueError(f"dimension must be an integer > 2, got {n!r}")
     if not (isinstance(big_r, (int, float)) and math.isfinite(big_r) and big_r > 1.0):
         raise ValueError(f"outer radius must be finite and > 1, got {big_r!r}")
-    if path == "auto":
-        path = "closed_form" if n % 2 == 1 else "generic"
-    if path not in ("closed_form", "generic"):
-        raise ValueError(f'path must be "auto", "closed_form" or "generic", got {path!r}')
-    if path == "closed_form" and n % 2 == 0:
-        raise ValueError("closed-form route needs odd n (half-integer Bessel order)")
-    value = 1.0 + _mikhlin_fraction(n, float(big_r), path)
-    return ExtensionNormEstimate(value, "exact", f"ball extension formula, {path} route")
+    big_r = float(big_r)
+    alpha = 0.5 * (n - 2)
+    i_a1 = special.bessel_i(alpha, 1.0)
+    i_b1 = special.bessel_i(alpha + 1.0, 1.0)
+    i_ar = special.bessel_i(alpha, big_r)
+    k_a1 = special.bessel_k(alpha, 1.0)
+    k_b1 = special.bessel_k(alpha + 1.0, 1.0)
+    k_ar = special.bessel_k(alpha, big_r)
+    denom = i_ar * k_a1 - k_ar * i_a1
+    if denom <= 0.0:
+        raise NumericalError(
+            f"ball-norm denominator is not positive at n={n}, R={big_r}: {denom}"
+        )
+    value = 1.0 + (i_a1 / i_b1) * (i_ar * k_b1 + k_ar * i_b1) / denom
+    return ExtensionNormEstimate(value, "exact", "ball extension formula")
 
 
 def mikhlin_star_norm_sq_bound(data: StarShapeData) -> ExtensionNormEstimate:

@@ -5,20 +5,17 @@ series.  J and I use the series directly for x <= 12 and a downward
 three-term recurrence seeded from the series at a safely high order for
 larger x (the series suffers catastrophic cancellation at low order once
 x is large, while at order >= 1.5 x its terms no longer alternate into
-oblivion).  K is assembled from I through its defining formula
-
-    K_nu(x) = (pi / 2) (I_{-nu}(x) - I_nu(x)) / sin(nu pi)
-
-where that is well conditioned, from closed forms at half-integer order,
-and from the integral representation
+oblivion).  K has one route per order class: closed forms recurring
+upward at half-integer order, integral-rule seeds K_0, K_1 recurring
+upward at integer order, and otherwise the integral representation
 
     K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt
 
-everywhere else; the trapezoid rule converges geometrically for that
-integrand.  Measured accuracy against 40-digit reference values: J within
-3e-13 absolute for x <= 50, I within 4e-14 relative for x <= 30, K within
-1e-11 relative over x in [0.05, 700] and orders up to 8 (integer orders
-recur upward from integral-rule seeds and come out near machine epsilon).
+itself; the trapezoid rule converges geometrically for that integrand.
+Measured accuracy against 40-digit reference values: J within 3e-13
+absolute for x <= 50, I within 4e-14 relative for x <= 30, K within
+1.5e-11 relative over x in [0.05, 700] and orders up to 8 (integer and
+half-integer orders come out near machine epsilon).
 
 p_zero(n) is the first positive zero of d/dt [t^(1 - n/2) J_{n/2}(t)],
 equivalently of J_{n/2}(t) - t J_{n/2 + 1}(t); its square is the first
@@ -28,18 +25,13 @@ nontrivial Neumann eigenvalue of the unit ball in dimension n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .errors import NumericalError
 
 _SERIES_MAX_X = 12.0
 _I_OVERFLOW_X = 700.0          # exp(x) overflows float64 just above 709
 _SERIES_MAX_TERMS = 700
-_K_FORMULA_MAX_X = 2.0         # defining formula loses ~e^{2x} digits beyond
-_K_MIN_SIN = 0.01              # |sin(nu pi)| needed for the defining formula
-_K_ORDER_SHIFT = 1e-6          # perturbation used by the cross-check path
 _INTEGER_TOL = 1e-9
 
 
@@ -65,21 +57,13 @@ def _is_integer(nu: float) -> bool:
 def _cyl_series(nu: float, x: float, sign: float) -> float:
     """sum_m sign^m (x/2)^(2m+nu) / (m! Gamma(m+nu+1)), Kahan-compensated.
 
-    sign=-1 gives J_nu, sign=+1 gives I_nu.  nu may be negative non-integer
-    (needed for the K formula); leading terms whose Gamma argument hits a
-    pole contribute zero.
+    sign=-1 gives J_nu, sign=+1 gives I_nu; nu >= 0.
     """
     if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        return 0.0 if nu > 0.0 else math.inf
+        return 1.0 if nu == 0.0 else 0.0
     h = 0.5 * x
     h2 = h * h
-    if nu >= 0.0:
-        term = math.exp(nu * math.log(h) - math.lgamma(nu + 1.0))
-    else:
-        # Gamma(nu+1) may be negative here, go through gamma directly
-        term = h**nu / math.gamma(nu + 1.0)
+    term = math.exp(nu * math.log(h) - math.lgamma(nu + 1.0))
     total = term
     comp = 0.0
     biggest = abs(term)
@@ -100,28 +84,6 @@ def _cyl_series(nu: float, x: float, sign: float) -> float:
             raise NumericalError(
                 f"Bessel series stalled at nu={nu}, x={x} after {m} terms"
             )
-
-
-def _i_series_negative_order(nu: float, x: float) -> float:
-    """I_nu for negative non-integer nu, term-by-term with explicit Gamma.
-
-    The first few terms have Gamma at negative arguments, which the
-    exp/lgamma shortcut cannot represent, so this path pays for a gamma
-    call per term.  Only the K formula uses it.
-    """
-    h = 0.5 * x
-    h2 = h * h
-    total = 0.0
-    fact = 1.0
-    for m in range(_SERIES_MAX_TERMS):
-        if m > 0:
-            fact *= m
-        garg = m + nu + 1.0
-        term = h ** (2 * m + nu) / (fact * math.gamma(garg))
-        total += term
-        if m > h and abs(term) <= 1e-17 * (abs(total) + 1e-300):
-            return total
-    raise NumericalError(f"I series stalled at nu={nu}, x={x}")
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -168,36 +130,7 @@ def bessel_i(nu: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# K: four evaluation routes
-
-
-def bessel_i_half(nu: float, x: float) -> float:
-    """I at half-integer order from sinh/cosh closed forms.
-
-    I_{1/2} = sqrt(2/(pi x)) sinh x, I_{3/2} = sqrt(2/(pi x)) (cosh x -
-    sinh x / x), then the usual three-term recurrence upward.  Exact up to
-    rounding for the handful of orders used here.
-    """
-    nu = _require_finite("nu", nu)
-    x = _require_finite("x", x)
-    if not _is_half_integer(nu) or nu < 0.0:
-        raise ValueError(f"order must be a nonnegative half-integer, got {nu}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be > 0, got {x}")
-    if x > _I_OVERFLOW_X:
-        raise OverflowError(
-            f"I_nu grows like exp(x); x={x} exceeds the supported {_I_OVERFLOW_X}"
-        )
-    pref = math.sqrt(2.0 / (math.pi * x))
-    i0 = pref * math.sinh(x)
-    if nu == 0.5:
-        return i0
-    i1 = pref * (math.cosh(x) - math.sinh(x) / x)
-    mu = 1.5
-    while mu < nu - 1e-9:
-        i0, i1 = i1, i0 - (2.0 * mu / x) * i1
-        mu += 1.0
-    return i1
+# K: one route per order class
 
 
 def bessel_k_half(nu: float, x: float) -> float:
@@ -217,46 +150,6 @@ def bessel_k_half(nu: float, x: float) -> float:
         k0, k1 = k1, k0 + (2.0 * mu / x) * k1
         mu += 1.0
     return k1
-
-
-def bessel_k_via_formula(nu: float, x: float) -> float:
-    """K_nu from its defining formula (pi/2)(I_{-nu} - I_nu)/sin(nu pi).
-
-    Requires non-integer nu.  The two I values agree to about e^{-2x} of
-    their size, so this route is only trustworthy for small x and for nu
-    away from integers; bessel_k routes around those regimes.
-    """
-    nu = _require_finite("nu", nu)
-    x = _require_finite("x", x)
-    if nu < 0.0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be > 0, got {x}")
-    s = math.sin(nu * math.pi)
-    if s == 0.0:
-        raise ValueError(f"defining formula is singular at integer order {nu}")
-    i_neg = _i_series_negative_order(-nu, x)
-    i_pos = _cyl_series(nu, x, 1.0)
-    return 0.5 * math.pi * (i_neg - i_pos) / s
-
-
-def bessel_k_perturbed_order(nu: float, x: float, shift: float = _K_ORDER_SHIFT) -> float:
-    """Integer-order K as the average of the defining formula at nu +- shift.
-
-    The averaging cancels the O(shift) term of the order derivative, but the
-    formula itself still subtracts two nearly equal I values, so the result
-    carries a relative error of roughly 1e-16 * e^(2x) / shift: about 1e-10
-    at x = 0.5, 2e-9 at x = 2, useless past x ~ 7.  bessel_k therefore does
-    not dispatch here; the function stays exported as an independent
-    cross-check of the integer-order route on this envelope.
-    """
-    nu = _require_finite("nu", nu)
-    if not _is_integer(nu):
-        raise ValueError(f"perturbed-order path expects integer order, got {nu}")
-    n = round(nu)
-    hi = bessel_k_via_formula(n + shift, x)
-    lo = bessel_k_via_formula(abs(n - shift), x)
-    return 0.5 * (hi + lo)
 
 
 def _bessel_k_integral(nu: float, x: float) -> float:
@@ -285,10 +178,8 @@ def bessel_k(nu: float, x: float) -> float:
 
     Dispatch: half-integer orders use closed forms; integer orders seed
     K_0, K_1 from the integral representation and recur upward in the
-    order (the formula route is singular there, and recurring upward is
-    stable because K grows with the order); other orders use the defining
-    formula where it is well conditioned (x <= 2 and nu away from
-    integers) and the integral representation otherwise.
+    order (stable because K grows with the order); other orders use the
+    integral representation directly.
     """
     nu = _require_finite("nu", nu)
     x = _require_finite("x", x)
@@ -307,59 +198,11 @@ def bessel_k(nu: float, x: float) -> float:
         for j in range(1, order):
             prev, cur = cur, prev + (2.0 * j / x) * cur
         return cur
-    if x <= _K_FORMULA_MAX_X and abs(math.sin(nu * math.pi)) >= _K_MIN_SIN:
-        return bessel_k_via_formula(nu, x)
     return _bessel_k_integral(nu, x)
 
 
 # ---------------------------------------------------------------------------
-# root finding
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    """An interval [lo, hi] with a sign change: f(lo) and f(hi) have opposite signs."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-        if not (math.isfinite(self.f_lo) and math.isfinite(self.f_hi)):
-            raise ValueError("bracket function values must be finite")
-        if self.f_lo * self.f_hi >= 0.0:
-            raise ValueError(
-                f"no sign change on bracket: f({self.lo})={self.f_lo}, "
-                f"f({self.hi})={self.f_hi}"
-            )
-
-
-def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float = 1e-12) -> float:
-    """Bisect a bracketed root down to interval width tol.
-
-    Deterministic: pure midpoint bisection, no secant or inverse
-    interpolation steps.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    lo, hi, f_lo = bracket.lo, bracket.hi, bracket.f_lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float spacing exhausted
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+# the radial Neumann zero
 
 
 _P_SCAN_STEP = 0.05
@@ -378,26 +221,35 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
         raise ValueError(f"dimension must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     nu = 0.5 * n
 
     def f(t: float) -> float:
         return bessel_j(nu, t) - t * bessel_j(nu + 1.0, t)
 
-    t_prev = _P_SCAN_STEP
-    f_prev = f(t_prev)
-    if f_prev == 0.0:
-        return t_prev
-    t = t_prev
-    while t < _P_SCAN_MAX:
-        t = min(t + _P_SCAN_STEP, _P_SCAN_MAX)
-        f_t = f(t)
-        if f_t == 0.0:
-            return t
-        if f_prev * f_t < 0.0:
-            bracket = RootBracket(t_prev, t, f_prev, f_t)
-            return find_root(f, bracket, tol)
-        t_prev, f_prev = t, f_t
-    raise NumericalError(
-        f"no sign change of the radial derivative in ({_P_SCAN_STEP}, {_P_SCAN_MAX}] "
-        f"for n={n}"
-    )
+    # f > 0 on (0, p_zero), so scan for the first negative value and bisect
+    # that bracket down to width tol.  Signs are tested directly, never via
+    # products: for n >= ~112 both f itself near t = 0 and f_lo * f_hi
+    # underflow to 0.0, which must count as the positive side.
+    lo = hi = _P_SCAN_STEP
+    while not f(hi) < 0.0:
+        if hi >= _P_SCAN_MAX:
+            raise NumericalError(
+                f"no sign change of the radial derivative in ({_P_SCAN_STEP}, {_P_SCAN_MAX}] "
+                f"for n={n}"
+            )
+        lo = hi
+        hi = min(hi + _P_SCAN_STEP, _P_SCAN_MAX)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # float spacing exhausted
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

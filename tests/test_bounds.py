@@ -99,7 +99,7 @@ def test_bowtie_report():
     pw = by_formula["payne_weinberger"]
     assert not pw.applicable and not pw.eligible_for_best
 
-    best = report.best_bound()
+    best = report.best
     assert best is not None and best.formula == "quasidisc"
     assert report.pw_comparison is False
 
@@ -110,7 +110,7 @@ def test_unit_disc_report():
     assert by_formula["quasidisc"].value == pytest.approx(
         p_zero(2) ** 2 / 4.0, rel=1e-4
     )
-    best = report.best_bound()
+    best = report.best
     assert best is not None and best.formula == "payne_weinberger"
     assert best.value == pytest.approx(math.pi**2 / 4.0, rel=1e-4)
 
@@ -122,13 +122,13 @@ def test_half_disc_report():
     assert by_formula["extension_ball"].value == pytest.approx(
         p_zero(2) ** 2 / 2.0, rel=1e-4
     )
-    best = report.best_bound()
+    best = report.best
     assert best is not None and best.formula == "payne_weinberger"
 
 
 def test_tan_disc_report():
     report = bounds.best_bound_report(geometry.named_domain("tan_disc"))
-    best = report.best_bound()
+    best = report.best
     assert best is not None and best.formula == "star_shaped"
     # with the analytically known diameter 2 tan(1)
     want = 4.0 * math.sin(math.pi / 8.0) ** 4 * (p_zero(2) / (2.0 * math.tan(1.0))) ** 2
@@ -164,7 +164,7 @@ def test_report_without_any_structure():
     report = bounds.best_bound_report(spec)
     formulas = [b.formula for b in report.bounds]
     assert formulas == ["payne_weinberger"]
-    assert report.best is None or not report.bounds[report.best].eligible_for_best
+    assert report.best is None or not report.best.eligible_for_best
     assert any("no bound is certified" in note for note in report.notes)
 
 
@@ -178,6 +178,6 @@ def test_report_with_declared_convexity():
         }
     )
     report = bounds.best_bound_report(spec)
-    best = report.best_bound()
+    best = report.best
     assert best is not None and best.formula == "payne_weinberger"
     assert best.value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)

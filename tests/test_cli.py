@@ -29,6 +29,13 @@ def test_mikhlin_schema(capsys):
     payload = json.loads(out)
     assert payload["value_sq"] == pytest.approx(8.38905, abs=1e-4)
     assert payload["kind"] == "exact"
+    assert payload["source"] == "ball extension formula"
+
+
+def test_mikhlin_high_odd_dimension(capsys):
+    code, out, _ = _run(capsys, "mikhlin", "--n", "21", "--R", "2")
+    assert code == 0
+    assert json.loads(out)["value_sq"] == pytest.approx(402.05834567772152, rel=1e-9)
 
 
 def test_mikhlin_star_matches_library(capsys):

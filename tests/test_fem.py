@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from neubound import fem, geometry
 from neubound.errors import NumericalError
@@ -89,15 +90,46 @@ def test_square_convergence_is_monotone():
 
 
 def test_dense_and_sparse_solvers_agree():
-    mesh = _square(refinement=3)  # 145 unknowns, normally dense
-    dense = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
-    limit = fem._DENSE_DOF_LIMIT
-    fem._DENSE_DOF_LIMIT = 1
-    try:
-        sparse = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
-    finally:
-        fem._DENSE_DOF_LIMIT = limit
-    assert np.allclose(dense, sparse, rtol=1e-8, atol=1e-9)
+    # dense generalized eigh as the oracle for the shift-invert solver,
+    # over 7..1633 unknowns
+    for name, samples in (("bowtie", None), ("unit_disc", 12)):
+        for refinement in range(5):
+            mesh = fem.triangulate(
+                geometry.named_domain(name), refinement=refinement, samples=samples
+            )
+            stiffness, mass = fem.assemble(mesh)
+            dense = scipy.linalg.eigh(
+                stiffness.toarray(), mass.toarray(), subset_by_index=[0, 3], eigvals_only=True
+            )
+            sparse = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
+            assert np.allclose(dense, sparse, rtol=1e-8, atol=1e-9)
+
+
+def test_thin_fan_keeps_the_constant_mode():
+    # near-coincident vertex angles give slivers that cost a dense solve
+    # its constant mode (lambda_0 ~ 1.5e-7 at 325 unknowns)
+    spec = geometry.load_domain_spec(
+        {
+            "kind": "polygon",
+            "vertices": [
+                [1.6018193197749238, 1.2582468217679432],
+                [1.562276206756139, 1.416081330404638],
+                [1.2887317742106053, 1.9467743264270996],
+                [1.2851603842321575, 1.9754096913144008],
+                [1.1802551687915739, 2.0230430975572817],
+                [0.3447201646046596, 1.7899516270356726],
+                [0.45530130608774255, 1.7369737762788522],
+                [0.46961938179077045, 0.9715450302516109],
+                [1.1701666147462335, 0.7367124930054245],
+            ],
+            "anchor": [1.0638629464477578, 1.4491459906237516],
+        }
+    )
+    mesh = fem.triangulate(spec, refinement=3)
+    assert mesh.dof_count == 325
+    lam0, lam1 = fem.neumann_eigenvalues(mesh, k=4).eigenvalues[:2]
+    assert abs(lam0) <= 1e-8 * lam1
+    assert lam1 == pytest.approx(8.981154423, rel=1e-8)
 
 
 def test_boundary_vertices_are_tracked():

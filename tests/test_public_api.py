@@ -1,0 +1,79 @@
+"""The public surface: the exported names and the README's library examples."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+import neubound
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+_PUBLIC_NAMES = [
+    "Ball",
+    "BoundReport",
+    "DomainSpec",
+    "ExtensionNormEstimate",
+    "LowerBound",
+    "Mesh",
+    "NumericalError",
+    "SpectrumResult",
+    "StarShapeData",
+    "affine_qc_coefficient",
+    "assemble",
+    "ball_mu1",
+    "bessel_i",
+    "bessel_j",
+    "bessel_k",
+    "best_bound_report",
+    "boundary_loop",
+    "diameter",
+    "example_names",
+    "extension_ball_bound",
+    "half_ball_reflection_norm_sq",
+    "improvement_condition",
+    "load_domain_spec",
+    "mikhlin_ball_norm_sq",
+    "mikhlin_star_norm_sq_bound",
+    "min_enclosing_ball",
+    "named_domain",
+    "neumann_eigenvalues",
+    "p_zero",
+    "payne_weinberger_bound",
+    "piecewise_qc_coefficient",
+    "poincare_constant",
+    "polygon_area",
+    "preset_names",
+    "quasi_monotonicity_upper",
+    "quasidisc_bound",
+    "quasidisc_norm_sq",
+    "rayleigh_quotient",
+    "reproduce",
+    "sample_domain",
+    "spiral_shaped_K",
+    "star_shaped_K",
+    "symmetric_domain_bound",
+    "triangulate",
+    "verify_bound",
+]
+
+
+def test_public_names_are_pinned():
+    # changing the public surface must be a deliberate edit of this list
+    assert sorted(neubound.__all__) == _PUBLIC_NAMES
+    assert all(hasattr(neubound, name) for name in neubound.__all__)
+
+
+def test_readme_library_examples_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", _README.read_text(), flags=re.S)
+    assert blocks, "README has no python examples"
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(_README), "exec"), namespace)
+    out = capsys.readouterr().out.split("\n")
+    formula, value = out[0].split()
+    assert formula == "quasidisc"
+    assert float(value) == pytest.approx(0.3729164046576486, rel=1e-12)
+    assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound
