@@ -154,6 +154,8 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
     next_index = len(vertices)
     midpoint_of: dict[tuple[int, int], int] = {}
     new_points: list[np.ndarray] = []
+    arc_rows: list[int] = []  # rows of new_points placed on the curve at arc_s
+    arc_s: list[float] = []
     new_s: dict[int, float] = dict(s_param)
 
     def midpoint(a: int, b: int) -> int:
@@ -166,13 +168,13 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
             # an edge between boundary vertices is a boundary arc by fan
             # construction; track the exact curve
             s_mid = _wrap_midpoint(new_s[a], new_s[b])
-            point = curve(s_mid)
+            arc_rows.append(len(new_points))
+            arc_s.append(s_mid)
             boundary_flags.append(True)
             new_s[next_index] = s_mid
         else:
-            point = 0.5 * (vertices[a] + vertices[b])
             boundary_flags.append(False)
-        new_points.append(np.asarray(point, dtype=float))
+        new_points.append(0.5 * (vertices[a] + vertices[b]))
         midpoint_of[key] = next_index
         next_index += 1
         return next_index - 1
@@ -188,7 +190,10 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
         children[4 * i + 3] = (m01, m12, m20)
 
     if new_points:
-        new_vertices.append(np.vstack(new_points))
+        points = np.vstack(new_points)
+        if arc_rows:
+            points[arc_rows] = curve(np.array(arc_s))
+        new_vertices.append(points)
     return (
         np.vstack(new_vertices),
         children,

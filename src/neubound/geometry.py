@@ -11,7 +11,6 @@ on chords.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,7 @@ import numpy as np
 
 _MAX_BALL_DIM = 8
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
+_PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +31,19 @@ class Ball:
     radius: float
 
     def contains(self, point: np.ndarray, slack: float = _CONTAIN_SLACK) -> bool:
-        d2 = float(np.dot(point - self.center, point - self.center))
-        return d2 <= self.radius * self.radius * (1.0 + slack) + 1e-30
+        return not self._outside(np.reshape(point, (-1, 1)), slack)[0]
+
+    def _outside(self, coords: np.ndarray, slack: float = _CONTAIN_SLACK) -> np.ndarray:
+        """Mask of the points outside the ball widened by slack.
+
+        coords holds one row per axis and one column per point, so each
+        axis is a contiguous run.
+        """
+        d2 = np.zeros(coords.shape[1])
+        for x, c in zip(coords, self.center):
+            diff = x - c
+            d2 += diff * diff
+        return d2 > self.radius * self.radius * (1.0 + slack) + 1e-30
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,65 +123,79 @@ def polygon_area(verts: Sequence[Sequence[float]]) -> float:
     return _shoelace(np.asarray(verts, dtype=float))
 
 
-def _segments_properly_cross(p, q, r, s) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
-    d1, d2 = orient(p, q, r), orient(p, q, s)
-    d3, d4 = orient(r, s, p), orient(r, s, q)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
-        return True
-    # collinear overlap counts as a crossing too
-    for a, b, c, dd in ((p, q, r, d1), (p, q, s, d2), (r, s, p, d3), (r, s, q, d4)):
-        if dd == 0:
-            lo = min(a[0], b[0]), min(a[1], b[1])
-            hi = max(a[0], b[0]), max(a[1], b[1])
-            if lo[0] <= c[0] <= hi[0] and lo[1] <= c[1] <= hi[1]:
-                if not (np.array_equal(c, a) or np.array_equal(c, b)):
-                    return True
-    return False
+
+def _touches(a: np.ndarray, b: np.ndarray, c: np.ndarray, side: np.ndarray) -> np.ndarray:
+    # c on the line through a, b, inside their bounding box, but not at a or b
+    inside = np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=1)
+    at_end = np.all(c == a, axis=1) | np.all(c == b, axis=1)
+    return (side == 0) & inside & ~at_end
 
 
 def _polygon_is_simple(verts: np.ndarray) -> bool:
+    """True unless two non-adjacent edges cross or touch.
+
+    Edge pq meets edge rs when each separates the other's endpoints (with
+    r and s strictly off the line pq), or when an endpoint of one lies on
+    the other without being one of its endpoints (collinear overlap, T).
+    Pairs are tested in row blocks of at most _PAIR_BLOCK pairs, and only
+    when their bounding boxes overlap, as the boxes of edges that meet do.
+    """
     m = len(verts)
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue  # adjacent edges share an endpoint by design
-            c, d = verts[j], verts[(j + 1) % m]
-            if _segments_properly_cross(a, b, c, d):
-                return False
+    ends = np.roll(verts, -1, axis=0)
+    lo, hi = np.minimum(verts, ends), np.maximum(verts, ends)
+    j = np.arange(m)
+    rows = max(1, _PAIR_BLOCK // m)
+    for i0 in range(0, m, rows):
+        i = np.arange(i0, min(i0 + rows, m))[:, None]
+        # adjacent edges share an endpoint by design: i, i + 1 and 0, m - 1
+        pair = (j > i + 1) & ((i > 0) | (j < m - 1))
+        for axis in (0, 1):
+            pair &= (lo[i, axis] <= hi[j, axis]) & (lo[j, axis] <= hi[i, axis])
+        ii, jj = np.nonzero(pair)
+        p, q, r, s = verts[i0 + ii], ends[i0 + ii], verts[jj], ends[jj]
+        d1, d2 = _orient(p, q, r), _orient(p, q, s)
+        d3, d4 = _orient(r, s, p), _orient(r, s, q)
+        cross = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0)
+        cross |= _touches(p, q, r, d1) | _touches(p, q, s, d2)
+        cross |= _touches(r, s, p, d3) | _touches(r, s, q, d4)
+        if cross.any():
+            return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # boundary samplers
 
-def _circle_curve(s: float) -> np.ndarray:
-    t = 2.0 * math.pi * s
-    return np.array([math.cos(t), math.sin(t)])
+def _circle_curve(s):
+    t = 2.0 * math.pi * np.asarray(s, dtype=float)
+    return np.stack((np.cos(t), np.sin(t)), axis=-1)
 
 
-def _tan_disc_curve(s: float) -> np.ndarray:
-    w = cmath.tan(cmath.exp(2.0j * math.pi * s))
-    return np.array([w.real, w.imag])
+def _tan_disc_curve(s):
+    w = np.tan(np.exp(2.0j * math.pi * np.asarray(s, dtype=float)))
+    return np.stack((w.real, w.imag), axis=-1)
 
 
 _HALF_DISC_ARC_FRAC = math.pi / (math.pi + 2.0)
 
 
-def _half_disc_curve(s: float) -> np.ndarray:
+def _half_disc_curve(s):
     # lower half of the unit disc; loop = lower arc then the diameter
-    s = s % 1.0
-    if s < _HALF_DISC_ARC_FRAC:
-        theta = math.pi * (1.0 + s / _HALF_DISC_ARC_FRAC)
-        return np.array([math.cos(theta), math.sin(theta)])
+    s = np.asarray(s, dtype=float) % 1.0
+    theta = math.pi * (1.0 + s / _HALF_DISC_ARC_FRAC)
     u = (s - _HALF_DISC_ARC_FRAC) / (1.0 - _HALF_DISC_ARC_FRAC)
-    return np.array([1.0 - 2.0 * u, 0.0])
+    on_arc = s < _HALF_DISC_ARC_FRAC
+    x = np.where(on_arc, np.cos(theta), 1.0 - 2.0 * u)
+    y = np.where(on_arc, np.sin(theta), 0.0)
+    return np.stack((x, y), axis=-1)
 
 
-# each family: (curve, breakpoints in s that samples must land on exactly)
+# each family: (curve, breakpoints in s that samples must land on exactly);
+# a curve maps an array of parameters to an array of points, a scalar to a
+# single (2,) point
 _SAMPLER_FAMILIES: dict[str, tuple[Callable[[float], np.ndarray], tuple[float, ...]]] = {
     "unit_disc": (_circle_curve, (0.0,)),
     "tan_disc": (_tan_disc_curve, (0.0,)),
@@ -186,11 +211,11 @@ def _polygon_loop(verts: np.ndarray, m: int | None):
     starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1])) / total
     nv = len(verts)
 
-    def curve(s: float) -> np.ndarray:
-        s = s % 1.0
-        i = int(np.searchsorted(starts, s, side="right")) - 1
+    def curve(s):
+        s = np.asarray(s, dtype=float) % 1.0
+        i = np.searchsorted(starts, s, side="right") - 1
         u = (s - starts[i]) * total / lengths[i]
-        return verts[i] + u * edges[i]
+        return verts[i] + u[..., None] * edges[i]
 
     if m is None or m <= nv:
         return verts.copy(), starts.copy(), curve
@@ -199,14 +224,13 @@ def _polygon_loop(verts: np.ndarray, m: int | None):
     alloc = np.floor(lengths / total * extra).astype(int)
     for _ in range(extra - int(alloc.sum())):
         alloc[int(np.argmax(lengths / (alloc + 1)))] += 1
-    params = []
-    for i in range(nv):
-        span = (starts[(i + 1)] if i + 1 < nv else 1.0) - starts[i]
-        for j in range(alloc[i] + 1):
-            params.append(starts[i] + span * j / (alloc[i] + 1))
-    params = np.array(params)
-    points = np.array([curve(s) for s in params])
-    return points, params, curve
+    # edge i gets its start plus alloc[i] evenly spaced interior parameters
+    counts = alloc + 1
+    edge = np.repeat(np.arange(nv), counts)
+    step = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    spans = np.diff(np.append(starts, 1.0))
+    params = starts[edge] + spans[edge] * step / counts[edge]
+    return curve(params), params, curve
 
 
 def boundary_loop(spec: DomainSpec, m: int | None = None):
@@ -214,8 +238,9 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
 
     Returns (points, params, curve): an (m, 2) array of counterclockwise
     boundary points, their curve parameters in [0, 1), and the exact curve
-    as a callable.  Sampler breakpoints (polygon vertices, the half-disc
-    corners) are always included so no corner gets rounded off.
+    as a callable (an array of parameters gives an array of points, a
+    scalar a single point).  Sampler breakpoints (polygon vertices, the
+    half-disc corners) are always included so no corner gets rounded off.
     """
     if spec.kind == "polygon":
         return _polygon_loop(spec.vertices, m)
@@ -224,16 +249,17 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     if m < 3:
         raise ValueError(f"need at least 3 boundary samples, got {m}")
     pieces = list(breaks) + [1.0]
-    params: list[float] = []
+    params: list[np.ndarray] = []
+    placed = 0
     for i in range(len(pieces) - 1):
         lo, hi = pieces[i], pieces[i + 1]
         count = max(1, round(m * (hi - lo)))
         if i == len(pieces) - 2:
-            count = max(1, m - len(params))
-        params.extend(lo + (hi - lo) * j / count for j in range(count))
-    arr = np.array(params[:m])
-    points = np.array([curve(s) for s in arr])
-    return points, arr, curve
+            count = max(1, m - placed)
+        params.append(lo + (hi - lo) * np.arange(count) / count)
+        placed += count
+    arr = np.concatenate(params)[:m]
+    return curve(arr), arr, curve
 
 
 def sample_domain(spec: DomainSpec, m: int | None = None) -> np.ndarray:
@@ -249,11 +275,36 @@ def sample_domain(spec: DomainSpec, m: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # diameter and smallest enclosing ball
 
-def diameter(points: Sequence[Sequence[float]]) -> float:
-    """Largest pairwise distance over a point cloud, by exhaustive scan.
+def _caliper_diameter_sq(hull: np.ndarray) -> float:
+    """Largest squared vertex distance of a counterclockwise convex polygon.
 
-    Chunked so memory stays bounded for large clouds; in the plane a convex
-    hull prefilter keeps big inputs fast without changing the result.
+    Rotating calipers, vectorized: a vertex supports the caliper line of
+    direction t when t lies between the directions of its incoming and
+    outgoing edges, so the vertex opposite edge i is found by searching for
+    that edge's direction + pi among the unwrapped edge directions.  The
+    diameter is attained at such an antipodal pair; both ends of every edge
+    are paired with the opposite vertex and its two neighbours, which
+    covers ties (parallel edges) and rounding in the directions.
+    """
+    n = len(hull)
+    edges = np.roll(hull, -1, axis=0) - hull
+    theta = np.unwrap(np.arctan2(edges[:, 1], edges[:, 0]))
+    directions = np.maximum.accumulate(np.concatenate((theta, theta + 2.0 * math.pi)))
+    opposite = np.searchsorted(directions, theta + math.pi)
+    ends = np.arange(n)
+    a = np.concatenate((ends, (ends + 1) % n))[:, None]
+    b = (np.concatenate((opposite, opposite))[:, None] + np.arange(-1, 2)) % n
+    diff = hull[a] - hull[b]
+    return float(np.einsum("...k,...k->...", diff, diff).max())
+
+
+def diameter(points: Sequence[Sequence[float]]) -> float:
+    """Largest pairwise distance over a point cloud.
+
+    Planar clouds of more than 512 points are reduced to their convex hull
+    and scanned by rotating calipers, O(m log m).  Smaller clouds, higher
+    dimensions and collinear clouds take an exhaustive pair scan, chunked
+    so memory stays bounded.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -263,12 +314,14 @@ def diameter(points: Sequence[Sequence[float]]) -> float:
     if len(pts) < 2:
         return 0.0
     if pts.shape[1] == 2 and len(pts) > 512:
-        try:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError  # small inputs never load it
 
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass  # degenerate cloud; fall back to the full scan
+        try:
+            hull = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            pass  # all points collinear: fall back to the full scan
+        else:
+            return math.sqrt(_caliper_diameter_sq(hull))
     m, dim = pts.shape
     best = 0.0
     chunk = max(1, int(4_000_000 // (m * dim)) or 1)
@@ -279,11 +332,11 @@ def diameter(points: Sequence[Sequence[float]]) -> float:
     return math.sqrt(best)
 
 
-def _ball_of_support(pts: np.ndarray, support: list[int]) -> Ball | None:
+def _ball_of_support(support: list[np.ndarray]) -> Ball | None:
     """Smallest ball with the given affinely independent points on its surface."""
     if not support:
         return None
-    q = pts[support]
+    q = np.array(support)
     if len(support) == 1:
         return Ball(q[0].copy(), 0.0)
     u = q[1:] - q[0]
@@ -298,27 +351,39 @@ def _ball_of_support(pts: np.ndarray, support: list[int]) -> Ball | None:
     return Ball(center, radius)
 
 
-def _welzl_mtf(pts: np.ndarray, order: list[int], end: int, support: list[int]) -> Ball | None:
-    ball = _ball_of_support(pts, support)
-    if len(support) == pts.shape[1] + 1:
+def _welzl_mtf(coords: np.ndarray, end: int, support: list[np.ndarray]) -> Ball | None:
+    """Move-to-front Welzl over the points coords[:, :end], one row per axis.
+
+    Reorders those columns in place.
+    """
+    ball = _ball_of_support(support)
+    if len(support) == len(coords) + 1:
         return ball
     i = 0
     while i < end:
-        p = order[i]
-        if ball is None or not ball.contains(pts[p]):
-            ball = _welzl_mtf(pts, order, i, support + [p])
-            order.insert(0, order.pop(i))
+        if ball is not None:
+            outside = ball._outside(coords[:, i:end])
+            first = int(np.argmax(outside))
+            if not outside[first]:
+                break
+            i += first
+        p = coords[:, i].copy()
+        ball = _welzl_mtf(coords, i, support + [p])
+        coords[:, 1 : i + 1] = coords[:, :i]
+        coords[:, 0] = p
         i += 1
     return ball
 
 
 def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball:
-    """Smallest enclosing ball of a finite point cloud, dimensions 2 through 8.
+    """Smallest enclosing ball of a finite point cloud, dimensions 1 through 8.
 
-    Move-to-front Welzl over a seeded shuffle of the input order; recursion
-    depth is bounded by dim + 2 regardless of cloud size, and a fixed seed
-    makes the run fully reproducible.  The returned ball is the exact
-    optimum up to roundoff: at most dim + 1 support points determine it.
+    Move-to-front Welzl over a seeded shuffle of the input order, each
+    step searching the remaining points for the first one outside the
+    current ball in one array pass; recursion depth is bounded by dim + 2
+    regardless of cloud size, and a fixed seed makes the run fully
+    reproducible.  The returned ball is the exact optimum up to roundoff:
+    at most dim + 1 support points determine it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -329,8 +394,8 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball
     if not 1 <= dim <= _MAX_BALL_DIM:
         raise ValueError(f"dimension must be between 1 and {_MAX_BALL_DIM}, got {dim}")
     rng = np.random.default_rng(seed)
-    order = list(rng.permutation(len(pts)))
-    ball = _welzl_mtf(pts, order, len(order), [])
+    coords = pts[rng.permutation(len(pts))].T.copy()
+    ball = _welzl_mtf(coords, len(pts), [])
     if ball is None:  # m >= 1, so this cannot happen
         raise RuntimeError("unreachable: empty support for nonempty cloud")
     return ball

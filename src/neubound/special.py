@@ -216,6 +216,8 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
     This is the first critical point of the radial profile t^(1-n/2)
     J_{n/2}(t); its square equals the first nontrivial Neumann eigenvalue
     of the unit ball in R^n.  For n = 2 it is the first maximum of J_1.
+    The value is the lower end of a bracket of width tol around the zero,
+    so it never exceeds the root and bounds built on it stay lower bounds.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension must be an integer, got {n!r}")
@@ -252,4 +254,4 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return lo

@@ -1,5 +1,9 @@
 """Independent reference computations used by the test suite only.
 
+The polygon simplicity oracle tests one pair of non-adjacent edges at a
+time with the orientation-based predicate that geometry._polygon_is_simple
+applies to whole blocks of pairs.
+
 The enclosing-ball oracle enumerates every candidate center instead of
 recursing: the optimal center is the circumcenter of its support set, and
 the support has between 2 and dim+1 affinely independent points, so
@@ -10,9 +14,11 @@ fine for the small clouds the tests use.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def brute_force_mecb(points) -> tuple[np.ndarray, float]:
@@ -45,3 +51,48 @@ def brute_force_mecb(points) -> tuple[np.ndarray, float]:
     covering = np.linalg.norm(candidates[:, None, :] - pts[None, :, :], axis=2).max(axis=1)
     best = int(np.argmin(covering))
     return candidates[best].copy(), float(covering[best])
+
+
+def segments_properly_cross(p, q, r, s) -> bool:
+    """Edge pq meets edge rs: a proper crossing or a collinear touch/overlap."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1, d2 = orient(p, q, r), orient(p, q, s)
+    d3, d4 = orient(r, s, p), orient(r, s, q)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
+        return True
+    # collinear overlap counts as a crossing too
+    for a, b, c, dd in ((p, q, r, d1), (p, q, s, d2), (r, s, p, d3), (r, s, q, d4)):
+        if dd == 0:
+            lo = min(a[0], b[0]), min(a[1], b[1])
+            hi = max(a[0], b[0]), max(a[1], b[1])
+            if lo[0] <= c[0] <= hi[0] and lo[1] <= c[1] <= hi[1]:
+                if not (np.array_equal(c, a) or np.array_equal(c, b)):
+                    return True
+    return False
+
+
+def polygon_is_simple(verts) -> bool:
+    """No two non-adjacent edges of the vertex loop meet, pair by pair."""
+    verts = np.asarray(verts, dtype=float)
+    m = len(verts)
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
+        for j in range(i + 1, m):
+            if (j + 1) % m == i or (i + 1) % m == j:
+                continue  # adjacent edges share an endpoint by design
+            c, d = verts[j], verts[(j + 1) % m]
+            if segments_properly_cross(a, b, c, d):
+                return False
+    return True
+
+
+def brute_force_diameter(points) -> float:
+    """Largest pairwise distance by scanning every pair, in row blocks."""
+    pts = np.asarray(points, dtype=float)
+    best = 0.0
+    for i0 in range(0, len(pts), 1024):
+        best = max(best, float(cdist(pts[i0 : i0 + 1024], pts, "sqeuclidean").max()))
+    return math.sqrt(best)

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from neubound import geometry
-from oracles import brute_force_mecb
+from oracles import brute_force_diameter, brute_force_mecb, polygon_is_simple
 
 _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -38,6 +41,73 @@ def test_bad_polygons_rejected():
         )
     with pytest.raises(ValueError):  # too few vertices
         geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [1, 0]]})
+
+
+_PROPERTY = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+_GRID_POLYGONS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=9
+)
+# generic float vertices; hand-picked tiny or nearly collinear coordinates
+# turn the oracle's orientations into rounding noise (see the test below)
+_FLOAT_POLYGONS = st.builds(
+    lambda seed, m: np.random.default_rng(seed).uniform(-1.0, 1.0, (m, 2)),
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 12),
+)
+
+
+@_PROPERTY
+@given(_GRID_POLYGONS)
+def test_polygon_simplicity_matches_scalar_oracle_on_grid(verts):
+    # small integer grid: collinear overlaps, T-touches and shared vertices
+    verts = np.asarray(verts, dtype=float)
+    assert geometry._polygon_is_simple(verts) == polygon_is_simple(verts)
+
+
+@_PROPERTY
+@given(_FLOAT_POLYGONS)
+def test_polygon_simplicity_matches_scalar_oracle_on_floats(verts):
+    verts = np.asarray(verts, dtype=float)
+    assert geometry._polygon_is_simple(verts) == polygon_is_simple(verts)
+
+
+def test_polygon_simplicity_large_polygon_in_blocks():
+    # more edge pairs than one block holds, simple and then with a crossing
+    theta = np.linspace(0.0, 2.0 * math.pi, 1200, endpoint=False)
+    radius = 1.0 + 0.3 * np.cos(7.0 * theta)
+    verts = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
+    assert 1200 * 1200 // 2 > geometry._PAIR_BLOCK
+    assert geometry._polygon_is_simple(verts)
+    verts[[100, 900]] = verts[[900, 100]]
+    assert not geometry._polygon_is_simple(verts)
+
+
+def _rotated_notched_rectangle() -> np.ndarray:
+    # the two top edges are collinear and disjoint
+    notched = np.array(
+        [[0, 0], [4, 0], [4, 1], [2.5, 1], [2.5, 0.5], [1.5, 0.5], [1.5, 1], [0, 1]], dtype=float
+    )
+    angle = 1.0793
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return notched @ rotation.T
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        pytest.param(_rotated_notched_rectangle(), id="rotated_collinear_edges"),
+        pytest.param(
+            np.array([[0.0, 0.0], [1.0, 0.0], [1.3043313506233335e-93, 8.17079815949845e-119], [-1.0, 1.0]]),
+            id="underflowing_orientations",
+        ),
+    ],
+)
+def test_disjoint_edges_in_rounding_noise_do_not_cross(verts):
+    # the scalar oracle reads rounding noise (or underflow) in the
+    # orientations of two disjoint edges as a crossing; their bounding
+    # boxes are disjoint, so they cannot meet
+    assert not polygon_is_simple(verts)
+    assert geometry._polygon_is_simple(verts)
 
 
 def test_boundary_loop_polygon_returns_vertices():
@@ -94,12 +164,39 @@ def test_diameter_matches_direct_maximum():
         assert geometry.diameter(pts) == pytest.approx(direct, rel=1e-12)
 
 
-def test_diameter_large_cloud_prefilter_agrees():
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((1500, 2))
-    diffs = pts[:, None, :] - pts[None, :, :]
-    direct = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
-    assert geometry.diameter(pts) == pytest.approx(direct, rel=1e-12)
+def _regular_polygon(m: int) -> np.ndarray:
+    theta = 2.0 * math.pi * np.arange(m) / m
+    return np.column_stack((np.cos(theta), np.sin(theta)))
+
+
+def _normal_cloud(m: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((m, 2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _normal_cloud(1500, 5), id="normal_cloud"),
+        pytest.param(
+            lambda: geometry.sample_domain(geometry.named_domain("unit_disc"), 8192),
+            id="unit_disc_all_on_hull",
+        ),
+        pytest.param(lambda: _regular_polygon(1000), id="regular_1000_gon_ties"),
+        pytest.param(
+            lambda: np.outer(np.random.default_rng(7).uniform(-3.0, 2.0, 700), [0.6, -1.7]) + [1.0, 2.0],
+            id="collinear_no_hull",
+        ),
+        pytest.param(lambda: np.repeat(_normal_cloud(400, 11), 3, axis=0), id="duplicated_points"),
+        pytest.param(
+            lambda: geometry.sample_domain(geometry.named_domain("tan_disc"), 16384),
+            id="tan_disc_16384",
+        ),
+    ],
+)
+def test_diameter_large_cloud_matches_brute_force(make):
+    pts = make()
+    assert len(pts) > 512  # large enough for the hull route
+    assert geometry.diameter(pts) == pytest.approx(brute_force_diameter(pts), rel=1e-12)
 
 
 def test_min_enclosing_ball_bowtie_exact():
@@ -120,6 +217,32 @@ def test_min_enclosing_ball_contains_and_is_minimal():
         assert np.all(dists <= ball.radius * (1.0 + 1e-10))
         _, oracle_radius = brute_force_mecb(pts)
         assert ball.radius == pytest.approx(oracle_radius, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _normal_cloud(3000, 29), id="normal_cloud"),
+        pytest.param(
+            lambda: geometry.sample_domain(geometry.named_domain("tan_disc"), 4096), id="tan_disc"
+        ),
+    ],
+)
+def test_min_enclosing_ball_large_cloud(make):
+    pts = make()
+    ball = geometry.min_enclosing_ball(pts)
+    dist = np.linalg.norm(pts - ball.center, axis=1)
+    assert np.all(dist <= ball.radius * (1.0 + 1e-10))
+    # minimal: the points on the rim leave no angular gap wider than pi,
+    # so no shift of the center shrinks the ball
+    rim = pts[dist >= ball.radius * (1.0 - 1e-9)] - ball.center
+    angles = np.sort(np.arctan2(rim[:, 1], rim[:, 0]))
+    gaps = np.diff(np.concatenate((angles, angles[:1] + 2.0 * math.pi)))
+    assert len(rim) >= 2 and gaps.max() <= math.pi + 1e-9
+    # a cloud and its convex hull have the same smallest ball
+    hull = geometry.min_enclosing_ball(pts[ConvexHull(pts).vertices])
+    assert ball.radius == pytest.approx(hull.radius, rel=1e-12)
+    assert np.allclose(ball.center, hull.center, rtol=0.0, atol=1e-12 * hull.radius)
 
 
 def test_min_enclosing_ball_seed_invariant():

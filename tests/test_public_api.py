@@ -75,5 +75,5 @@ def test_readme_library_examples_run(capsys):
     out = capsys.readouterr().out.split("\n")
     formula, value = out[0].split()
     assert formula == "quasidisc"
-    assert float(value) == pytest.approx(0.3729164046576486, rel=1e-12)
+    assert float(value) == pytest.approx(0.3729164046387855, rel=1e-12)
     assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound

@@ -1,14 +1,16 @@
 """Bessel evaluation and the radial Neumann zeros against frozen references.
 
 The reference values were produced once with an arbitrary-precision
-library at 40 digits and are frozen here; the package itself never
-depends on that library.
+library at 40 digits and are frozen here; only the one-sided p_zero check
+asks mpmath for its roots as it runs.  The package itself never depends on
+that library.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -149,6 +151,18 @@ def test_bessel_argument_validation():
 @pytest.mark.parametrize("n,want", sorted(_P_REFERENCE.items()))
 def test_p_zero_reference(n, want):
     assert special.p_zero(n) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_p_zero_never_exceeds_the_root(n):
+    # the lower end of the final bisection bracket (width tol = 1e-10), so a
+    # bound built on p_zero is never inflated by the bracket
+    p = special.p_zero(n)
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(n) / 2
+        root = mpmath.findroot(lambda t: mpmath.besselj(nu, t) - t * mpmath.besselj(nu + 1, t), p)
+        below = float(root - mpmath.mpf(p))
+    assert 0.0 <= below <= 1e-10
 
 
 def test_p_zero_solves_its_equation():
