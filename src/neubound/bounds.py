@@ -118,15 +118,14 @@ class LowerBound:
     applicable says whether the value is an actual claim about this domain
     (and so must sit below any trustworthy computation of mu_1); entries
     kept for reference only, like the convex-domain benchmark on a domain
-    not declared convex, have applicable False.  eligible_for_best further
-    restricts which claims compete for the headline number.
+    not declared convex, have applicable False.  The largest applicable
+    entry is the headline number.
     """
 
     value: float
     formula: str
     inputs: dict
     applicable: bool = True
-    eligible_for_best: bool = True
     note: str = ""
 
     def as_dict(self) -> dict:
@@ -249,7 +248,7 @@ def best_bound_report(
                     sym_value,
                     "symmetric_extension",
                     {"n": n, "d": d, "norm_sq": norm.value_sq},
-                    eligible_for_best=declared,
+                    applicable=declared,
                     note=note,
                 )
             )
@@ -265,14 +264,13 @@ def best_bound_report(
             "payne_weinberger",
             {"n": n, "d": d},
             applicable=convex,
-            eligible_for_best=convex,
             note=pw_note,
         )
     )
 
-    eligible = [e for e in entries if e.eligible_for_best and e.applicable]
-    if eligible:
-        best = max(eligible, key=lambda e: e.value)
+    claims = [e for e in entries if e.applicable]
+    if claims:
+        best = max(claims, key=lambda e: e.value)
     else:
         best = max(entries, key=lambda e: e.value)
         notes.append("no bound is certified for this domain; best shown is reference only")

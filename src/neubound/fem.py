@@ -20,11 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.linalg is unused but kept on purpose: dropping it measured 17-80 ms
-# slower per fresh `python -m neubound.cli` process (see ROADMAP item 1)
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import bounds as bounds_mod
 from . import geometry
@@ -204,6 +199,7 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
 
 def assemble(mesh: Mesh):
     """Stiffness and consistent mass matrices (CSR) for P1 elements."""
+    import scipy.sparse  # imported here so that commands without a mesh skip it
     v, t = mesh.vertices, mesh.triangles
     if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
         raise ValueError("mesh has no triangles")
@@ -248,6 +244,8 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         raise ValueError(f"mesh has {nv} unknowns, above the supported {_MAX_DOF}")
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")
+    import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
+
     stiffness, mass = assemble(mesh)
 
     center = mesh.vertices.mean(axis=0)

@@ -490,8 +490,9 @@ def load_domain_spec(source) -> DomainSpec:
     Schema: {"kind": "polygon" | "named" | "sampler", "dim": n,
     "vertices": [[x, y], ...], "name": ..., "samples": m} plus optional
     metadata keys "symmetry_center", "K", "beta", "convex", "norm_sq",
-    "anchor".  "named" resolves a preset and then applies any overrides
-    given alongside it.
+    "anchor".  "named" resolves a preset and then applies every other key
+    given alongside it as an override; "vertices" is rejected there, since
+    the preset fixes the shape.
     """
     if isinstance(source, dict):
         data = source
@@ -508,20 +509,9 @@ def load_domain_spec(source) -> DomainSpec:
     if unknown:
         raise ValueError(f"unknown domain spec keys: {sorted(unknown)}")
     kind = data.get("kind")
-    if kind == "named":
-        if "name" not in data:
-            raise ValueError('kind "named" requires a "name"')
-        overrides = {}
-        if "samples" in data:
-            overrides["samples"] = int(data["samples"])
-        if "anchor" in data:
-            overrides["anchor"] = np.asarray(data["anchor"], dtype=float)
-        if "dim" in data:
-            overrides["dim"] = int(data["dim"])
-        return named_domain(data["name"], **overrides)
-    if kind not in ("polygon", "sampler"):
+    if kind not in ("polygon", "sampler", "named"):
         raise ValueError(f'kind must be "polygon", "sampler" or "named", got {kind!r}')
-    kwargs: dict = {"kind": kind}
+    kwargs: dict = {}
     if "dim" in data:
         kwargs["dim"] = int(data["dim"])
     if "vertices" in data:
@@ -545,4 +535,10 @@ def load_domain_spec(source) -> DomainSpec:
         kwargs["norm_source"] = "declared in spec"
     if "anchor" in data:
         kwargs["anchor"] = np.asarray(data["anchor"], dtype=float)
-    return DomainSpec(**kwargs)
+    if kind != "named":
+        return DomainSpec(kind=kind, **kwargs)
+    if "name" not in kwargs:
+        raise ValueError('kind "named" requires a "name"')
+    if "vertices" in kwargs:
+        raise ValueError('kind "named" takes its shape from the preset; "vertices" does not apply')
+    return named_domain(kwargs.pop("name"), **kwargs)

@@ -90,18 +90,28 @@ def test_bowtie_report():
     by_formula = {b.formula: b for b in report.bounds}
 
     assert by_formula["quasidisc"].value == pytest.approx(0.3729164046576486, rel=1e-9)
-    assert by_formula["quasidisc"].eligible_for_best
+    assert by_formula["quasidisc"].applicable
 
     sym = by_formula["symmetric_extension"]
     assert sym.value == pytest.approx(0.4143515607307206, rel=1e-9)
-    assert sym.applicable and not sym.eligible_for_best
+    assert not sym.applicable  # no symmetry center declared: reference only
 
     pw = by_formula["payne_weinberger"]
-    assert not pw.applicable and not pw.eligible_for_best
+    assert not pw.applicable
 
     best = report.best
     assert best is not None and best.formula == "quasidisc"
     assert report.pw_comparison is False
+
+
+def test_declared_symmetry_makes_the_symmetric_form_a_claim():
+    spec = geometry.load_domain_spec(
+        {"kind": "named", "name": "bowtie", "symmetry_center": [0.0, 0.5]}
+    )
+    report = bounds.best_bound_report(spec)
+    sym = {b.formula: b for b in report.bounds}["symmetric_extension"]
+    assert sym.applicable and not sym.note
+    assert report.best is sym
 
 
 def test_unit_disc_report():
@@ -164,7 +174,7 @@ def test_report_without_any_structure():
     report = bounds.best_bound_report(spec)
     formulas = [b.formula for b in report.bounds]
     assert formulas == ["payne_weinberger"]
-    assert report.best is None or not report.best.eligible_for_best
+    assert report.best is None or not report.best.applicable
     assert any("no bound is certified" in note for note in report.notes)
 
 

@@ -321,6 +321,24 @@ def test_load_domain_spec_named_with_overrides():
     assert spec.kind == "sampler"
 
 
+def test_load_domain_spec_named_applies_metadata_overrides():
+    spec = geometry.load_domain_spec(
+        {"kind": "named", "name": "bowtie", "K": 1.0, "convex": True, "beta": 0.25,
+         "norm_sq": 3.0, "symmetry_center": [0.0, 0.5]}
+    )
+    assert spec.qc_coefficient == 1.0
+    assert spec.convex is True
+    assert spec.star_beta == 0.25
+    assert spec.norm_sq == 3.0 and spec.norm_source == "declared in spec"
+    assert np.array_equal(spec.symmetry_center, [0.0, 0.5])
+    assert np.array_equal(spec.vertices, geometry.named_domain("bowtie").vertices)
+    # overrides go through the same validation as any other spec
+    with pytest.raises(ValueError, match="qc_coefficient"):
+        geometry.load_domain_spec({"kind": "named", "name": "bowtie", "K": 0.5})
+    with pytest.raises(ValueError, match="vertices"):
+        geometry.load_domain_spec({"kind": "named", "name": "bowtie", "vertices": _SQUARE})
+
+
 def test_load_domain_spec_rejects_garbage():
     with pytest.raises(ValueError):
         geometry.load_domain_spec({"kind": "blob"})

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,17 @@ def test_readme_library_examples_run(capsys):
     assert formula == "quasidisc"
     assert float(value) == pytest.approx(0.3729164046387855, rel=1e-12)
     assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound
+
+
+def test_import_does_not_load_the_sparse_stack():
+    # scipy.sparse loads inside fem when a mesh is built, so commands that
+    # build none skip its import cost
+    src = str(Path(neubound.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, neubound; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -100,14 +100,14 @@ def test_half_integer_closed_forms():
 
 
 def test_half_integer_routes_agree():
-    # the half-integer K recurrence against the integral route it bypasses,
-    # and I at the two seed orders against its sinh/cosh closed forms
-    for nu in (0.5, 1.5, 2.5, 3.5):
-        for x in (0.3, 1.0, 2.0, 6.0, 11.0):
-            assert special.bessel_k_half(nu, x) == pytest.approx(
-                special._bessel_k_integral(nu, x), rel=1e-11
-            )
+    # K at half-integer orders and I at orders 1/2, 3/2 against their
+    # elementary closed forms
     for x in (0.3, 1.0, 2.0, 6.0, 11.0, 25.0):
+        k_fac = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
+        assert special.bessel_k(1.5, x) == pytest.approx(k_fac * (1.0 + 1.0 / x), rel=1e-11)
+        assert special.bessel_k(2.5, x) == pytest.approx(
+            k_fac * (1.0 + 3.0 / x + 3.0 / x**2), rel=1e-11
+        )
         sqrt_fac = math.sqrt(2.0 / (math.pi * x))
         assert special.bessel_i(0.5, x) == pytest.approx(sqrt_fac * math.sinh(x), rel=1e-11)
         assert special.bessel_i(1.5, x) == pytest.approx(
@@ -153,7 +153,7 @@ def test_p_zero_reference(n, want):
     assert special.p_zero(n) == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 230, 248])
 def test_p_zero_never_exceeds_the_root(n):
     # the lower end of the final bisection bracket (width tol = 1e-10), so a
     # bound built on p_zero is never inflated by the bracket
@@ -175,11 +175,18 @@ def test_p_zero_solves_its_equation():
 
 @pytest.mark.parametrize(
     "n,want",
-    [(120, 11.0007447361959893), (200, 14.177795987538353363), (300, 17.349542412947655526)],
+    [
+        (120, 11.0007447361959893),
+        (200, 14.177795987538353363),
+        (230, 15.198967708929737853),
+        (248, 15.779987293482349048),
+        (300, 17.349542412947655526),
+    ],
 )
 def test_p_zero_high_dimension(n, want):
     # J_{n/2}(0.05) and its square underflow here; the scan must not read
-    # an underflowed 0.0 as the sign change (mpmath 40-digit references)
+    # an underflowed 0.0 as the sign change (mpmath 40-digit references).
+    # At n = 230 jv returns 0.0 for J_{n/2}(0.25) but not for J_{n/2+1}(0.25).
     assert special.p_zero(n) == pytest.approx(want, abs=1e-9)
 
 
