@@ -3,9 +3,11 @@
 Meshing is deliberately simple: fan out from an anchor the domain is
 star-shaped about, then refine uniformly, projecting each new boundary
 vertex onto the exact boundary curve via the parameterization carried by
-the boundary loop.  Conforming P1 elements over-approximate Neumann
-eigenvalues, so a mesh eigenvalue below a claimed lower bound is a hard
-contradiction; that is the check verify_bound runs.
+the boundary loop.  Refinement is array code: one np.unique over the edge
+keys of a level finds its edge midpoints, numbered by first use.
+Conforming P1 elements over-approximate Neumann eigenvalues, so a mesh
+eigenvalue below a claimed lower bound is a hard contradiction; that is
+the check verify_bound runs.
 
 Assembly uses the classic per-triangle formulas: with edge coefficients
 b_i = y_j - y_k and c_i = x_k - x_j (cyclic), the stiffness block is
@@ -16,7 +18,6 @@ no energy) and the total mass equals the mesh area.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,6 @@ def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndar
     return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
 
 
-def _wrap_midpoint(s_a: float, s_b: float) -> float:
-    gap = (s_b - s_a) % 1.0
-    if gap > 0.5:
-        s_a, s_b = s_b, s_a
-        gap = (s_b - s_a) % 1.0
-    return (s_a + 0.5 * gap) % 1.0
-
-
 def triangulate(
     spec: geometry.DomainSpec,
     anchor=None,
@@ -93,8 +86,11 @@ def triangulate(
     boundary index.  Each refinement splits every triangle in four; new
     vertices on boundary edges are placed on the exact boundary curve at
     the parameter midpoint, so curved domains are tracked and straight
-    edges are simply halved.  For sampler domains the initial boundary
-    resolution defaults to min(spec.samples, 96); pass samples to override.
+    edges are simply halved.  New vertices are numbered in the order their
+    edges are first met, triangle by triangle and edges 01, 12, 20 within
+    a triangle; children come four per parent, in parent order.  For
+    sampler domains the initial boundary resolution defaults to
+    min(spec.samples, 96); pass samples to override.
     """
     if not isinstance(refinement, int) or not 0 <= refinement <= _MAX_REFINEMENT:
         raise ValueError(f"refinement must be an integer in [0, {_MAX_REFINEMENT}], got {refinement!r}")
@@ -112,12 +108,11 @@ def triangulate(
         raise ValueError("anchor must be a finite 2-vector")
 
     vertices = np.vstack([anchor[None, :], points])
-    triangles = np.array(
-        [[0, 1 + i, 1 + (i + 1) % m] for i in range(m)], dtype=np.int64
-    )
+    fan = np.arange(1, m + 1, dtype=np.int64)
+    triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
     boundary = np.zeros(len(vertices), dtype=bool)
     boundary[1:] = True
-    s_param = {1 + i: float(params[i]) for i in range(m)}
+    s_param = np.concatenate([[np.nan], params])  # curve parameter, NaN inside
 
     double_areas = _signed_double_areas(vertices, triangles)
     bad = np.nonzero(double_areas <= _MIN_TRIANGLE_DOUBLE_AREA)[0]
@@ -144,56 +139,42 @@ def triangulate(
 
 
 def _refine_once(vertices, triangles, boundary, s_param, curve):
-    new_vertices = [vertices]
-    boundary_flags = list(boundary)
-    next_index = len(vertices)
-    midpoint_of: dict[tuple[int, int], int] = {}
-    new_points: list[np.ndarray] = []
-    arc_rows: list[int] = []  # rows of new_points placed on the curve at arc_s
-    arc_s: list[float] = []
-    new_s: dict[int, float] = dict(s_param)
+    nv = len(vertices)
+    # each triangle's edges 01, 12, 20, triangle by triangle
+    starts = triangles.ravel()
+    ends = triangles[:, [1, 2, 0]].ravel()
+    keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # number the midpoints in the order the triangles first use their
+    # edges, not in key order (the numbering triangulate documents)
+    by_use = np.argsort(first, kind="stable")
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    mid = (nv + rank[inverse]).reshape(-1, 3)
+    a, b = starts[first[by_use]], ends[first[by_use]]  # edges as first used
 
-    def midpoint(a: int, b: int) -> int:
-        nonlocal next_index
-        key = (a, b) if a < b else (b, a)
-        found = midpoint_of.get(key)
-        if found is not None:
-            return found
-        if boundary[a] and boundary[b]:
-            # an edge between boundary vertices is a boundary arc by fan
-            # construction; track the exact curve
-            s_mid = _wrap_midpoint(new_s[a], new_s[b])
-            arc_rows.append(len(new_points))
-            arc_s.append(s_mid)
-            boundary_flags.append(True)
-            new_s[next_index] = s_mid
-        else:
-            boundary_flags.append(False)
-        new_points.append(0.5 * (vertices[a] + vertices[b]))
-        midpoint_of[key] = next_index
-        next_index += 1
-        return next_index - 1
+    points = 0.5 * (vertices[a] + vertices[b])
+    # an edge between boundary vertices is a boundary arc by fan
+    # construction; track the exact curve.  Children keep their parent's
+    # edge directions, so every arc runs from a to b the way the loop does,
+    # and its parameter grows by (s_b - s_a) mod 1, across the seam too.
+    arc = boundary[a] & boundary[b]
+    s_a, s_b = s_param[a[arc]], s_param[b[arc]]
+    s_mid = (s_a + 0.5 * ((s_b - s_a) % 1.0)) % 1.0
+    points[arc] = curve(s_mid)
+    new_s = np.full(len(points), np.nan)
+    new_s[arc] = s_mid
 
-    children = np.empty((4 * len(triangles), 3), dtype=np.int64)
-    for i, (v0, v1, v2) in enumerate(triangles):
-        m01 = midpoint(int(v0), int(v1))
-        m12 = midpoint(int(v1), int(v2))
-        m20 = midpoint(int(v2), int(v0))
-        children[4 * i] = (v0, m01, m20)
-        children[4 * i + 1] = (v1, m12, m01)
-        children[4 * i + 2] = (v2, m20, m12)
-        children[4 * i + 3] = (m01, m12, m20)
-
-    if new_points:
-        points = np.vstack(new_points)
-        if arc_rows:
-            points[arc_rows] = curve(np.array(arc_s))
-        new_vertices.append(points)
+    v0, v1, v2 = triangles.T
+    m01, m12, m20 = mid.T
+    children = np.stack(
+        [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
+    ).reshape(-1, 3)
     return (
-        np.vstack(new_vertices),
+        np.vstack([vertices, points]),
         children,
-        np.array(boundary_flags, dtype=bool),
-        new_s,
+        np.concatenate([boundary, arc]),
+        np.concatenate([s_param, new_s]),
     )
 
 

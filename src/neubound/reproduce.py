@@ -32,10 +32,12 @@ _MIKHLIN_PUBLISHED = [
 
 
 def _entry(published: float, computed: float, tol: float) -> dict:
+    # published values carry 4-6 digits, so only 3 of the difference mean
+    # anything; more would print the computed value's rounding noise
     return {
         "published": published,
         "computed": computed,
-        "difference": computed - published,
+        "difference": float(f"{computed - published:.3g}"),
         "match": bool(abs(computed - published) <= tol),
     }
 

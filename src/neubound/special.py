@@ -9,14 +9,15 @@ absolute, I within 7.9e-16 relative and K within 1.8e-14 relative.
 p_zero(n) is the first positive zero of d/dt [t^(1 - n/2) J_{n/2}(t)],
 equivalently of J_{n/2}(t) - t J_{n/2 + 1}(t); its square is the first
 nontrivial Neumann eigenvalue of the unit ball in dimension n.
+
+scipy.special loads on first use, inside these functions, so importing
+the package does not pay for it (a few hundred ms on a cold start).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-from scipy.special import iv, jv, kv
 
 from .errors import NumericalError
 
@@ -38,11 +39,15 @@ def _checked(nu: float, x: float, strict: bool = False) -> tuple[float, float]:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x), nu >= 0, x >= 0."""
+    from scipy.special import jv
+
     return float(jv(*_checked(nu, x)))
 
 
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0."""
+    from scipy.special import iv
+
     nu, x = _checked(nu, x)
     if x > _I_OVERFLOW_X:
         raise OverflowError(
@@ -53,6 +58,8 @@ def bessel_i(nu: float, x: float) -> float:
 
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), nu >= 0, x > 0."""
+    from scipy.special import kv
+
     return float(kv(*_checked(nu, x, strict=True)))
 
 
@@ -80,6 +87,8 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
         raise ValueError(f"dimension must be >= 2, got {n}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    from scipy.special import jv
+
     nu = 0.5 * n
 
     def f(t: float) -> float:

@@ -10,6 +10,10 @@ the support has between 2 and dim+1 affinely independent points, so
 checking the covering radius of every subset circumcenter and taking the
 minimum is exhaustive.  Quadratic-to-quartic in the point count, which is
 fine for the small clouds the tests use.
+
+The refinement oracle walks the mesh one triangle at a time: a dict
+numbers each edge midpoint at its first use, and a scalar wrap-around
+midpoint places the new boundary vertices on the curve.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from neubound import fem, geometry
 
 
 def brute_force_mecb(points) -> tuple[np.ndarray, float]:
@@ -96,3 +102,97 @@ def brute_force_diameter(points) -> float:
     for i0 in range(0, len(pts), 1024):
         best = max(best, float(cdist(pts[i0 : i0 + 1024], pts, "sqeuclidean").max()))
     return math.sqrt(best)
+
+
+def scalar_triangulate(spec, refinement: int):
+    """fem.triangulate's fan and refinement, one triangle at a time.
+
+    Returns (vertices, triangles, boundary).  Builds the fan with a list
+    comprehension and the boundary parameters as a dict, resolves the
+    anchor and the sampler mesh resolution the way fem.triangulate does by
+    default, and skips its validation and degeneracy checks.
+    """
+    samples = None
+    if spec.kind == "sampler":
+        samples = min(spec.samples, fem._SAMPLER_MESH_BOUNDARY)
+    points, params, curve = geometry.boundary_loop(spec, samples)
+    m = len(points)
+    anchor = spec.anchor
+    if anchor is None:
+        anchor = points.mean(axis=0) if spec.kind == "polygon" else np.zeros(2)
+    anchor = np.asarray(anchor, dtype=float)
+
+    vertices = np.vstack([anchor[None, :], points])
+    triangles = np.array(
+        [[0, 1 + i, 1 + (i + 1) % m] for i in range(m)], dtype=np.int64
+    )
+    boundary = np.zeros(len(vertices), dtype=bool)
+    boundary[1:] = True
+    s_param = {1 + i: float(params[i]) for i in range(m)}
+    for _ in range(refinement):
+        vertices, triangles, boundary, s_param = _refine_once(
+            vertices, triangles, boundary, s_param, curve
+        )
+    return vertices, triangles, boundary
+
+
+def _wrap_midpoint(s_a: float, s_b: float) -> float:
+    gap = (s_b - s_a) % 1.0
+    if gap > 0.5:
+        s_a, s_b = s_b, s_a
+        gap = (s_b - s_a) % 1.0
+    return (s_a + 0.5 * gap) % 1.0
+
+
+def _refine_once(vertices, triangles, boundary, s_param, curve):
+    new_vertices = [vertices]
+    boundary_flags = list(boundary)
+    next_index = len(vertices)
+    midpoint_of: dict[tuple[int, int], int] = {}
+    new_points: list[np.ndarray] = []
+    arc_rows: list[int] = []  # rows of new_points placed on the curve at arc_s
+    arc_s: list[float] = []
+    new_s: dict[int, float] = dict(s_param)
+
+    def midpoint(a: int, b: int) -> int:
+        nonlocal next_index
+        key = (a, b) if a < b else (b, a)
+        found = midpoint_of.get(key)
+        if found is not None:
+            return found
+        if boundary[a] and boundary[b]:
+            # an edge between boundary vertices is a boundary arc by fan
+            # construction; track the exact curve
+            s_mid = _wrap_midpoint(new_s[a], new_s[b])
+            arc_rows.append(len(new_points))
+            arc_s.append(s_mid)
+            boundary_flags.append(True)
+            new_s[next_index] = s_mid
+        else:
+            boundary_flags.append(False)
+        new_points.append(0.5 * (vertices[a] + vertices[b]))
+        midpoint_of[key] = next_index
+        next_index += 1
+        return next_index - 1
+
+    children = np.empty((4 * len(triangles), 3), dtype=np.int64)
+    for i, (v0, v1, v2) in enumerate(triangles):
+        m01 = midpoint(int(v0), int(v1))
+        m12 = midpoint(int(v1), int(v2))
+        m20 = midpoint(int(v2), int(v0))
+        children[4 * i] = (v0, m01, m20)
+        children[4 * i + 1] = (v1, m12, m01)
+        children[4 * i + 2] = (v2, m20, m12)
+        children[4 * i + 3] = (m01, m12, m20)
+
+    if new_points:
+        points = np.vstack(new_points)
+        if arc_rows:
+            points[arc_rows] = curve(np.array(arc_s))
+        new_vertices.append(points)
+    return (
+        np.vstack(new_vertices),
+        children,
+        np.array(boundary_flags, dtype=bool),
+        new_s,
+    )

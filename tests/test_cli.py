@@ -146,6 +146,19 @@ def test_reproduce_csv_table(capsys):
     assert lines[0].startswith("n,published,computed")
 
 
+@pytest.mark.parametrize("example", ["mikhlin_table", "pzero_table"])
+def test_reproduce_differences_keep_three_digits(capsys, example):
+    # the published values carry 4-6 digits, so a longer difference would
+    # print the computed value's last-ulp noise
+    code, out, _ = _run(capsys, "reproduce", example)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows
+    for row in rows:
+        exact = row["computed"] - row["published"]
+        assert row["difference"] == float(f"{exact:.3g}")
+
+
 def test_exit_code_for_input_errors(capsys):
     assert _run(capsys, "reproduce", "nonsense")[0] == 1
     assert _run(capsys, "mikhlin", "--n", "3", "--R", "0.5")[0] == 1

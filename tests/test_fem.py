@@ -10,6 +10,7 @@ import scipy.linalg
 
 from neubound import fem, geometry
 from neubound.errors import NumericalError
+from oracles import scalar_triangulate
 
 _SQUARE_SPEC = {
     "kind": "polygon",
@@ -156,6 +157,57 @@ def test_edges_between_boundary_vertices_are_boundary_edges():
         for (va, vb), count in edge_count.items():
             if mesh.boundary[va] and mesh.boundary[vb]:
                 assert count == 1, f"{name}: interior chord between boundary vertices"
+
+
+def _rotated_rectangle():
+    c, s = math.cos(0.7), math.sin(0.7)
+    corners = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.5], [0.0, 0.5]])
+    return {"kind": "polygon", "vertices": (corners @ [[c, s], [-s, c]]).tolist()}
+
+
+def _random_star_polygon():
+    rng = np.random.default_rng(20171016)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 13))
+    radii = rng.uniform(0.4, 1.6, 13)
+    center = np.array([0.3, -1.2])
+    vertices = center + radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return {"kind": "polygon", "vertices": vertices.tolist(), "anchor": center.tolist()}
+
+
+_ORACLE_SPECS = {
+    **{name: geometry.named_domain(name) for name in geometry.preset_names()},
+    "rotated_rectangle": geometry.load_domain_spec(_rotated_rectangle()),
+    "equilateral_triangle": geometry.load_domain_spec(
+        {"kind": "polygon", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(0.75)]]}
+    ),
+    "random_star": geometry.load_domain_spec(_random_star_polygon()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_refinement_matches_scalar_oracle(name):
+    """Array refinement reproduces the triangle-by-triangle loop bit for bit.
+
+    Same fan, then r = 0..5 levels while the mesh stays within the solver's
+    DOF cap: vertices, triangles (midpoints numbered by first use) and the
+    boundary mask must be equal, not close.  The last boundary arc of every
+    loop crosses the parameter seam (s = (m-1)/m -> 0), so the wrap-around
+    of the arc midpoint is covered.  The oracle's swap branch (a parameter
+    gap above 1/2) is never taken: children keep their parent's edge
+    directions, so every arc is met in the loop's direction, and no fan arc
+    spans half the parameter range.
+    """
+    spec = _ORACLE_SPECS[name]
+    for refinement in range(6):
+        mesh = fem.triangulate(spec, refinement=refinement)
+        if mesh.dof_count > fem._MAX_DOF:
+            assert refinement >= 4  # every spec is checked on refined meshes
+            break
+        vertices, triangles, boundary = scalar_triangulate(spec, refinement)
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.triangles, triangles)
+        assert mesh.triangles.dtype == triangles.dtype
+        assert np.array_equal(mesh.boundary, boundary)
 
 
 def test_curved_boundary_vertices_stay_on_circle():

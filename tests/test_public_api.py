@@ -82,15 +82,26 @@ def test_readme_library_examples_run(capsys):
     assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound
 
 
-def test_import_does_not_load_the_sparse_stack():
-    # scipy.sparse loads inside fem when a mesh is built, so commands that
-    # build none skip its import cost
+def _loaded_by_fresh_import(module: str) -> bool:
     src = str(Path(neubound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, neubound; print('scipy.sparse' in sys.modules)"
+    code = f"import sys, neubound; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "False"
+    ).stdout.strip()
+    assert out in ("True", "False")
+    return out == "True"
+
+
+def test_import_does_not_load_the_sparse_stack():
+    # scipy.sparse loads inside fem when a mesh is built, so commands that
+    # build none skip its import cost
+    assert not _loaded_by_fresh_import("scipy.sparse")
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special loads inside the Bessel wrappers and p_zero, so commands
+    # that evaluate no Bessel function (qc, mecb) skip its import cost
+    assert not _loaded_by_fresh_import("scipy.special")
