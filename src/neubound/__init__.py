@@ -17,7 +17,6 @@ from .bounds import (
     extension_ball_bound,
     improvement_condition,
     payne_weinberger_bound,
-    poincare_constant,
     quasi_monotonicity_upper,
     quasidisc_bound,
     star_shaped_bound,
@@ -37,7 +36,6 @@ from .fem import (
     SpectrumResult,
     assemble,
     neumann_eigenvalues,
-    rayleigh_quotient,
     triangulate,
     verify_bound,
 )
@@ -96,14 +94,12 @@ __all__ = [
     "p_zero",
     "payne_weinberger_bound",
     "piecewise_qc_coefficient",
-    "poincare_constant",
     "polygon_area",
     "preset_names",
     "quasi_monotonicity_upper",
     "quasidisc_bound",
     "quasidisc_norm_sq",
     "reproduce",
-    "rayleigh_quotient",
     "sample_domain",
     "spiral_shaped_K",
     "star_shaped_K",

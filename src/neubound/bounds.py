@@ -96,12 +96,6 @@ def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
     return mu1_inner * norm_sq
 
 
-def poincare_constant(mu1: float) -> float:
-    """Best constant in ||u - mean u||_2 <= C ||grad u||_2, namely mu_1^(-1/2)."""
-    _require_positive("mu1", mu1)
-    return 1.0 / math.sqrt(mu1)
-
-
 def _check_norm_sq(norm_sq: float) -> None:
     if not (isinstance(norm_sq, (int, float)) and math.isfinite(norm_sq) and norm_sq >= 1.0):
         raise ValueError(f"squared extension norm must be finite and >= 1, got {norm_sq!r}")

@@ -107,19 +107,6 @@ def _warn(lines) -> None:
         sys.stderr.write(f"warning: {line}\n")
 
 
-def _domain(source: str) -> geometry.DomainSpec:
-    if source in geometry.preset_names():
-        return geometry.named_domain(source)
-    if source.lstrip().startswith("{"):
-        return geometry.load_domain_spec(source)
-    if not os.path.exists(source):
-        raise _UsageError(
-            f"domain {source!r} is neither a preset ({', '.join(geometry.preset_names())}) "
-            "nor an existing JSON file"
-        )
-    return geometry.load_domain_spec(source)
-
-
 def _cmd_pzero(args) -> dict:
     return {"n": args.n, "p": special.p_zero(args.n, tol=args.tol)}
 
@@ -177,7 +164,7 @@ def _cmd_qc(args) -> dict:
 
 
 def _cmd_mecb(args) -> dict:
-    spec = _domain(args.domain)
+    spec = geometry.load_domain_spec(args.domain)
     points = geometry.sample_domain(spec, args.samples)
     ball = geometry.min_enclosing_ball(points, seed=args.seed)
     return {
@@ -189,14 +176,14 @@ def _cmd_mecb(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
-    spec = _domain(args.domain)
+    spec = geometry.load_domain_spec(args.domain)
     report = bounds.best_bound_report(spec, n=args.n, samples=args.samples)
     _warn(report.notes)
     return report.as_dict()
 
 
 def _cmd_fem(args) -> dict:
-    spec = _domain(args.domain)
+    spec = geometry.load_domain_spec(args.domain)
     if args.table:
         rows = []
         for level in range(args.refinement + 1):
@@ -224,7 +211,7 @@ def _cmd_fem(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    spec = _domain(args.domain)
+    spec = geometry.load_domain_spec(args.domain)
     record = fem.verify_bound(
         spec,
         refinement=args.refinement,

@@ -49,11 +49,8 @@ class Mesh:
     @property
     def mesh_size(self) -> float:
         v, t = self.vertices, self.triangles
-        h = 0.0
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            edge = v[t[:, a]] - v[t[:, b]]
-            h = max(h, float(np.sqrt((edge * edge).sum(axis=1)).max()))
-        return h
+        edges = v[t[:, [1, 2, 0]]] - v[t]  # (nt, 3, 2): edges 01, 12, 20
+        return float(np.sqrt((edges * edges).sum(axis=2).max()))
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,12 @@ def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndar
 
 def triangulate(
     spec: geometry.DomainSpec,
-    anchor=None,
     refinement: int = 0,
     samples: int | None = None,
 ) -> Mesh:
     """Fan triangulation from a star center, uniformly refined.
 
-    anchor defaults to the spec's anchor, else the vertex centroid for
+    The fan center is the spec's anchor, else the vertex centroid for
     polygons and the origin for samplers; the domain must be star-shaped
     about it, and a fan triangle folding over is reported with its
     boundary index.  Each refinement splits every triangle in four; new
@@ -99,13 +95,9 @@ def triangulate(
     points, params, curve = geometry.boundary_loop(spec, samples)
     m = len(points)
 
-    if anchor is None:
-        anchor = spec.anchor
+    anchor = spec.anchor
     if anchor is None:
         anchor = points.mean(axis=0) if spec.kind == "polygon" else np.zeros(2)
-    anchor = np.asarray(anchor, dtype=float)
-    if anchor.shape != (2,) or not np.all(np.isfinite(anchor)):
-        raise ValueError("anchor must be a finite 2-vector")
 
     vertices = np.vstack([anchor[None, :], points])
     fan = np.arange(1, m + 1, dtype=np.int64)
@@ -259,27 +251,6 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         mesh_size=mesh.mesh_size,
         dof_count=nv,
     )
-
-
-def rayleigh_quotient(mesh: Mesh, nodal_values) -> float:
-    """Gradient-energy over mass quotient u^T K u / u^T M u of a P1 function.
-
-    After M-orthogonalizing against constants, the quotient of any nonzero
-    u is an upper bound for the mesh's mu_1; for raw u it is 0 exactly
-    when u is constant.
-    """
-    u = np.asarray(nodal_values, dtype=float)
-    if u.shape != (mesh.dof_count,):
-        raise ValueError(
-            f"nodal_values must have shape ({mesh.dof_count},), got {u.shape}"
-        )
-    if not np.all(np.isfinite(u)):
-        raise ValueError("nodal_values must be finite")
-    stiffness, mass = assemble(mesh)
-    denom = float(u @ (mass @ u))
-    if denom <= 0.0:
-        raise ValueError("nodal_values is (numerically) the zero function")
-    return float(u @ (stiffness @ u)) / denom
 
 
 def verify_bound(

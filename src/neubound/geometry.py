@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,9 +29,6 @@ class Ball:
 
     center: np.ndarray
     radius: float
-
-    def contains(self, point: np.ndarray, slack: float = _CONTAIN_SLACK) -> bool:
-        return not self._outside(np.reshape(point, (-1, 1)), slack)[0]
 
     def _outside(self, coords: np.ndarray, slack: float = _CONTAIN_SLACK) -> np.ndarray:
         """Mask of the points outside the ball widened by slack.
@@ -54,7 +51,8 @@ class DomainSpec:
     norm_sq) are assertions by the caller, never derived from the shape;
     the bounds module only uses a bound family when its metadata is
     present.  anchor is a point the domain is star-shaped with respect to,
-    used as the fan center when meshing.
+    used as the fan center when meshing.  vertices, symmetry_center and
+    anchor are stored as read-only float copies.
     """
 
     kind: str  # "polygon" or "sampler"
@@ -75,10 +73,14 @@ class DomainSpec:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if not isinstance(self.dim, int) or self.dim < 2:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        if not isinstance(self.samples, int) or self.samples < 3:
+            raise ValueError(f"samples must be an integer >= 3, got {self.samples!r}")
         if self.kind == "polygon":
             if self.vertices is None:
                 raise ValueError("polygon spec needs vertices")
-            verts = np.asarray(self.vertices, dtype=float)
+            verts = np.array(self.vertices, dtype=float)
             if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
                 raise ValueError("vertices must be an (m, 2) array with m >= 3")
             if not np.all(np.isfinite(verts)):
@@ -91,19 +93,18 @@ class DomainSpec:
                 verts = verts[::-1].copy()  # normalize to counterclockwise
             if not _polygon_is_simple(verts):
                 raise ValueError("polygon boundary is self-intersecting")
+            verts.flags.writeable = False
             object.__setattr__(self, "vertices", verts)
-        else:
-            if self.name not in _SAMPLER_FAMILIES:
-                known = ", ".join(sorted(_SAMPLER_FAMILIES))
-                raise ValueError(f"unknown sampler {self.name!r}; known: {known}")
-            if not isinstance(self.samples, int) or self.samples < 3:
-                raise ValueError(f"samples must be an integer >= 3, got {self.samples!r}")
+        elif self.name not in _SAMPLER_FAMILIES:
+            known = ", ".join(sorted(_SAMPLER_FAMILIES))
+            raise ValueError(f"unknown sampler {self.name!r}; known: {known}")
         for attr in ("symmetry_center", "anchor"):
             value = getattr(self, attr)
             if value is not None:
-                arr = np.asarray(value, dtype=float)
+                arr = np.array(value, dtype=float)
                 if arr.shape != (2,) or not np.all(np.isfinite(arr)):
                     raise ValueError(f"{attr} must be a finite 2-vector")
+                arr.flags.writeable = False
                 object.__setattr__(self, attr, arr)
         if self.qc_coefficient is not None and not self.qc_coefficient >= 1.0:
             raise ValueError("qc_coefficient must be >= 1")
@@ -275,6 +276,15 @@ def sample_domain(spec: DomainSpec, m: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # diameter and smallest enclosing ball
 
+def _point_cloud(points: Sequence[Sequence[float]]) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError("points must be a nonempty (m, dim) array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    return pts
+
+
 def _caliper_diameter_sq(hull: np.ndarray) -> float:
     """Largest squared vertex distance of a counterclockwise convex polygon.
 
@@ -306,11 +316,7 @@ def diameter(points: Sequence[Sequence[float]]) -> float:
     dimensions and collinear clouds take an exhaustive pair scan, chunked
     so memory stays bounded.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError("points must be a nonempty (m, dim) array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    pts = _point_cloud(points)
     if len(pts) < 2:
         return 0.0
     if pts.shape[1] == 2 and len(pts) > 512:
@@ -385,11 +391,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball
     reproducible.  The returned ball is the exact optimum up to roundoff:
     at most dim + 1 support points determine it.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError("points must be a nonempty (m, dim) array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    pts = _point_cloud(points)
     dim = pts.shape[1]
     if not 1 <= dim <= _MAX_BALL_DIM:
         raise ValueError(f"dimension must be between 1 and {_MAX_BALL_DIM}, got {dim}")
@@ -406,135 +408,126 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball
 
 _PHI_K = (3.0 + math.sqrt(5.0)) / 2.0  # largest distortion of the shear pieces
 
-_BOWTIE_VERTICES = np.array(
-    [
-        [-0.5, 0.0],
-        [0.0, 0.5],
-        [0.5, 0.0],
-        [0.5, 1.0],
-        [0.0, 1.5],
-        [-0.5, 1.0],
-    ]
-)
-
-
-def _presets() -> dict[str, DomainSpec]:
-    return {
-        # two sheared unit squares glued along x = 0; piecewise-affine image
-        # of a square, quasidisc coefficient (3 + sqrt 5)/2
-        "bowtie": DomainSpec(
-            kind="polygon",
-            vertices=_BOWTIE_VERTICES,
-            name="bowtie",
-            qc_coefficient=_PHI_K,
-            convex=False,
-            anchor=np.array([0.0, 1.0]),
-        ),
-        "unit_disc": DomainSpec(
-            kind="sampler",
-            name="unit_disc",
-            samples=256,
-            symmetry_center=np.array([0.0, 0.0]),
-            qc_coefficient=1.0,
-            convex=True,
-            anchor=np.array([0.0, 0.0]),
-        ),
-        # lower half of the unit disc; even reflection across the diameter
-        # extends H^1 functions with energy factor exactly 2
-        "half_disc": DomainSpec(
-            kind="sampler",
-            name="half_disc",
-            samples=256,
-            convex=True,
-            norm_sq=2.0,
-            norm_source="mirror reflection",
-            anchor=np.array([0.0, -0.4]),
-        ),
-        # image of the unit disc under tan; odd map, so centrally symmetric,
-        # and (1/2)-star-shaped about the origin
-        "tan_disc": DomainSpec(
-            kind="sampler",
-            name="tan_disc",
-            samples=4096,
-            symmetry_center=np.array([0.0, 0.0]),
-            star_beta=0.5,
-            convex=False,
-            anchor=np.array([0.0, 0.0]),
-        ),
-    }
+# the DomainSpec arguments of each preset
+_PRESETS: dict[str, dict] = {
+    # two sheared unit squares glued along x = 0; piecewise-affine image
+    # of a square, quasidisc coefficient (3 + sqrt 5)/2
+    "bowtie": dict(
+        kind="polygon", name="bowtie", qc_coefficient=_PHI_K, convex=False, anchor=(0.0, 1.0),
+        vertices=[[-0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 1.0], [0.0, 1.5], [-0.5, 1.0]],
+    ),
+    "unit_disc": dict(
+        kind="sampler", name="unit_disc", samples=256, symmetry_center=(0.0, 0.0),
+        qc_coefficient=1.0, convex=True, anchor=(0.0, 0.0),
+    ),
+    # lower half of the unit disc; even reflection across the diameter
+    # extends H^1 functions with energy factor exactly 2
+    "half_disc": dict(
+        kind="sampler", name="half_disc", samples=256, convex=True,
+        norm_sq=2.0, norm_source="mirror reflection", anchor=(0.0, -0.4),
+    ),
+    # image of the unit disc under tan; odd map, so centrally symmetric,
+    # and (1/2)-star-shaped about the origin
+    "tan_disc": dict(
+        kind="sampler", name="tan_disc", samples=4096, symmetry_center=(0.0, 0.0),
+        star_beta=0.5, convex=False, anchor=(0.0, 0.0),
+    ),
+}
 
 
 def preset_names() -> tuple[str, ...]:
     """Names accepted by named_domain, sorted."""
-    return tuple(sorted(_presets()))
+    return tuple(sorted(_PRESETS))
 
 
 def named_domain(name: str, **overrides) -> DomainSpec:
-    """Look up a built-in example domain by name."""
-    presets = _presets()
-    if name not in presets:
-        raise ValueError(f"unknown named domain {name!r}; known: {', '.join(sorted(presets))}")
-    spec = presets[name]
-    return replace(spec, **overrides) if overrides else spec
+    """Build a built-in example domain by name, with DomainSpec fields overridden."""
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise ValueError(f"unknown named domain {name!r}; known: {', '.join(preset_names())}")
+    return DomainSpec(**{**_PRESETS[name], **overrides})
 
 
-_JSON_KEYS = {
-    "kind", "dim", "vertices", "name", "samples", "symmetry_center",
-    "K", "beta", "convex", "norm_sq", "anchor",
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f'"{key}" must be a JSON number, got {value!r}')
+    return float(value)
+
+
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f'"{key}" must be a JSON boolean')
+    return value
+
+
+def _float_array(key: str, value) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim == 0 or arr.dtype.kind not in "iuf":
+        raise ValueError(f'"{key}" must be an array of numbers')
+    return arr.astype(float)
+
+
+# JSON key -> (DomainSpec field, converter); a key without a converter is
+# passed as given, and DomainSpec checks every field
+_SPEC_FIELDS = {
+    "dim": ("dim", None),
+    "vertices": ("vertices", _float_array),
+    "name": ("name", None),
+    "samples": ("samples", None),
+    "symmetry_center": ("symmetry_center", _float_array),
+    "K": ("qc_coefficient", _number),
+    "beta": ("star_beta", _number),
+    "convex": ("convex", _boolean),
+    "norm_sq": ("norm_sq", _number),
+    "anchor": ("anchor", _float_array),
 }
 
 
 def load_domain_spec(source) -> DomainSpec:
-    """Build a DomainSpec from a JSON file path, a JSON string, or a dict.
+    """Build a DomainSpec from a preset name, a JSON file path, a JSON string, or a dict.
 
     Schema: {"kind": "polygon" | "named" | "sampler", "dim": n,
     "vertices": [[x, y], ...], "name": ..., "samples": m} plus optional
     metadata keys "symmetry_center", "K", "beta", "convex", "norm_sq",
-    "anchor".  "named" resolves a preset and then applies every other key
-    given alongside it as an override; "vertices" is rejected there, since
-    the preset fixes the shape.
+    "anchor"; "dim" and "samples" must be integers.  A bare preset name
+    reads as {"kind": "named", "name": ...}.  "named" resolves a preset and
+    then applies every other key given alongside it as an override;
+    "vertices" is rejected there, since the preset fixes the shape.
     """
     if isinstance(source, dict):
         data = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
+        if text in _PRESETS:
+            data = {"kind": "named", "name": text}
+        elif text.lstrip().startswith("{"):
             data = json.loads(text)
         else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            try:
+                with open(text, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except FileNotFoundError:
+                raise ValueError(
+                    f"domain {text!r} is neither a preset ({', '.join(preset_names())}) "
+                    "nor an existing JSON file"
+                ) from None
     if not isinstance(data, dict):
         raise ValueError("domain spec must be a JSON object")
-    unknown = set(data) - _JSON_KEYS
+    unknown = set(data) - set(_SPEC_FIELDS) - {"kind"}
     if unknown:
         raise ValueError(f"unknown domain spec keys: {sorted(unknown)}")
     kind = data.get("kind")
     if kind not in ("polygon", "sampler", "named"):
         raise ValueError(f'kind must be "polygon", "sampler" or "named", got {kind!r}')
     kwargs: dict = {}
-    if "dim" in data:
-        kwargs["dim"] = int(data["dim"])
-    if "vertices" in data:
-        kwargs["vertices"] = np.asarray(data["vertices"], dtype=float)
-    if "name" in data:
-        kwargs["name"] = data["name"]
-    if "samples" in data:
-        kwargs["samples"] = int(data["samples"])
-    if "symmetry_center" in data:
-        kwargs["symmetry_center"] = np.asarray(data["symmetry_center"], dtype=float)
-    if "K" in data:
-        kwargs["qc_coefficient"] = float(data["K"])
-    if "beta" in data:
-        kwargs["star_beta"] = float(data["beta"])
-    if "convex" in data:
-        if not isinstance(data["convex"], bool):
-            raise ValueError('"convex" must be a JSON boolean')
-        kwargs["convex"] = data["convex"]
+    for key, value in data.items():
+        if key != "kind":
+            field, convert = _SPEC_FIELDS[key]
+            kwargs[field] = value if convert is None else convert(key, value)
     if "norm_sq" in data:
-        kwargs["norm_sq"] = float(data["norm_sq"])
         kwargs["norm_source"] = "declared in spec"
-    if "anchor" in data:
-        kwargs["anchor"] = np.asarray(data["anchor"], dtype=float)
     if kind != "named":
         return DomainSpec(kind=kind, **kwargs)
     if "name" not in kwargs:

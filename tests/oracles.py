@@ -14,6 +14,9 @@ fine for the small clouds the tests use.
 The refinement oracle walks the mesh one triangle at a time: a dict
 numbers each edge midpoint at its first use, and a scalar wrap-around
 midpoint places the new boundary vertices on the curve.
+
+The Rayleigh quotient of a nodal P1 function bounds the mesh's mu_1 from
+above once the function is M-orthogonal to constants.
 """
 
 from __future__ import annotations
@@ -102,6 +105,27 @@ def brute_force_diameter(points) -> float:
     for i0 in range(0, len(pts), 1024):
         best = max(best, float(cdist(pts[i0 : i0 + 1024], pts, "sqeuclidean").max()))
     return math.sqrt(best)
+
+
+def rayleigh_quotient(mesh, nodal_values) -> float:
+    """Gradient-energy over mass quotient u^T K u / u^T M u of a P1 function.
+
+    After M-orthogonalizing against constants, the quotient of any nonzero
+    u is an upper bound for the mesh's mu_1; for raw u it is 0 exactly
+    when u is constant.
+    """
+    u = np.asarray(nodal_values, dtype=float)
+    if u.shape != (mesh.dof_count,):
+        raise ValueError(
+            f"nodal_values must have shape ({mesh.dof_count},), got {u.shape}"
+        )
+    if not np.all(np.isfinite(u)):
+        raise ValueError("nodal_values must be finite")
+    stiffness, mass = fem.assemble(mesh)
+    denom = float(u @ (mass @ u))
+    if denom <= 0.0:
+        raise ValueError("nodal_values is (numerically) the zero function")
+    return float(u @ (stiffness @ u)) / denom
 
 
 def scalar_triangulate(spec, refinement: int):

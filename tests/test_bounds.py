@@ -63,11 +63,8 @@ def test_improvement_condition_threshold():
     assert bounds.improvement_condition(1.0, 2)
 
 
-def test_quasi_monotonicity_and_poincare():
+def test_quasi_monotonicity_upper():
     assert bounds.quasi_monotonicity_upper(3.0, 2.0) == pytest.approx(6.0, rel=1e-15)
-    assert bounds.poincare_constant(4.0) == pytest.approx(0.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        bounds.poincare_constant(0.0)
 
 
 def test_scalar_validation():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neubound import cli
+from neubound import cli, geometry
 
 
 def _run(capsys, *argv):
@@ -165,6 +169,99 @@ def test_exit_code_for_input_errors(capsys):
     assert _run(capsys, "bound", "--domain", "/no/such/file.json")[0] == 1
     assert _run(capsys, "pzero")[0] == 1  # missing required flag
     assert _run(capsys, "fem", "--domain", "unit_disc", "--output", "csv")[0] == 1
+
+
+def test_unknown_preset_lists_the_presets(capsys):
+    code, _, err = _run(capsys, "bound", "--domain", "bowtei")
+    assert code == 1
+    assert "bowtie, half_disc, tan_disc, unit_disc" in err
+
+
+def test_integer_valued_json_numbers_read_as_floats(capsys):
+    square = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]], "convex": True}
+    outputs = [
+        _run(capsys, "bound", "--domain", json.dumps({**square, "K": k, "beta": beta}))
+        for k, beta in ((2, 0), (2.0, 0.0))
+    ]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
+def _bound_exit(spec):
+    """Exit status, stdout and stderr of `bound --domain <spec as JSON>`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["bound", "--domain", json.dumps(spec)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(spec):
+    code, out, err = _bound_exit(spec)
+    assert (code, out) == (1, ""), spec
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "named", "name": "unit_disc", "K": [1]},
+        {"kind": "named", "name": ["bowtie"]},
+        {"kind": "named", "name": {}},
+        {"kind": "named", "name": "unit_disc", "samples": 3.9},
+        {"kind": "named", "name": "half_disc", "dim": 2.7},
+        {"kind": "named", "name": "unit_disc", "samples": "64"},
+        {"kind": "named", "name": "unit_disc", "samples": 64.0},
+    ],
+    ids=["K_list", "name_list", "name_object", "samples_fraction", "dim_fraction",
+         "samples_string", "samples_float"],
+)
+def test_malformed_spec_exits_1(spec):
+    _assert_one_error_line(spec)
+
+
+_BASE_SPECS = {
+    "polygon": {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]},
+    "sampler": {"kind": "sampler", "name": "unit_disc", "samples": 64},
+    "named": {"kind": "named", "name": "half_disc", "samples": 64},
+}
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+_LISTS = st.lists(st.one_of(st.integers(), _TEXT), max_size=3)
+_OBJECTS = st.dictionaries(_TEXT, st.integers(), max_size=2)
+_NUMBERS = st.one_of(st.integers(), st.floats())
+_NOT_NUMBER = st.one_of(st.none(), st.booleans(), _TEXT, _LISTS, _OBJECTS)
+# arrays must hold numbers only
+_NOT_ARRAY = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, _TEXT, _OBJECTS,
+    st.lists(st.one_of(st.none(), st.booleans(), _TEXT), min_size=1, max_size=3),
+)
+# the wrong-typed values of each key; a polygon may leave "name" null
+_WRONG_VALUES = {
+    "kind": st.one_of(_NOT_NUMBER, _NUMBERS).filter(
+        lambda v: v not in ("polygon", "sampler", "named")
+    ),
+    "dim": st.one_of(_NOT_NUMBER, st.floats()),  # JSON 3.0 is not an integer
+    "samples": st.one_of(_NOT_NUMBER, st.floats()),
+    "name": st.one_of(st.booleans(), _NUMBERS, _LISTS, _OBJECTS),
+    "vertices": _NOT_ARRAY,
+    "symmetry_center": _NOT_ARRAY,
+    "anchor": _NOT_ARRAY,
+    "K": _NOT_NUMBER,
+    "beta": _NOT_NUMBER,
+    "norm_sq": _NOT_NUMBER,
+    "convex": st.one_of(st.none(), _NUMBERS, _TEXT, _LISTS, _OBJECTS),
+}
+
+
+def test_wrong_value_strategies_cover_the_schema():
+    assert set(_WRONG_VALUES) == {"kind"} | set(geometry._SPEC_FIELDS)
+
+
+@pytest.mark.parametrize("base", sorted(_BASE_SPECS))
+@pytest.mark.parametrize("key", sorted(_WRONG_VALUES))
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_spec_values_exit_1(base, key, data):
+    spec = {**_BASE_SPECS[base], key: data.draw(_WRONG_VALUES[key], label=key)}
+    _assert_one_error_line(spec)
 
 
 def test_exit_code_for_numerical_failures(capsys):

@@ -219,6 +219,29 @@ def test_min_enclosing_ball_contains_and_is_minimal():
         assert ball.radius == pytest.approx(oracle_radius, rel=1e-9, abs=1e-12)
 
 
+# dims 1-3, up to 8 points; the integer grid makes repeated, collinear
+# and cocircular points common
+_CLOUD_COORDS = st.one_of(
+    st.integers(-4, 4).map(float), st.floats(-10.0, 10.0, allow_subnormal=False)
+)
+_SMALL_CLOUDS = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.lists(_CLOUD_COORDS, min_size=dim, max_size=dim), min_size=1, max_size=8
+    )
+)
+
+
+@_PROPERTY
+@given(_SMALL_CLOUDS)
+def test_min_enclosing_ball_matches_oracle(points):
+    pts = np.asarray(points, dtype=float)
+    ball = geometry.min_enclosing_ball(pts)
+    _, oracle_radius = brute_force_mecb(pts)
+    assert ball.radius == pytest.approx(oracle_radius, rel=1e-9, abs=1e-12)
+    dist = np.linalg.norm(pts - ball.center, axis=1)
+    assert np.all(dist <= ball.radius * (1.0 + 1e-10) + 1e-12)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -337,6 +360,29 @@ def test_load_domain_spec_named_applies_metadata_overrides():
         geometry.load_domain_spec({"kind": "named", "name": "bowtie", "K": 0.5})
     with pytest.raises(ValueError, match="vertices"):
         geometry.load_domain_spec({"kind": "named", "name": "bowtie", "vertices": _SQUARE})
+
+
+def test_load_domain_spec_takes_preset_names(tmp_path):
+    spec = geometry.load_domain_spec("bowtie")
+    assert spec.name == "bowtie"
+    assert spec.qc_coefficient == geometry.named_domain("bowtie").qc_coefficient
+    assert np.array_equal(spec.vertices, geometry.named_domain("bowtie").vertices)
+    with pytest.raises(ValueError, match="bowtie, half_disc, tan_disc, unit_disc"):
+        geometry.load_domain_spec(str(tmp_path / "missing.json"))
+
+
+def test_spec_arrays_are_read_only_copies():
+    bowtie = geometry.named_domain("bowtie")
+    with pytest.raises(ValueError, match="read-only"):
+        bowtie.vertices[0, 0] = -9.0
+    assert geometry.named_domain("bowtie").vertices[0, 0] == -0.5
+    verts, point = np.array(_SQUARE), np.array([0.5, 0.5])
+    spec = geometry.DomainSpec(kind="polygon", vertices=verts, symmetry_center=point, anchor=point)
+    verts[0, 0], point[0] = 9.0, 9.0  # the caller's arrays stay the caller's
+    assert spec.vertices[0, 0] == 0.0
+    assert spec.symmetry_center[0] == 0.5 and spec.anchor[0] == 0.5
+    for arr in (spec.vertices, spec.symmetry_center, spec.anchor):
+        assert not arr.flags.writeable
 
 
 def test_load_domain_spec_rejects_garbage():

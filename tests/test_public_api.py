@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import neubound
+from neubound import geometry
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,13 +47,11 @@ _PUBLIC_NAMES = [
     "p_zero",
     "payne_weinberger_bound",
     "piecewise_qc_coefficient",
-    "poincare_constant",
     "polygon_area",
     "preset_names",
     "quasi_monotonicity_upper",
     "quasidisc_bound",
     "quasidisc_norm_sq",
-    "rayleigh_quotient",
     "reproduce",
     "sample_domain",
     "spiral_shaped_K",
@@ -67,6 +66,12 @@ def test_public_names_are_pinned():
     # changing the public surface must be a deliberate edit of this list
     assert sorted(neubound.__all__) == _PUBLIC_NAMES
     assert all(hasattr(neubound, name) for name in neubound.__all__)
+
+
+def test_readme_schema_lists_every_spec_key():
+    block = re.search(r"```jsonc\n(.*?)```", _README.read_text(), flags=re.S).group(1)
+    keys = set(re.findall(r'^\s*"(\w+)":', block, flags=re.M))
+    assert keys == {"kind"} | set(geometry._SPEC_FIELDS)
 
 
 def test_readme_library_examples_run(capsys):
