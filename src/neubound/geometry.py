@@ -21,6 +21,7 @@ import numpy as np
 _MAX_BALL_DIM = 8
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
 _PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
+_MAX_SAMPLES = 2**20  # boundary samples per loop
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +96,8 @@ class DomainSpec:
                 raise ValueError("polygon boundary is self-intersecting")
             verts.flags.writeable = False
             object.__setattr__(self, "vertices", verts)
+        elif self.vertices is not None:
+            raise ValueError("a sampler spec takes its shape from the sampler; vertices do not apply")
         elif self.name not in _SAMPLER_FAMILIES:
             known = ", ".join(sorted(_SAMPLER_FAMILIES))
             raise ValueError(f"unknown sampler {self.name!r}; known: {known}")
@@ -242,11 +245,15 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     as a callable (an array of parameters gives an array of points, a
     scalar a single point).  Sampler breakpoints (polygon vertices, the
     half-disc corners) are always included so no corner gets rounded off.
+    More than _MAX_SAMPLES points is an error.
     """
+    m = spec.samples if m is None and spec.kind == "sampler" else m
+    if m is not None and int(m) > _MAX_SAMPLES:
+        raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
     if spec.kind == "polygon":
         return _polygon_loop(spec.vertices, m)
     curve, breaks = _SAMPLER_FAMILIES[spec.name]
-    m = spec.samples if m is None else int(m)
+    m = int(m)
     if m < 3:
         raise ValueError(f"need at least 3 boundary samples, got {m}")
     pieces = list(breaks) + [1.0]
@@ -308,26 +315,49 @@ def _caliper_diameter_sq(hull: np.ndarray) -> float:
     return float(np.einsum("...k,...k->...", diff, diff).max())
 
 
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
+    """Counterclockwise convex hull vertices of a planar cloud.
+
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979) on the sorted
+    points without repeats, split into a lower and an upper chain by the
+    line through the first and last.  One array pass drops each chain point
+    that does not turn left between its neighbours, as no hull vertex does;
+    a stack scan finishes the chain.  Collinear clouds give two vertices.
+    """
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.append(True, np.any(pts[1:] != pts[:-1], axis=1))]
+    first, last = pts[:1], pts[-1:]
+    side = _orient(first, last, pts)
+    hull = []
+    for chain in ((first, pts[side < 0], last), (last, pts[side > 0][::-1], first)):
+        chain = np.concatenate(chain)
+        chain = chain[np.concatenate(([True], _orient(chain[:-2], chain[1:-1], chain[2:]) > 0, [True]))]
+        xs, ys = chain.T.tolist()
+        stack = [0]
+        for i in range(1, len(xs)):
+            while len(stack) > 1:
+                o, a = stack[-2], stack[-1]
+                if (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o]) > 0.0:
+                    break
+                stack.pop()
+            stack.append(i)
+        hull.append(chain[stack[:-1]])
+    return np.concatenate(hull)
+
+
 def diameter(points: Sequence[Sequence[float]]) -> float:
     """Largest pairwise distance over a point cloud.
 
-    Planar clouds of more than 512 points are reduced to their convex hull
-    and scanned by rotating calipers, O(m log m).  Smaller clouds, higher
-    dimensions and collinear clouds take an exhaustive pair scan, chunked
-    so memory stays bounded.
+    A planar cloud is reduced to its convex hull and, unless that has
+    fewer than three vertices, scanned by rotating calipers, O(m log m).
+    Those hulls and clouds in other dimensions take an exhaustive pair
+    scan, chunked so memory stays bounded.
     """
     pts = _point_cloud(points)
-    if len(pts) < 2:
-        return 0.0
-    if pts.shape[1] == 2 and len(pts) > 512:
-        from scipy.spatial import ConvexHull, QhullError  # small inputs never load it
-
-        try:
-            hull = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            pass  # all points collinear: fall back to the full scan
-        else:
-            return math.sqrt(_caliper_diameter_sq(hull))
+    if pts.shape[1] == 2:
+        pts = _convex_hull(pts)
+        if len(pts) > 2:
+            return math.sqrt(_caliper_diameter_sq(pts))
     m, dim = pts.shape
     best = 0.0
     chunk = max(1, int(4_000_000 // (m * dim)) or 1)

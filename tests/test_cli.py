@@ -210,12 +210,21 @@ def _assert_one_error_line(spec):
         {"kind": "named", "name": "half_disc", "dim": 2.7},
         {"kind": "named", "name": "unit_disc", "samples": "64"},
         {"kind": "named", "name": "unit_disc", "samples": 64.0},
+        {"kind": "sampler", "name": "unit_disc", "samples": 8, "vertices": [[0, 0], [5, 0], [5, 5]]},
+        {"kind": "sampler", "name": "unit_disc", "samples": 10**12},
     ],
     ids=["K_list", "name_list", "name_object", "samples_fraction", "dim_fraction",
-         "samples_string", "samples_float"],
+         "samples_string", "samples_float", "sampler_vertices", "samples_huge"],
 )
 def test_malformed_spec_exits_1(spec):
     _assert_one_error_line(spec)
+
+
+@pytest.mark.parametrize("domain", ["unit_disc", "bowtie"])  # sampler, densified polygon
+def test_samples_flag_above_the_cap_exits_1(capsys, domain):
+    code, out, err = _run(capsys, "bound", "--domain", domain, "--samples", str(10**12))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 _BASE_SPECS = {

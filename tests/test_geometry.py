@@ -164,6 +164,25 @@ def test_diameter_matches_direct_maximum():
         assert geometry.diameter(pts) == pytest.approx(direct, rel=1e-12)
 
 
+# planar clouds of 1-60 points; the integer grid makes repeated points and
+# collinear runs common, the floats put points off the grid
+_PLANAR_CLOUDS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.tuples(*[st.floats(-10.0, 10.0, allow_subnormal=False)] * 2),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@_PROPERTY
+@given(_PLANAR_CLOUDS)
+def test_diameter_matches_oracle_on_small_planar_clouds(points):
+    pts = np.asarray(points, dtype=float)
+    assert geometry.diameter(pts) == pytest.approx(brute_force_diameter(pts), rel=1e-12)
+
+
 def _regular_polygon(m: int) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(m) / m
     return np.column_stack((np.cos(theta), np.sin(theta)))
@@ -195,7 +214,7 @@ def _normal_cloud(m: int, seed: int) -> np.ndarray:
 )
 def test_diameter_large_cloud_matches_brute_force(make):
     pts = make()
-    assert len(pts) > 512  # large enough for the hull route
+    assert len(pts) > 512  # long chains for the hull's stack scan
     assert geometry.diameter(pts) == pytest.approx(brute_force_diameter(pts), rel=1e-12)
 
 

@@ -87,10 +87,11 @@ def test_readme_library_examples_run(capsys):
     assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound
 
 
-def _loaded_by_fresh_import(module: str) -> bool:
+def _loaded_by_fresh_import(module: str, then: str = "") -> bool:
+    """Whether a fresh `import neubound`, followed by the code then, loads module."""
     src = str(Path(neubound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, neubound; print({module!r} in sys.modules)"
+    code = f"import sys, neubound\n{then}\nprint({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -110,3 +111,18 @@ def test_import_does_not_load_scipy_special():
     # scipy.special loads inside the Bessel wrappers and p_zero, so commands
     # that evaluate no Bessel function (qc, mecb) skip its import cost
     assert not _loaded_by_fresh_import("scipy.special")
+
+
+_BOUND_TAN_DISC = """
+import contextlib, io
+from neubound import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["bound", "--domain", "tan_disc"]) == 0
+"""
+
+
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
+def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
+    # diameter takes the convex hull of tan_disc's 4,096 samples in NumPy,
+    # so bound needs neither scipy.spatial nor the scipy.sparse it imports
+    assert not _loaded_by_fresh_import(module, then=_BOUND_TAN_DISC)
