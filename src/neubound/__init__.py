@@ -47,9 +47,7 @@ from .geometry import (
     load_domain_spec,
     min_enclosing_ball,
     named_domain,
-    polygon_area,
     preset_names,
-    sample_domain,
 )
 from .qcmaps import (
     affine_qc_coefficient,
@@ -94,13 +92,11 @@ __all__ = [
     "p_zero",
     "payne_weinberger_bound",
     "piecewise_qc_coefficient",
-    "polygon_area",
     "preset_names",
     "quasi_monotonicity_upper",
     "quasidisc_bound",
     "quasidisc_norm_sq",
     "reproduce",
-    "sample_domain",
     "spiral_shaped_K",
     "star_shaped_K",
     "symmetric_domain_bound",

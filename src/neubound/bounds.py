@@ -23,34 +23,30 @@ import math
 from dataclasses import dataclass, field
 
 from . import geometry, qcmaps
-from .extension_norms import ExtensionNormEstimate, quasidisc_norm_sq
+from .errors import check_int, check_real
+from .extension_norms import quasidisc_norm_sq
 from .special import p_zero
 
 _DEDUPE_TOL = 1e-12
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def ball_mu1(n: int, radius: float) -> float:
     """First nontrivial Neumann eigenvalue of a ball of given radius in R^n."""
-    _require_positive("radius", radius)
+    radius = check_real("radius", radius, 0, strict=True)
     p = p_zero(n)
     return (p / radius) ** 2
 
 
 def extension_ball_bound(norm_sq: float, radius: float, n: int) -> float:
     """mu_1 >= p_{n/2}^2 / (||E||^2 R^2) from an extension into a ball of radius R."""
-    _check_norm_sq(norm_sq)
+    norm_sq = check_real("norm_sq", norm_sq, 1)
     return ball_mu1(n, radius) / norm_sq
 
 
 def symmetric_domain_bound(norm_sq: float, diam: float, n: int) -> float:
     """The d/2 variant for centrally symmetric domains: (p/d)^2 (2/||E||)^2."""
-    _check_norm_sq(norm_sq)
-    _require_positive("diameter", diam)
+    norm_sq = check_real("norm_sq", norm_sq, 1)
+    diam = check_real("diameter", diam, 0, strict=True)
     p = p_zero(n)
     return (p / diam) ** 2 * (4.0 / norm_sq)
 
@@ -63,9 +59,8 @@ def quasidisc_bound(k: float, radius: float) -> float:
 
 def star_shaped_bound(beta: float, diam: float) -> float:
     """Planar beta-star-shaped domain: mu_1 >= 4 sin^4((1-beta) pi/4) (p_1/d)^2."""
-    _require_positive("diameter", diam)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and 0.0 <= beta < 1.0):
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
+    diam = check_real("diameter", diam, 0, strict=True)
+    beta = check_real("beta", beta, 0, 1)
     s = math.sin(0.25 * math.pi * (1.0 - beta))
     p = p_zero(2)
     return 4.0 * s**4 * (p / diam) ** 2
@@ -73,14 +68,12 @@ def star_shaped_bound(beta: float, diam: float) -> float:
 
 def payne_weinberger_bound(diam: float) -> float:
     """Classical convex-domain bound pi^2 / d^2 (not valid without convexity)."""
-    _require_positive("diameter", diam)
-    return (math.pi / diam) ** 2
+    return (math.pi / check_real("diameter", diam, 0, strict=True)) ** 2
 
 
 def improvement_condition(norm_sq: float, n: int) -> bool:
     """Whether the symmetric extension bound beats pi^2/d^2: ||E|| <= 2 p_{n/2} / pi."""
-    _check_norm_sq(norm_sq)
-    return math.sqrt(norm_sq) <= 2.0 * p_zero(n) / math.pi
+    return math.sqrt(check_real("norm_sq", norm_sq, 1)) <= 2.0 * p_zero(n) / math.pi
 
 
 def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
@@ -90,15 +83,7 @@ def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
     Lipschitz domain the extension lands in; enlarging a domain can raise
     mu_1 by at most the energy factor of the extension.
     """
-    _check_norm_sq(norm_sq)
-    if not (isinstance(mu1_inner, (int, float)) and math.isfinite(mu1_inner) and mu1_inner >= 0.0):
-        raise ValueError(f"mu1_inner must be finite and >= 0, got {mu1_inner!r}")
-    return mu1_inner * norm_sq
-
-
-def _check_norm_sq(norm_sq: float) -> None:
-    if not (isinstance(norm_sq, (int, float)) and math.isfinite(norm_sq) and norm_sq >= 1.0):
-        raise ValueError(f"squared extension norm must be finite and >= 1, got {norm_sq!r}")
+    return check_real("mu1_inner", mu1_inner, 0) * check_real("norm_sq", norm_sq, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +140,10 @@ class BoundReport:
         }
 
 
-def _is_duplicate(value: float, entries: list[LowerBound]) -> str | None:
-    for entry in entries:
-        if abs(entry.value - value) <= _DEDUPE_TOL * max(1.0, abs(entry.value)):
-            return entry.formula
-    return None
+def _is_duplicate(value: float, entries: list[LowerBound]) -> bool:
+    return any(
+        abs(entry.value - value) <= _DEDUPE_TOL * max(1.0, abs(entry.value)) for entry in entries
+    )
 
 
 def best_bound_report(
@@ -175,31 +159,25 @@ def best_bound_report(
     (the planar cross-section's d and R are used unchanged, which is only
     meaningful for axially symmetric shapes like the half-ball).
     """
-    n = spec.dim if n is None else n
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    points = geometry.sample_domain(spec, samples)
+    n = check_int("dimension", spec.dim if n is None else n, 2)
+    points = geometry.boundary_loop(spec, samples)[0]
     d = geometry.diameter(points)
     ball = geometry.min_enclosing_ball(points)
     radius = ball.radius
-    if radius <= 0.0 or d <= 0.0:
-        raise ValueError("domain is degenerate: zero diameter or enclosing radius")
 
     notes: list[str] = []
     entries: list[LowerBound] = []
 
-    # resolve the extension norm this domain's metadata supports
-    norm: ExtensionNormEstimate | None = None
+    # resolve the squared extension norm this domain's metadata supports
+    norm_sq: float | None = None
     norm_formula = "extension_ball"
     if spec.norm_sq is not None:
-        norm = ExtensionNormEstimate(
-            spec.norm_sq, "exact", spec.norm_source or "declared norm"
-        )
+        norm_sq = spec.norm_sq
     elif spec.qc_coefficient is not None and n == 2:
-        norm = quasidisc_norm_sq(spec.qc_coefficient)
+        norm_sq = quasidisc_norm_sq(spec.qc_coefficient).value_sq
         norm_formula = "quasidisc"
     elif spec.star_beta is not None and n == 2:
-        norm = quasidisc_norm_sq(qcmaps.star_shaped_K(spec.star_beta))
+        norm_sq = quasidisc_norm_sq(qcmaps.star_shaped_K(spec.star_beta)).value_sq
         norm_formula = "quasidisc"
     elif (spec.qc_coefficient is not None or spec.star_beta is not None) and n != 2:
         notes.append("quasidisc metadata ignored: it only applies in dimension 2")
@@ -214,18 +192,16 @@ def best_bound_report(
             )
         )
 
-    if norm is not None:
-        value = extension_ball_bound(norm.value_sq, radius, n)
-        dup = _is_duplicate(value, entries)
-        if dup is None:
-            inputs = {"n": n, "R": radius, "norm_sq": norm.value_sq}
+    if norm_sq is not None:
+        value = extension_ball_bound(norm_sq, radius, n)
+        if not _is_duplicate(value, entries):
+            inputs = {"n": n, "R": radius, "norm_sq": norm_sq}
             if norm_formula == "quasidisc":
-                inputs["K"] = math.sqrt(norm.value_sq) - 1.0
+                inputs["K"] = math.sqrt(norm_sq) - 1.0
             entries.append(LowerBound(value, norm_formula, inputs))
 
-        sym_value = symmetric_domain_bound(norm.value_sq, d, n)
-        dup = _is_duplicate(sym_value, entries)
-        if dup is None:
+        sym_value = symmetric_domain_bound(norm_sq, d, n)
+        if not _is_duplicate(sym_value, entries):
             declared = spec.symmetry_center is not None
             note = ""
             if not declared:
@@ -241,7 +217,7 @@ def best_bound_report(
                 LowerBound(
                     sym_value,
                     "symmetric_extension",
-                    {"n": n, "d": d, "norm_sq": norm.value_sq},
+                    {"n": n, "d": d, "norm_sq": norm_sq},
                     applicable=declared,
                     note=note,
                 )
@@ -269,7 +245,7 @@ def best_bound_report(
         best = max(entries, key=lambda e: e.value)
         notes.append("no bound is certified for this domain; best shown is reference only")
 
-    pw_comparison = None if norm is None else improvement_condition(norm.value_sq, n)
+    pw_comparison = None if norm_sq is None else improvement_condition(norm_sq, n)
 
     return BoundReport(
         bounds=entries,

@@ -165,7 +165,7 @@ def _cmd_qc(args) -> dict:
 
 def _cmd_mecb(args) -> dict:
     spec = geometry.load_domain_spec(args.domain)
-    points = geometry.sample_domain(spec, args.samples)
+    points = geometry.boundary_loop(spec, args.samples)[0]
     ball = geometry.min_enclosing_ball(points, seed=args.seed)
     return {
         "domain": spec.name,

@@ -17,11 +17,10 @@ values and estimates:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import special
-from .errors import NumericalError
+from .errors import NumericalError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class ExtensionNormEstimate:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "upper_bound"):
             raise ValueError(f'kind must be "exact" or "upper_bound", got {self.kind!r}')
-        if not (math.isfinite(self.value_sq) and self.value_sq >= 1.0):
-            raise ValueError(f"a squared operator norm must be >= 1, got {self.value_sq}")
+        check_real("squared operator norm", self.value_sq, 1)
 
 
 @dataclass(frozen=True)
@@ -60,16 +58,10 @@ class StarShapeData:
     big_r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m1) and self.m1 > 0.0):
-            raise ValueError(f"m1 must be > 0, got {self.m1}")
-        if not (math.isfinite(self.m2) and self.m2 >= self.m1):
-            raise ValueError(f"m2 must be >= m1, got m2={self.m2}, m1={self.m1}")
-        if not (math.isfinite(self.m3) and self.m3 >= 0.0):
-            raise ValueError(f"m3 must be >= 0, got {self.m3}")
-        if not isinstance(self.n, int) or self.n <= 2:
-            raise ValueError(f"dimension must be an integer > 2, got {self.n!r}")
-        if not (math.isfinite(self.big_r) and self.big_r > 1.0):
-            raise ValueError(f"outer radius must be > 1, got {self.big_r}")
+        check_real("m2", self.m2, check_real("m1", self.m1, 0, strict=True))  # m2 >= m1 > 0
+        check_real("m3", self.m3, 0)
+        check_int("dimension", self.n, 3)
+        check_real("outer radius", self.big_r, 1, strict=True)
 
 
 def mikhlin_ball_norm_sq(n: int, big_r: float) -> ExtensionNormEstimate:
@@ -78,11 +70,8 @@ def mikhlin_ball_norm_sq(n: int, big_r: float) -> ExtensionNormEstimate:
     The inner ball has radius 1, the outer radius R > 1.  Diverges as
     R -> 1+ and decreases toward a finite limit as R -> inf.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 2:
-        raise ValueError(f"dimension must be an integer > 2, got {n!r}")
-    if not (isinstance(big_r, (int, float)) and math.isfinite(big_r) and big_r > 1.0):
-        raise ValueError(f"outer radius must be finite and > 1, got {big_r!r}")
-    big_r = float(big_r)
+    check_int("dimension", n, 3)
+    big_r = check_real("outer radius", big_r, 1, strict=True)
     alpha = 0.5 * (n - 2)
     i_a1 = special.bessel_i(alpha, 1.0)
     i_b1 = special.bessel_i(alpha + 1.0, 1.0)
@@ -127,8 +116,7 @@ def mikhlin_star_norm_sq_bound(data: StarShapeData) -> ExtensionNormEstimate:
 
 def quasidisc_norm_sq(k: float) -> ExtensionNormEstimate:
     """Upper bound (1 + K)^2 for the extension norm of a K-quasidisc."""
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k >= 1.0):
-        raise ValueError(f"quasiconformality coefficient must be >= 1, got {k!r}")
+    k = check_real("quasiconformality coefficient", k, 1)
     return ExtensionNormEstimate((1.0 + k) ** 2, "upper_bound", f"quasidisc, K={k}")
 
 

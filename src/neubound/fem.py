@@ -5,9 +5,11 @@ star-shaped about, then refine uniformly, projecting each new boundary
 vertex onto the exact boundary curve via the parameterization carried by
 the boundary loop.  Refinement is array code: one np.unique over the edge
 keys of a level finds its edge midpoints, numbered by first use.
-Conforming P1 elements over-approximate Neumann eigenvalues, so a mesh
-eigenvalue below a claimed lower bound is a hard contradiction; that is
-the check verify_bound runs.
+Conforming P1 elements over-approximate the Neumann eigenvalues of the
+mesh polygon.  For a polygon domain that is the domain, so a mesh mu_1 below
+a claimed lower bound is a rigorous violation; for a sampler domain it is a
+different domain, and the same finding flags a discrepancy, not a proof.
+That is the check verify_bound runs.
 
 Assembly uses the classic per-triangle formulas: with edge coefficients
 b_i = y_j - y_k and c_i = x_k - x_j (cyclic), the stiffness block is
@@ -263,11 +265,13 @@ def verify_bound(
 ) -> dict:
     """Check every applicable lower bound for a domain against the mesh mu_1.
 
-    Conforming elements cannot undershoot the true eigenvalue, so any
-    applicable bound at or above the mesh's mu_1 disproves the bound (or
-    the metadata it came from).  With strict=True such a violation raises
-    NumericalError; the returned record carries per-bound margins either
-    way.  samples feeds the geometry cloud, fem_samples the mesh boundary.
+    The mesh mu_1 bounds mu_1 of the mesh polygon from above.  On a polygon
+    spec that is the domain, so an applicable bound at or above it disproves
+    the bound (or the metadata it came from); on a sampler spec it flags a
+    discrepancy with the curved domain, not a proof.  With strict=True such a
+    violation raises NumericalError; the returned record carries per-bound
+    margins either way.  samples feeds the geometry cloud, fem_samples the
+    mesh boundary.
     """
     if spec.dim != 2:
         raise ValueError("finite-element verification is planar: spec.dim must be 2")

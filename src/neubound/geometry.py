@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import check_int, check_real
+
 _MAX_BALL_DIM = 8
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
 _PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
@@ -51,9 +53,10 @@ class DomainSpec:
     Metadata fields (symmetry_center, qc_coefficient, star_beta, convex,
     norm_sq) are assertions by the caller, never derived from the shape;
     the bounds module only uses a bound family when its metadata is
-    present.  anchor is a point the domain is star-shaped with respect to,
-    used as the fan center when meshing.  vertices, symmetry_center and
-    anchor are stored as read-only float copies.
+    present.  Only a polygon's convex=True is checked against the shape.
+    anchor is a point the domain is star-shaped with respect to, used as
+    the fan center when meshing.  vertices, symmetry_center and anchor are
+    stored as read-only float copies, the declared numbers as floats.
     """
 
     kind: str  # "polygon" or "sampler"
@@ -66,18 +69,15 @@ class DomainSpec:
     star_beta: float | None = None
     convex: bool | None = None
     norm_sq: float | None = None
-    norm_source: str | None = None
     anchor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("polygon", "sampler"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        check_int("dim", self.dim, 2)
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        if not isinstance(self.samples, int) or self.samples < 3:
-            raise ValueError(f"samples must be an integer >= 3, got {self.samples!r}")
+        check_int("samples", self.samples, 3)
         if self.kind == "polygon":
             if self.vertices is None:
                 raise ValueError("polygon spec needs vertices")
@@ -94,6 +94,9 @@ class DomainSpec:
                 verts = verts[::-1].copy()  # normalize to counterclockwise
             if not _polygon_is_simple(verts):
                 raise ValueError("polygon boundary is self-intersecting")
+            prev, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
+            if self.convex and np.any(_orient(prev, verts, nxt) < 0.0):  # a clockwise turn
+                raise ValueError("polygon declared convex has a reflex vertex")
             verts.flags.writeable = False
             object.__setattr__(self, "vertices", verts)
         elif self.vertices is not None:
@@ -109,22 +112,14 @@ class DomainSpec:
                     raise ValueError(f"{attr} must be a finite 2-vector")
                 arr.flags.writeable = False
                 object.__setattr__(self, attr, arr)
-        if self.qc_coefficient is not None and not self.qc_coefficient >= 1.0:
-            raise ValueError("qc_coefficient must be >= 1")
-        if self.star_beta is not None and not 0.0 <= self.star_beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
-        if self.norm_sq is not None and not self.norm_sq >= 1.0:
-            raise ValueError("norm_sq must be >= 1")
+        for attr, lo, hi in (("qc_coefficient", 1, math.inf), ("star_beta", 0, 1), ("norm_sq", 1, math.inf)):
+            if getattr(self, attr) is not None:
+                object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
 
 
 def _shoelace(verts: np.ndarray) -> float:
     x, y = verts[:, 0], verts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_area(verts: Sequence[Sequence[float]]) -> float:
-    """Signed shoelace area of a closed polygon given by its vertex loop."""
-    return _shoelace(np.asarray(verts, dtype=float))
 
 
 def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -245,17 +240,14 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     as a callable (an array of parameters gives an array of points, a
     scalar a single point).  Sampler breakpoints (polygon vertices, the
     half-disc corners) are always included so no corner gets rounded off.
-    More than _MAX_SAMPLES points is an error.
+    m, if given, must be an integer >= 3, and at most _MAX_SAMPLES.
     """
     m = spec.samples if m is None and spec.kind == "sampler" else m
-    if m is not None and int(m) > _MAX_SAMPLES:
+    if m is not None and check_int("samples", m, 3) > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
     if spec.kind == "polygon":
         return _polygon_loop(spec.vertices, m)
     curve, breaks = _SAMPLER_FAMILIES[spec.name]
-    m = int(m)
-    if m < 3:
-        raise ValueError(f"need at least 3 boundary samples, got {m}")
     pieces = list(breaks) + [1.0]
     params: list[np.ndarray] = []
     placed = 0
@@ -268,16 +260,6 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
         placed += count
     arr = np.concatenate(params)[:m]
     return curve(arr), arr, curve
-
-
-def sample_domain(spec: DomainSpec, m: int | None = None) -> np.ndarray:
-    """Deterministic boundary point cloud for a domain spec.
-
-    Polygons yield their vertices (densified along edges when m exceeds the
-    vertex count); samplers yield m points on the exact boundary curve.
-    """
-    points, _, _ = boundary_loop(spec, m)
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +409,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball
         raise ValueError(f"dimension must be between 1 and {_MAX_BALL_DIM}, got {dim}")
     rng = np.random.default_rng(seed)
     coords = pts[rng.permutation(len(pts))].T.copy()
-    ball = _welzl_mtf(coords, len(pts), [])
-    if ball is None:  # m >= 1, so this cannot happen
-        raise RuntimeError("unreachable: empty support for nonempty cloud")
-    return ball
+    return _welzl_mtf(coords, len(pts), [])  # a Ball: the cloud is nonempty
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +433,7 @@ _PRESETS: dict[str, dict] = {
     # extends H^1 functions with energy factor exactly 2
     "half_disc": dict(
         kind="sampler", name="half_disc", samples=256, convex=True,
-        norm_sq=2.0, norm_source="mirror reflection", anchor=(0.0, -0.4),
+        norm_sq=2.0, anchor=(0.0, -0.4),
     ),
     # image of the unit disc under tan; odd map, so centrally symmetric,
     # and (1/2)-star-shaped about the origin
@@ -556,8 +535,6 @@ def load_domain_spec(source) -> DomainSpec:
         if key != "kind":
             field, convert = _SPEC_FIELDS[key]
             kwargs[field] = value if convert is None else convert(key, value)
-    if "norm_sq" in data:
-        kwargs["norm_source"] = "declared in spec"
     if kind != "named":
         return DomainSpec(kind=kind, **kwargs)
     if "name" not in kwargs:

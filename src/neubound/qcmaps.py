@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import check_real
+
 
 def affine_qc_coefficient(matrix: Sequence[Sequence[float]]) -> float:
     """Distortion K of an orientation-preserving linear map of the plane."""
@@ -46,10 +48,7 @@ def star_shaped_K(beta: float) -> float:
 
     K = cot^2((1 - beta) pi / 4); beta = 0 gives the conformal value 1.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)):
-        raise ValueError(f"beta must be a finite number, got {beta!r}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    beta = check_real("beta", beta, 0, 1)
     angle = 0.25 * math.pi * (1.0 - beta)
     c = math.tan(angle)
     return 1.0 / (c * c)
@@ -61,8 +60,7 @@ def spiral_shaped_K(beta: float, gamma: float) -> float:
     Valid only for |gamma| < beta pi / 2; the twist does not worsen the
     coefficient, so the value coincides with star_shaped_K(beta).
     """
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be a finite number, got {gamma!r}")
+    gamma = check_real("gamma", gamma, -math.inf)
     k = star_shaped_K(beta)  # validates beta as a side effect
     if not abs(gamma) < 0.5 * math.pi * beta:
         raise ValueError(

@@ -147,7 +147,7 @@ def _tan_star() -> dict:
     published_claim = 0.2  # stated as "approximately 1/5"
 
     spec = geometry.named_domain("tan_disc")
-    points = geometry.sample_domain(spec)
+    points = geometry.boundary_loop(spec)[0]
     d_sampled = geometry.diameter(points)
     pipeline_bound = bounds.star_shaped_bound(spec.star_beta, d_sampled)
 

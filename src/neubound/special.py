@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import NumericalError
+from .errors import NumericalError, check_int, check_real
 
 _I_OVERFLOW_X = 700.0          # exp(x) overflows float64 just above 709
 
@@ -71,7 +71,7 @@ _P_SCAN_STEP = 0.05
 _P_SCAN_MAX = 20.0
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)  # else p_zero(2.0, tol=t) hits p_zero(2, tol=t)
 def p_zero(n: int, tol: float = 1e-10) -> float:
     """First positive zero of J_{n/2}(t) - t J_{n/2+1}(t) for dimension n >= 2.
 
@@ -81,12 +81,8 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
     The value is the lower end of a bracket of width tol around the zero,
     so it never exceeds the root and bounds built on it stay lower bounds.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    check_int("dimension", n, 2)
+    tol = check_real("tol", tol, 0, strict=True)
     from scipy.special import jv
 
     nu = 0.5 * n

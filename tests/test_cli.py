@@ -212,12 +212,22 @@ def _assert_one_error_line(spec):
         {"kind": "named", "name": "unit_disc", "samples": 64.0},
         {"kind": "sampler", "name": "unit_disc", "samples": 8, "vertices": [[0, 0], [5, 0], [5, 5]]},
         {"kind": "sampler", "name": "unit_disc", "samples": 10**12},
+        {"kind": "named", "name": "bowtie", "convex": True},
     ],
     ids=["K_list", "name_list", "name_object", "samples_fraction", "dim_fraction",
-         "samples_string", "samples_float", "sampler_vertices", "samples_huge"],
+         "samples_string", "samples_float", "sampler_vertices", "samples_huge",
+         "reflex_polygon_declared_convex"],
 )
 def test_malformed_spec_exits_1(spec):
     _assert_one_error_line(spec)
+
+
+def test_mecb_rejects_an_infinite_declared_norm(capsys):
+    # mecb reads no metadata, but the spec it loads is checked in full
+    spec = '{"kind": "named", "name": "bowtie", "norm_sq": 1e999}'
+    code, out, err = _run(capsys, "mecb", "--domain", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("domain", ["unit_disc", "bowtie"])  # sampler, densified polygon

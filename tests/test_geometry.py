@@ -18,16 +18,16 @@ _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
 def test_polygon_area():
-    assert geometry.polygon_area(_SQUARE) == pytest.approx(1.0, abs=1e-15)
+    assert geometry._shoelace(np.asarray(_SQUARE)) == pytest.approx(1.0, abs=1e-15)
     bowtie = geometry.named_domain("bowtie")
-    assert geometry.polygon_area(bowtie.vertices) == pytest.approx(1.0, abs=1e-14)
+    assert geometry._shoelace(bowtie.vertices) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_clockwise_input_is_normalized():
     spec = geometry.load_domain_spec(
         {"kind": "polygon", "vertices": list(reversed(_SQUARE)), "name": "cw"}
     )
-    assert geometry.polygon_area(spec.vertices) > 0.0
+    assert geometry._shoelace(spec.vertices) > 0.0
 
 
 def test_bad_polygons_rejected():
@@ -41,6 +41,15 @@ def test_bad_polygons_rejected():
         )
     with pytest.raises(ValueError):  # too few vertices
         geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [1, 0]]})
+
+
+def test_declared_convexity_of_a_polygon_is_checked():
+    with pytest.raises(ValueError, match="convex"):  # the bowtie has two reflex vertices
+        geometry.named_domain("bowtie", convex=True)
+    # a straight angle is still convex: the square with a midpoint on one side
+    square = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    for verts in (square, square[::-1]):
+        assert geometry.DomainSpec(kind="polygon", vertices=verts, convex=True).convex is True
 
 
 _PROPERTY = settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -129,7 +138,7 @@ def test_boundary_loop_densification_keeps_corners():
 
 def test_unit_disc_samples_lie_on_circle():
     spec = geometry.named_domain("unit_disc")
-    points = geometry.sample_domain(spec, 64)
+    points = geometry.boundary_loop(spec, 64)[0]
     radii = np.linalg.norm(points, axis=1)
     assert np.allclose(radii, 1.0, atol=1e-12)
     assert len(points) == 64
@@ -197,7 +206,7 @@ def _normal_cloud(m: int, seed: int) -> np.ndarray:
     [
         pytest.param(lambda: _normal_cloud(1500, 5), id="normal_cloud"),
         pytest.param(
-            lambda: geometry.sample_domain(geometry.named_domain("unit_disc"), 8192),
+            lambda: geometry.boundary_loop(geometry.named_domain("unit_disc"), 8192)[0],
             id="unit_disc_all_on_hull",
         ),
         pytest.param(lambda: _regular_polygon(1000), id="regular_1000_gon_ties"),
@@ -207,7 +216,7 @@ def _normal_cloud(m: int, seed: int) -> np.ndarray:
         ),
         pytest.param(lambda: np.repeat(_normal_cloud(400, 11), 3, axis=0), id="duplicated_points"),
         pytest.param(
-            lambda: geometry.sample_domain(geometry.named_domain("tan_disc"), 16384),
+            lambda: geometry.boundary_loop(geometry.named_domain("tan_disc"), 16384)[0],
             id="tan_disc_16384",
         ),
     ],
@@ -266,7 +275,7 @@ def test_min_enclosing_ball_matches_oracle(points):
     [
         pytest.param(lambda: _normal_cloud(3000, 29), id="normal_cloud"),
         pytest.param(
-            lambda: geometry.sample_domain(geometry.named_domain("tan_disc"), 4096), id="tan_disc"
+            lambda: geometry.boundary_loop(geometry.named_domain("tan_disc"), 4096)[0], id="tan_disc"
         ),
     ],
 )
@@ -323,7 +332,7 @@ def test_named_domain_metadata():
 
 def test_tan_disc_boundary_is_odd():
     spec = geometry.named_domain("tan_disc")
-    points = geometry.sample_domain(spec, 512)
+    points = geometry.boundary_loop(spec, 512)[0]
     # boundary of an odd map: each point's antipode is also on the boundary
     for p in points[::37]:
         assert np.min(np.linalg.norm(points + p, axis=1)) < 2e-2
@@ -331,7 +340,7 @@ def test_tan_disc_boundary_is_odd():
 
 def test_tan_disc_diameter_matches_analytic_value():
     spec = geometry.named_domain("tan_disc")
-    points = geometry.sample_domain(spec)
+    points = geometry.boundary_loop(spec)[0]
     # the boundary is odd, so the diameter is twice the largest modulus,
     # attained at tan(1)
     assert geometry.diameter(points) == pytest.approx(2.0 * math.tan(1.0), rel=1e-4)
@@ -365,13 +374,13 @@ def test_load_domain_spec_named_with_overrides():
 
 def test_load_domain_spec_named_applies_metadata_overrides():
     spec = geometry.load_domain_spec(
-        {"kind": "named", "name": "bowtie", "K": 1.0, "convex": True, "beta": 0.25,
+        {"kind": "named", "name": "bowtie", "K": 1.0, "convex": False, "beta": 0.25,
          "norm_sq": 3.0, "symmetry_center": [0.0, 0.5]}
     )
     assert spec.qc_coefficient == 1.0
-    assert spec.convex is True
+    assert spec.convex is False
     assert spec.star_beta == 0.25
-    assert spec.norm_sq == 3.0 and spec.norm_source == "declared in spec"
+    assert spec.norm_sq == 3.0
     assert np.array_equal(spec.symmetry_center, [0.0, 0.5])
     assert np.array_equal(spec.vertices, geometry.named_domain("bowtie").vertices)
     # overrides go through the same validation as any other spec

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 import neubound
 from neubound import geometry
 
-_README = Path(__file__).resolve().parent.parent / "README.md"
+_ROOT = Path(__file__).resolve().parent.parent
+_README = _ROOT / "README.md"
 
 _PUBLIC_NAMES = [
     "Ball",
@@ -47,13 +50,11 @@ _PUBLIC_NAMES = [
     "p_zero",
     "payne_weinberger_bound",
     "piecewise_qc_coefficient",
-    "polygon_area",
     "preset_names",
     "quasi_monotonicity_upper",
     "quasidisc_bound",
     "quasidisc_norm_sq",
     "reproduce",
-    "sample_domain",
     "spiral_shaped_K",
     "star_shaped_K",
     "symmetric_domain_bound",
@@ -126,3 +127,17 @@ def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
     # diameter takes the convex hull of tan_disc's 4,096 samples in NumPy,
     # so bound needs neither scipy.spatial nor the scipy.sparse it imports
     assert not _loaded_by_fresh_import(module, then=_BOUND_TAN_DISC)
+
+
+def test_every_attribute_the_benchmark_tracer_patches_exists():
+    # perfbench/run.py --trace wraps these attributes by name (bounds.p_zero
+    # too, since bounds imports it by name); a cleanup that drops one would
+    # break tracing without failing any other test
+    spec = importlib.util.spec_from_file_location("tracing", _ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for module, attribute, _, _ in tracing.LAYERS:
+        assert hasattr(importlib.import_module(f"neubound.{module}"), attribute), (module, attribute)
+    # the size it records for neumann_eigenvalues
+    assert "dof_count" in neubound.SpectrumResult.__dataclass_fields__
