@@ -78,6 +78,8 @@ class DomainSpec:
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         check_int("samples", self.samples, 3)
+        if not (self.convex is None or isinstance(self.convex, bool)):
+            raise ValueError(f"convex must be true, false or absent, got {self.convex!r}")
         if self.kind == "polygon":
             if self.vertices is None:
                 raise ValueError("polygon spec needs vertices")

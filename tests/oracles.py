@@ -17,6 +17,13 @@ midpoint places the new boundary vertices on the curve.
 
 The Rayleigh quotient of a nodal P1 function bounds the mesh's mu_1 from
 above once the function is M-orthogonal to constants.
+
+The assembly oracle converts each matrix from COO to CSR on its own, the
+eigensolve oracle lets scipy's eigsh build and factor K - sigma M itself
+and starts it from a standard normal vector with the default ncv, and the
+mesh-size oracle measures the three sides of each triangle as 2-vectors:
+fem's assemble, neumann_eigenvalues and Mesh.mesh_size before they shared
+one conversion, one factorization and per-coordinate gathers.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from neubound import fem, geometry
+from neubound.errors import NumericalError
 
 
 def brute_force_mecb(points) -> tuple[np.ndarray, float]:
@@ -220,3 +228,68 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
         np.array(boundary_flags, dtype=bool),
         new_s,
     )
+
+
+def two_pass_assemble(mesh):
+    """Stiffness and consistent mass matrices (CSR) for P1 elements."""
+    import scipy.sparse
+    v, t = mesh.vertices, mesh.triangles
+    if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
+        raise ValueError("mesh has no triangles")
+    double_area = fem._signed_double_areas(v, t)
+    bad = np.nonzero(double_area <= fem._MIN_TRIANGLE_DOUBLE_AREA)[0]
+    if len(bad):
+        raise NumericalError(f"triangle {int(bad[0])} has non-positive area")
+
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
+    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
+    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        2.0 * double_area
+    )[:, None, None]
+    m_pattern = (np.ones((3, 3)) + np.eye(3)) / 24.0
+    m_local = double_area[:, None, None] * m_pattern[None, :, :]
+
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    nv = len(v)
+    stiffness = scipy.sparse.coo_matrix(
+        (k_local.ravel(), (rows, cols)), shape=(nv, nv)
+    ).tocsr()
+    mass = scipy.sparse.coo_matrix(
+        (m_local.ravel(), (rows, cols)), shape=(nv, nv)
+    ).tocsr()
+    return stiffness, mass
+
+
+def scipy_shift_invert_eigenvalues(mesh, k: int) -> np.ndarray:
+    """The k smallest Neumann eigenvalues, ascending, from eigsh's own
+    sigma-shifted factorization, a random start and the default ncv."""
+    import scipy.sparse.linalg
+
+    nv = mesh.dof_count
+    stiffness, mass = two_pass_assemble(mesh)
+
+    center = mesh.vertices.mean(axis=0)
+    spread = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
+    sigma = -0.2 * (1.8412 / max(spread, 1e-9)) ** 2
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(nv)
+    vals = scipy.sparse.linalg.eigsh(
+        stiffness,
+        k=k,
+        M=mass,
+        sigma=sigma,
+        which="LM",
+        v0=v0,
+        maxiter=2000,
+        return_eigenvectors=False,
+    )
+    return np.sort(np.asarray(vals, dtype=float))[:k]
+
+
+def three_side_mesh_size(mesh) -> float:
+    """Longest triangle side, from each triangle's three sides as 2-vectors."""
+    v, t = mesh.vertices, mesh.triangles
+    edges = v[t[:, [1, 2, 0]]] - v[t]  # (nt, 3, 2): edges 01, 12, 20
+    return float(np.sqrt((edges * edges).sum(axis=2).max()))

@@ -14,6 +14,9 @@ def _disc(**fields):
     return nb.DomainSpec(kind="sampler", name="unit_disc", **fields)
 
 
+_MESH = nb.triangulate(_disc(), refinement=0)
+
+
 # entry point and argument -> (call with that argument, a value out of its
 # range, whether the argument is an integer)
 _ARGUMENTS = {
@@ -47,6 +50,10 @@ _ARGUMENTS = {
     "spiral_shaped_K.gamma": (lambda v: nb.spiral_shaped_K(0.5, v), 1.0, False),
     "p_zero.n": (lambda v: nb.p_zero(v, tol=1e-10), 1, True),
     "p_zero.tol": (lambda v: nb.p_zero(2, tol=v), 0.0, False),
+    "triangulate.refinement": (lambda v: nb.triangulate(_disc(), refinement=v), 9, True),
+    "verify_bound.refinement": (lambda v: nb.verify_bound(_disc(), refinement=v), -1, True),
+    "verify_bound.k": (lambda v: nb.verify_bound(_disc(), refinement=0, k=v), 11, True),
+    "neumann_eigenvalues.k": (lambda v: nb.neumann_eigenvalues(_MESH, k=v), 1, True),
 }
 
 

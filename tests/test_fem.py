@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from neubound import fem, geometry
+from neubound import cli, fem, geometry
 from neubound.errors import NumericalError
-from oracles import rayleigh_quotient, scalar_triangulate
+from oracles import (
+    rayleigh_quotient,
+    scalar_triangulate,
+    scipy_shift_invert_eigenvalues,
+    three_side_mesh_size,
+    two_pass_assemble,
+)
 
 _SQUARE_SPEC = {
     "kind": "polygon",
@@ -106,27 +114,27 @@ def test_dense_and_sparse_solvers_agree():
             assert np.allclose(dense, sparse, rtol=1e-8, atol=1e-9)
 
 
+# near-coincident vertex angles give slivers that cost a dense solve its
+# constant mode (lambda_0 ~ 1.5e-7 at 325 unknowns)
+_THIN_FAN = {
+    "kind": "polygon",
+    "vertices": [
+        [1.6018193197749238, 1.2582468217679432],
+        [1.562276206756139, 1.416081330404638],
+        [1.2887317742106053, 1.9467743264270996],
+        [1.2851603842321575, 1.9754096913144008],
+        [1.1802551687915739, 2.0230430975572817],
+        [0.3447201646046596, 1.7899516270356726],
+        [0.45530130608774255, 1.7369737762788522],
+        [0.46961938179077045, 0.9715450302516109],
+        [1.1701666147462335, 0.7367124930054245],
+    ],
+    "anchor": [1.0638629464477578, 1.4491459906237516],
+}
+
+
 def test_thin_fan_keeps_the_constant_mode():
-    # near-coincident vertex angles give slivers that cost a dense solve
-    # its constant mode (lambda_0 ~ 1.5e-7 at 325 unknowns)
-    spec = geometry.load_domain_spec(
-        {
-            "kind": "polygon",
-            "vertices": [
-                [1.6018193197749238, 1.2582468217679432],
-                [1.562276206756139, 1.416081330404638],
-                [1.2887317742106053, 1.9467743264270996],
-                [1.2851603842321575, 1.9754096913144008],
-                [1.1802551687915739, 2.0230430975572817],
-                [0.3447201646046596, 1.7899516270356726],
-                [0.45530130608774255, 1.7369737762788522],
-                [0.46961938179077045, 0.9715450302516109],
-                [1.1701666147462335, 0.7367124930054245],
-            ],
-            "anchor": [1.0638629464477578, 1.4491459906237516],
-        }
-    )
-    mesh = fem.triangulate(spec, refinement=3)
+    mesh = fem.triangulate(geometry.load_domain_spec(_THIN_FAN), refinement=3)
     assert mesh.dof_count == 325
     lam0, lam1 = fem.neumann_eigenvalues(mesh, k=4).eigenvalues[:2]
     assert abs(lam0) <= 1e-8 * lam1
@@ -210,6 +218,44 @@ def test_refinement_matches_scalar_oracle(name):
         assert np.array_equal(mesh.boundary, boundary)
 
 
+_ASSEMBLY_CASES = [
+    *((name, r) for name in geometry.preset_names() for r in range(4)),
+    ("thin_fan", 3),
+]
+
+
+@pytest.mark.parametrize("name, refinement", _ASSEMBLY_CASES)
+def test_assembly_matches_two_pass_oracle(name, refinement):
+    # one complex COO -> CSR conversion gives the same bits as two real ones
+    spec = geometry.load_domain_spec(_THIN_FAN) if name == "thin_fan" else geometry.named_domain(name)
+    mesh = fem.triangulate(spec, refinement=refinement)
+    for got, want in zip(fem.assemble(mesh), two_pass_assemble(mesh)):
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_eigenvalues_match_scipy_shift_invert_oracle(name):
+    """The factor-once solve with its seeded smooth start and ncv = 2k + 2
+    finds the eigenvalues eigsh finds with its own factorization, a random
+    start and the default ncv.  eigenvalues[0] is ~0 and carries only
+    roundoff, so only eigenvalues[1:] are compared, relatively."""
+    for refinement in range(1, 5):
+        mesh = fem.triangulate(_ORACLE_SPECS[name], refinement=refinement)
+        for k in (2, 4, 6):
+            got = np.array(fem.neumann_eigenvalues(mesh, k=k).eigenvalues)
+            want = scipy_shift_invert_eigenvalues(mesh, k)
+            assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=0.0), (refinement, k)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_mesh_size_matches_three_side_oracle(name):
+    for refinement in range(4):
+        mesh = fem.triangulate(_ORACLE_SPECS[name], refinement=refinement)
+        assert mesh.mesh_size == three_side_mesh_size(mesh)
+
+
 def test_curved_boundary_vertices_stay_on_circle():
     mesh = fem.triangulate(geometry.named_domain("unit_disc"), refinement=3, samples=24)
     radii = np.linalg.norm(mesh.vertices[mesh.boundary], axis=1)
@@ -248,6 +294,32 @@ def test_eigen_solver_validation():
         fem.neumann_eigenvalues(mesh, k=1)
     with pytest.raises(ValueError):
         fem.neumann_eigenvalues(mesh, k=11)
+
+
+def test_eigenpairs_carry_small_backward_errors():
+    for name, refinement in (("unit_disc", 3), ("bowtie", 4)):
+        mesh = fem.triangulate(geometry.named_domain(name), refinement=refinement)
+        result = fem.neumann_eigenvalues(mesh, k=4)
+        assert len(result.residuals) == 4
+        assert all(0.0 <= r <= 1e-12 for r in result.residuals), result.residuals
+
+
+def test_a_large_backward_error_is_a_numerical_error(monkeypatch):
+    # eigenvectors spoiled after ARPACK returns must fail the residual check
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spoiled(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals, vecs + 1e-3 * np.random.default_rng(1).standard_normal(vecs.shape)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spoiled)
+    with pytest.raises(NumericalError, match="backward error"):
+        fem.neumann_eigenvalues(_square(refinement=2), k=4)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["fem", "--domain", "bowtie", "--refinement", "2"]) == 2
+    assert "backward error" in err.getvalue()
 
 
 def test_degenerate_triangle_is_named():

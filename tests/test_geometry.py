@@ -43,6 +43,15 @@ def test_bad_polygons_rejected():
         geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [1, 0]]})
 
 
+def test_declared_convexity_is_a_bool_or_absent():
+    # bool("no") is True, so a string would have made pi^2/d^2 a claim
+    for value in ("no", 0, 1, 1.0, np.True_):
+        with pytest.raises(ValueError, match="convex"):
+            geometry.DomainSpec(kind="sampler", name="unit_disc", convex=value)
+    for value in (True, False, None):
+        assert geometry.DomainSpec(kind="sampler", name="unit_disc", convex=value).convex is value
+
+
 def test_declared_convexity_of_a_polygon_is_checked():
     with pytest.raises(ValueError, match="convex"):  # the bowtie has two reflex vertices
         geometry.named_domain("bowtie", convex=True)

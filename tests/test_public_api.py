@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import neubound
-from neubound import geometry
+from neubound import fem, geometry
 
 _ROOT = Path(__file__).resolve().parent.parent
 _README = _ROOT / "README.md"
@@ -141,3 +141,22 @@ def test_every_attribute_the_benchmark_tracer_patches_exists():
         assert hasattr(importlib.import_module(f"neubound.{module}"), attribute), (module, attribute)
     # the size it records for neumann_eigenvalues
     assert "dof_count" in neubound.SpectrumResult.__dataclass_fields__
+
+
+def test_neumann_eigenvalues_assembles_through_the_module_attribute(monkeypatch):
+    # the tracer's fem.assemble layer wraps this attribute; assembly reached
+    # any other way (a private helper, a second pass) would read 0 ms there
+    calls = []
+    assemble = fem.assemble
+
+    def counting(mesh):
+        calls.append(mesh)
+        return assemble(mesh)
+
+    monkeypatch.setattr(fem, "assemble", counting)
+    mesh = fem.triangulate(neubound.named_domain("bowtie"), refinement=2)
+    for k in (2, 4):
+        fem.neumann_eigenvalues(mesh, k=k)
+    assert calls == [mesh, mesh]
+    fem.verify_bound(neubound.named_domain("unit_disc"), refinement=1)
+    assert len(calls) == 3
