@@ -265,7 +265,10 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         raise NumericalError(
             f"spectrum lacks the constant mode: lambda_0={lam0}, lambda_1={lam1}"
         )
-    k_norm, m_norm = (abs(a).sum(axis=0).max() for a in (stiffness, mass))
+    # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
+    k_norm, m_norm = (
+        np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass)
+    )
     residuals = np.abs(stiffness @ vecs - (mass @ vecs) * vals).sum(axis=0) / (
         (k_norm + np.abs(vals) * m_norm) * np.abs(vecs).sum(axis=0)
     )

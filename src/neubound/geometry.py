@@ -24,6 +24,7 @@ _MAX_BALL_DIM = 8
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
 _PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
 _MAX_SAMPLES = 2**20  # boundary samples per loop
+_MAX_COORD = 1e150  # squared distances between such points stay finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +87,8 @@ class DomainSpec:
             verts = np.array(self.vertices, dtype=float)
             if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
                 raise ValueError("vertices must be an (m, 2) array with m >= 3")
-            if not np.all(np.isfinite(verts)):
-                raise ValueError("vertices must be finite")
+            if not np.all(np.abs(verts) <= _MAX_COORD):  # NaN fails too
+                raise ValueError(f"vertex coordinates c must be finite with |c| <= {_MAX_COORD:g}")
             if np.any(np.all(verts == np.roll(verts, -1, axis=0), axis=1)):
                 raise ValueError("polygon has a repeated consecutive vertex")
             if abs(_shoelace(verts)) < 1e-14:
@@ -110,8 +111,8 @@ class DomainSpec:
             value = getattr(self, attr)
             if value is not None:
                 arr = np.array(value, dtype=float)
-                if arr.shape != (2,) or not np.all(np.isfinite(arr)):
-                    raise ValueError(f"{attr} must be a finite 2-vector")
+                if arr.shape != (2,) or not np.all(np.abs(arr) <= _MAX_COORD):
+                    raise ValueError(f"{attr} must be a 2-vector of coordinates c with |c| <= {_MAX_COORD:g}")
                 arr.flags.writeable = False
                 object.__setattr__(self, attr, arr)
         for attr, lo, hi in (("qc_coefficient", 1, math.inf), ("star_beta", 0, 1), ("norm_sq", 1, math.inf)):

@@ -11,7 +11,9 @@ equivalently of J_{n/2}(t) - t J_{n/2 + 1}(t); its square is the first
 nontrivial Neumann eigenvalue of the unit ball in dimension n.
 
 scipy.special loads on first use, inside these functions, so importing
-the package does not pay for it (a few hundred ms on a cold start).
+the package does not pay for it.  p_zero at its default tol for the paper's
+dimensions n = 2..8 is read from a table of the scan's own results, so
+bounds in those dimensions never load it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ def bessel_k(nu: float, x: float) -> float:
 
 _P_SCAN_STEP = 0.05
 _P_SCAN_MAX = 20.0
+# _scan_p_zero(n, 1e-10) for n = 2..8, bit for bit (tests/test_special.py)
+_P_ZERO_TABLE = {2: 1.841183781251312, 3: 2.081575977802278, 4: 2.2999103302136064,
+                 5: 2.501132620405404, 6: 2.6885891920886924, 7: 2.8646728462539595,
+                 8: 3.0311646790243665}
 
 
 @lru_cache(maxsize=128, typed=True)  # else p_zero(2.0, tol=t) hits p_zero(2, tol=t)
@@ -83,6 +89,13 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
     """
     check_int("dimension", n, 2)
     tol = check_real("tol", tol, 0, strict=True)
+    if tol == 1e-10 and n in _P_ZERO_TABLE:
+        return _P_ZERO_TABLE[n]
+    return _scan_p_zero(n, tol)
+
+
+def _scan_p_zero(n: int, tol: float) -> float:
+    """p_zero(n, tol) by scan and bisection, the route behind _P_ZERO_TABLE."""
     from scipy.special import jv
 
     nu = 0.5 * n

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -187,10 +188,17 @@ def test_integer_valued_json_numbers_read_as_floats(capsys):
 
 
 def _bound_exit(spec):
-    """Exit status, stdout and stderr of `bound --domain <spec as JSON>`."""
+    """Exit status, stdout and stderr of `bound --domain <spec as JSON>`.
+
+    Warnings land in stderr, as they would from the command line.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(["bound", "--domain", json.dumps(spec)])
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -213,13 +221,26 @@ def _assert_one_error_line(spec):
         {"kind": "sampler", "name": "unit_disc", "samples": 8, "vertices": [[0, 0], [5, 0], [5, 5]]},
         {"kind": "sampler", "name": "unit_disc", "samples": 10**12},
         {"kind": "named", "name": "bowtie", "convex": True},
+        {"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
     ],
     ids=["K_list", "name_list", "name_object", "samples_fraction", "dim_fraction",
          "samples_string", "samples_float", "sampler_vertices", "samples_huge",
-         "reflex_polygon_declared_convex"],
+         "reflex_polygon_declared_convex", "vertices_huge"],
 )
 def test_malformed_spec_exits_1(spec):
     _assert_one_error_line(spec)
+
+
+def test_mecb_rejects_vertices_whose_squared_distances_overflow(capsys):
+    # at 1e160 the squared distances overflow to inf and the enclosing ball
+    # would be NaN, which is not JSON; 1e150 is the largest coordinate accepted
+    triangle = {"kind": "polygon", "vertices": [[0, 0], [1e160, 0], [0, 1e160]]}
+    code, out, err = _run(capsys, "mecb", "--domain", json.dumps(triangle))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    triangle["vertices"] = [[0, 0], [1e150, 0], [0, 1e150]]
+    code, out, _ = _run(capsys, "mecb", "--domain", json.dumps(triangle))
+    assert code == 0 and json.loads(out)["radius"] == pytest.approx(1e150 / math.sqrt(2))
 
 
 def test_mecb_rejects_an_infinite_declared_norm(capsys):

@@ -88,18 +88,21 @@ def test_readme_library_examples_run(capsys):
     assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound
 
 
-def _loaded_by_fresh_import(module: str, then: str = "") -> bool:
-    """Whether a fresh `import neubound`, followed by the code then, loads module."""
+def _loaded_by_fresh_import(module: str, argv: tuple[str, ...] = ()) -> bool:
+    """Whether a fresh process loads module: `import neubound`, or the CLI on argv."""
     src = str(Path(neubound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, neubound\n{then}\nprint({module!r} in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+    run = ["-m", "neubound.cli", *argv] if argv else ["-c", "import neubound"]
+    # -X importtime writes one "import time: self | cumulative | name" line
+    # to stderr for each module the process imports
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", *run],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    assert out in ("True", "False")
-    return out == "True"
+    ).stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+    assert "neubound" in names
+    return module in names
 
 
 def test_import_does_not_load_the_sparse_stack():
@@ -109,24 +112,35 @@ def test_import_does_not_load_the_sparse_stack():
 
 
 def test_import_does_not_load_scipy_special():
-    # scipy.special loads inside the Bessel wrappers and p_zero, so commands
-    # that evaluate no Bessel function (qc, mecb) skip its import cost
+    # scipy.special loads inside the Bessel wrappers and inside p_zero off
+    # its table (n = 2..8 at the default tol), so commands that evaluate no
+    # Bessel function (qc, mecb, bound and verify in those dimensions) skip
+    # its import cost
     assert not _loaded_by_fresh_import("scipy.special")
 
 
-_BOUND_TAN_DISC = """
-import contextlib, io
-from neubound import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["bound", "--domain", "tan_disc"]) == 0
-"""
+_TAN_DISC = ("bound", "--domain", "tan_disc")
 
 
-@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
-def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
-    # diameter takes the convex hull of tan_disc's 4,096 samples in NumPy,
-    # so bound needs neither scipy.spatial nor the scipy.sparse it imports
-    assert not _loaded_by_fresh_import(module, then=_BOUND_TAN_DISC)
+@pytest.mark.parametrize(
+    "argv,module,loaded",
+    [
+        # diameter takes the convex hull of tan_disc's 4,096 samples in
+        # NumPy, and p_zero(2) comes from the table
+        (_TAN_DISC, "scipy.spatial", False),
+        (_TAN_DISC, "scipy.sparse", False),
+        (_TAN_DISC, "scipy.special", False),
+        (("pzero", "--n", "5"), "scipy.special", False),
+        (("reproduce", "half_ball"), "scipy.special", False),
+        (("verify", "--domain", "bowtie", "--refinement", "1"), "scipy.special", False),
+        # off the table p_zero falls back to the scan over scipy.special.jv
+        (("pzero", "--n", "9"), "scipy.special", True),
+        (("pzero", "--n", "5", "--tol", "1e-6"), "scipy.special", True),
+    ],
+    ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, tuple) else None,
+)
+def test_command_loads_scipy_module_only_when_it_needs_it(argv, module, loaded):
+    assert _loaded_by_fresh_import(module, argv) is loaded
 
 
 def test_every_attribute_the_benchmark_tracer_patches_exists():

@@ -165,6 +165,15 @@ def test_p_zero_never_exceeds_the_root(n):
     assert 0.0 <= below <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_p_zero_table_is_the_scan_bit_for_bit(n):
+    # p_zero reads the paper's dimensions at the default tol from a table, so
+    # those processes skip the scipy.special import; the table must be exactly
+    # what the scan returns, and any other tol must still run the scan
+    assert special.p_zero(n) == special._P_ZERO_TABLE[n] == special._scan_p_zero(n, 1e-10)
+    assert special.p_zero(n, tol=1e-6) == special._scan_p_zero(n, 1e-6)
+
+
 def test_p_zero_solves_its_equation():
     for n in range(2, 9):
         p = special.p_zero(n)
