@@ -122,13 +122,17 @@ def test_import_does_not_load_scipy_special():
 _TAN_DISC = ("bound", "--domain", "tan_disc")
 
 
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
+def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
+    # diameter takes the convex hull of tan_disc's 4,096 samples in NumPy,
+    # so bound needs neither scipy.spatial nor the scipy.sparse it imports
+    assert not _loaded_by_fresh_import(module, _TAN_DISC)
+
+
 @pytest.mark.parametrize(
     "argv,module,loaded",
     [
-        # diameter takes the convex hull of tan_disc's 4,096 samples in
-        # NumPy, and p_zero(2) comes from the table
-        (_TAN_DISC, "scipy.spatial", False),
-        (_TAN_DISC, "scipy.sparse", False),
+        # p_zero(2) comes from the table
         (_TAN_DISC, "scipy.special", False),
         (("pzero", "--n", "5"), "scipy.special", False),
         (("reproduce", "half_ball"), "scipy.special", False),
