@@ -4,21 +4,22 @@ Every command writes a single JSON document (or CSV, for tabular reports)
 to standard output; notes and discrepancy warnings go to standard error.
 Exit status 0 is success, 1 an input or validation problem, 2 a numerical
 failure.  Floats are printed with NEUBOUND_PRECISION significant digits
-(default 10); runs with identical flags and seed are byte-identical.
+(default 10); NaN and infinities, which JSON lacks, are numerical failures.
+Runs with identical flags and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import bounds, extension_norms, fem, geometry, qcmaps, reproduce, special
+from . import reproduce
 from .errors import NumericalError
 
 PRECISION_ENV = "NEUBOUND_PRECISION"
@@ -45,14 +46,12 @@ def _precision() -> int:
 
 
 def _round_floats(obj, digits: int):
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.{digits}g}")
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist(), digits)
+    if hasattr(obj, "tolist"):  # a NumPy scalar or array, as Python values
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        if not math.isfinite(obj):  # NaN and Infinity are not JSON
+            raise NumericalError(f"the report holds a non-finite value, {obj}")
+        return float(f"{obj:.{digits}g}")
     if isinstance(obj, dict):
         return {str(k): _round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,11 +106,18 @@ def _warn(lines) -> None:
         sys.stderr.write(f"warning: {line}\n")
 
 
+# Each command imports the modules it calls, so a process loads NumPy and
+# SciPy only when its command needs them.  Calls go through the module
+# attributes, which a tracer may wrap.
 def _cmd_pzero(args) -> dict:
+    from . import special
+
     return {"n": args.n, "p": special.p_zero(args.n, tol=args.tol)}
 
 
 def _cmd_mikhlin(args) -> dict:
+    from . import extension_norms
+
     est = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
     return {
         "n": args.n,
@@ -123,6 +129,8 @@ def _cmd_mikhlin(args) -> dict:
 
 
 def _cmd_mikhlin_star(args) -> dict:
+    from . import extension_norms
+
     data = extension_norms.StarShapeData(
         m1=args.m1, m2=args.m2, m3=args.m3, n=args.n, big_r=args.big_r
     )
@@ -142,6 +150,8 @@ def _cmd_mikhlin_star(args) -> dict:
 
 
 def _cmd_qc(args) -> dict:
+    from . import qcmaps
+
     if args.matrix:
         matrices = [[row[:2], row[2:]] for row in args.matrix]
         if len(matrices) == 1:
@@ -164,6 +174,8 @@ def _cmd_qc(args) -> dict:
 
 
 def _cmd_mecb(args) -> dict:
+    from . import geometry
+
     spec = geometry.load_domain_spec(args.domain)
     points = geometry.boundary_loop(spec, args.samples)[0]
     ball = geometry.min_enclosing_ball(points, seed=args.seed)
@@ -176,6 +188,8 @@ def _cmd_mecb(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
+    from . import bounds, geometry
+
     spec = geometry.load_domain_spec(args.domain)
     report = bounds.best_bound_report(spec, n=args.n, samples=args.samples)
     _warn(report.notes)
@@ -183,6 +197,8 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_fem(args) -> dict:
+    from . import fem, geometry
+
     spec = geometry.load_domain_spec(args.domain)
     if args.table:
         rows = []
@@ -211,6 +227,8 @@ def _cmd_fem(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from . import fem, geometry
+
     spec = geometry.load_domain_spec(args.domain)
     record = fem.verify_bound(
         spec,
@@ -322,5 +340,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The `neubound` script: main() on sys.argv, then exit with its status.
+
+    The interpreter's last garbage collection would walk every object NumPy
+    and SciPy made; gc.freeze() moves them out of its reach.  atexit
+    handlers and stream flushing still run.  Not part of main(), which
+    tests call many times in one process.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

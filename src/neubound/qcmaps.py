@@ -13,25 +13,30 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import check_real
+from .errors import NumericalError, check_real
 
 
 def affine_qc_coefficient(matrix: Sequence[Sequence[float]]) -> float:
     """Distortion K of an orientation-preserving linear map of the plane."""
-    d = np.asarray(matrix, dtype=float)
-    if d.shape != (2, 2) or not np.all(np.isfinite(d)):
-        raise ValueError("matrix must be a finite 2x2 array")
-    det = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-    if det <= 0.0:
-        raise ValueError(f"map must preserve orientation: det = {det}")
+    try:
+        (a, b), (c, e) = matrix
+        a, b, c, e = (check_real("matrix entry", v, -math.inf) for v in (a, b, c, e))
+    except (TypeError, ValueError):
+        raise ValueError("matrix must be a finite 2x2 array") from None
     # split into rotation-scaling and reflection-scaling parts; the singular
     # values are q +- r, so K = s_max / s_min = lambda_max(D D^T) / det.
     # The usual trace/discriminant route cancels catastrophically near
-    # conformal maps; this form returns exactly 1 for similarities.
-    q = math.hypot(0.5 * (d[0, 0] + d[1, 1]), 0.5 * (d[1, 0] - d[0, 1]))
-    r = math.hypot(0.5 * (d[0, 0] - d[1, 1]), 0.5 * (d[1, 0] + d[0, 1]))
+    # conformal maps; this form returns exactly 1 for similarities.  K is
+    # scale-free, so q and r are those of D/2: quartering each entry before
+    # the sums keeps q + r finite for any finite D, and det = (q - r)(q + r)
+    # gives the orientation with no product of entries to over- or underflow.
+    q = math.hypot(0.25 * a + 0.25 * e, 0.25 * c - 0.25 * b)
+    r = math.hypot(0.25 * a - 0.25 * e, 0.25 * c + 0.25 * b)
+    if not q > r:
+        det = a * e - b * c
+        if det > 0.0:  # q - r cancelled: K is beyond about 1e16
+            raise NumericalError(f"distortion too large to resolve: det = {det}")
+        raise ValueError(f"map must preserve orientation: det = {det}")
     return (q + r) / (q - r)
 
 

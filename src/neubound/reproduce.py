@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from . import bounds, extension_norms, geometry, qcmaps, special
+from . import extension_norms, qcmaps, special
 
 _PZERO_PUBLISHED = {
     2: 1.841,
@@ -71,7 +71,11 @@ def _mikhlin_table() -> dict:
     }
 
 
+# bounds and geometry load NumPy, so only the examples that use them import
+# them
 def _bowtie() -> dict:
+    from . import bounds, geometry
+
     spec = geometry.named_domain("bowtie")
     points, _, _ = geometry.boundary_loop(spec, None)
 
@@ -112,6 +116,8 @@ def _bowtie() -> dict:
 
 
 def _half_ball() -> dict:
+    from . import bounds
+
     norm_sq = extension_norms.half_ball_reflection_norm_sq().value_sq
     bound_n4 = bounds.extension_ball_bound(norm_sq, 1.0, 4)
     pw = bounds.payne_weinberger_bound(2.0)
@@ -139,6 +145,8 @@ def _half_ball() -> dict:
 
 
 def _tan_star() -> dict:
+    from . import bounds, geometry
+
     # the published computation displays these three factors
     published_diameter = 3.2
     published_jzero = 1.84118

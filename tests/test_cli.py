@@ -6,13 +6,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neubound import cli, geometry
+import neubound
+from neubound import cli, geometry, qcmaps
 
 
 def _run(capsys, *argv):
@@ -308,6 +314,54 @@ def test_exit_code_for_numerical_failures(capsys):
     code, _, err = _run(capsys, "mikhlin", "--n", "3", "--R", "800")
     assert code == 2
     assert "numerical error" in err
+
+
+def test_non_finite_result_exits_2(capsys, monkeypatch):
+    # NaN is not JSON, so the command fails instead of printing it
+    monkeypatch.setattr(qcmaps, "star_shaped_K", lambda beta: math.nan)
+    code, out, err = _run(capsys, "qc", "--beta", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "value, plain",
+    [
+        (np.bool_(True), True),
+        (np.int64(7), 7),
+        (np.float64(0.1) * 3, 0.1 * 3),
+        (np.array(2.5), 2.5),
+        (np.array([[1.0, 2.0], [3.0, 1.0 / 3.0]]), [[1.0, 2.0], [3.0, 1.0 / 3.0]]),
+    ],
+    ids=["bool_", "int64", "float64", "array_0d", "array_2d"],
+)
+def test_numpy_values_serialize_as_their_python_values(value, plain):
+    rounded, want = cli._round_floats({"x": value}, 10), cli._round_floats({"x": plain}, 10)
+    assert json.dumps(rounded) == json.dumps(want)
+    assert type(rounded["x"]) is type(want["x"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("pzero", "--n", "3"), 0),
+        (("bound", "--domain", "nope"), 1),
+        (("mikhlin", "--n", "3", "--R", "800"), 2),
+    ],
+    ids=["exit_0", "exit_1", "exit_2"],
+)
+def test_fresh_process_matches_main(capsys, argv, code):
+    # the script's own exit path (gc.freeze, then sys.exit) keeps the
+    # status and flushes both streams as main() left them; the streams are
+    # left buffered, as by default, so a skipped flush would lose output
+    src = str(Path(neubound.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "neubound.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == _run(capsys, *argv)
 
 
 def test_help_exits_cleanly(capsys):

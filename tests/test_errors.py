@@ -47,6 +47,8 @@ _ARGUMENTS = {
     "StarShapeData.n": (lambda v: nb.StarShapeData(1.0, 1.5, 0.3, v, 2.0), 2, True),
     "StarShapeData.big_r": (lambda v: nb.StarShapeData(1.0, 1.5, 0.3, 3, v), 1.0, False),
     "star_shaped_K.beta": (lambda v: nb.star_shaped_K(v), -0.1, False),
+    # a negative entry here reverses the orientation
+    "affine_qc_coefficient.matrix": (lambda v: nb.affine_qc_coefficient([[v, 0], [0, 1]]), -1.0, False),
     "spiral_shaped_K.gamma": (lambda v: nb.spiral_shaped_K(0.5, v), 1.0, False),
     "p_zero.n": (lambda v: nb.p_zero(v, tol=1e-10), 1, True),
     "p_zero.tol": (lambda v: nb.p_zero(2, tol=v), 0.0, False),

@@ -69,6 +69,20 @@ def test_public_names_are_pinned():
     assert all(hasattr(neubound, name) for name in neubound.__all__)
 
 
+def test_lazy_names_resolve_list_and_star_import():
+    # the package loads its submodules on first attribute access
+    assert set(neubound.__all__) <= set(dir(neubound))
+    namespace: dict = {}
+    exec("from neubound import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(_PUBLIC_NAMES)
+    assert namespace["p_zero"] is neubound.special.p_zero
+    # outside __all__ but used by the README, as before the lazy surface
+    assert neubound.star_shaped_bound is neubound.bounds.star_shaped_bound
+    assert neubound.reproduce is importlib.import_module("neubound.reproduce")
+    with pytest.raises(AttributeError):
+        neubound.no_such_name
+
+
 def test_readme_schema_lists_every_spec_key():
     block = re.search(r"```jsonc\n(.*?)```", _README.read_text(), flags=re.S).group(1)
     keys = set(re.findall(r'^\s*"(\w+)":', block, flags=re.M))
@@ -103,6 +117,11 @@ def _loaded_by_fresh_import(module: str, argv: tuple[str, ...] = ()) -> bool:
     names = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
     assert "neubound" in names
     return module in names
+
+
+def test_import_does_not_load_numpy():
+    # every submodule, and with it NumPy, loads on first attribute access
+    assert not _loaded_by_fresh_import("numpy")
 
 
 def test_import_does_not_load_the_sparse_stack():
@@ -145,6 +164,22 @@ def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
 )
 def test_command_loads_scipy_module_only_when_it_needs_it(argv, module, loaded):
     assert _loaded_by_fresh_import(module, argv) is loaded
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        # commands that handle no point cloud run on math alone
+        (("pzero", "--n", "5"), False),
+        (("qc", "--beta", "0.5"), False),
+        (("qc", "--matrix", "1", "1", "0", "1"), False),
+        (("reproduce", "pzero_table"), False),
+        (_TAN_DISC, True),
+    ],
+    ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, tuple) else None,
+)
+def test_command_loads_numpy_only_when_it_needs_it(argv, loaded):
+    assert _loaded_by_fresh_import("numpy", argv) is loaded
 
 
 def test_every_attribute_the_benchmark_tracer_patches_exists():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from neubound import qcmaps
+from neubound.errors import NumericalError
 
 
 def test_identity_and_similarities_are_conformal():
@@ -35,6 +36,25 @@ def test_orientation_reversal_rejected():
         qcmaps.affine_qc_coefficient([[1, 0], [0, -1]])
     with pytest.raises(ValueError):
         qcmaps.affine_qc_coefficient([[1, 2], [2, 4]])  # singular
+
+
+def test_huge_entries_give_the_scale_free_coefficient():
+    # the entry sums and det overflow here, but K does not depend on scale
+    shear = qcmaps.affine_qc_coefficient([[1, 1], [0, 1]])
+    assert qcmaps.affine_qc_coefficient([[1e308, 1e308], [0, 1e308]]) == pytest.approx(shear, rel=1e-15)
+    big = 1.7e308  # the entries' squares sum past the largest float
+    assert qcmaps.affine_qc_coefficient([[big, big], [-big, big]]) == 1.0
+
+
+def test_tiny_similarity_is_conformal():
+    # det = 1e-400 underflows to 0, which read as a singular map
+    assert qcmaps.affine_qc_coefficient([[1e-200, 0], [0, 1e-200]]) == 1.0
+
+
+def test_unresolvable_distortion_is_a_numerical_error():
+    # K = 1e20: q - r cancels to 0, which is not a reversed orientation
+    with pytest.raises(NumericalError):
+        qcmaps.affine_qc_coefficient([[1e10, 0], [0, 1e-10]])
 
 
 def test_rotation_invariance():
