@@ -31,6 +31,12 @@ from .errors import NumericalError, check_int
 _MAX_REFINEMENT = 8
 _MAX_DOF = 20_000
 _MAX_EIGS = 10
+# eigsh's stopping tolerance: ARPACK stops once every Ritz estimate is below
+# it relative to its Ritz value.  It certifies nothing; the 1e-8 backward-
+# error check in neumann_eigenvalues does, and at this tolerance the worst
+# backward error seen is about 2e-12.  tol=0 (machine epsilon) takes about
+# a third more solves for digits no check or output uses.
+_EIGSH_TOL = 1e-10
 _MIN_TRIANGLE_DOUBLE_AREA = 2e-14
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
 
@@ -63,6 +69,7 @@ class SpectrumResult:
     mesh_size: float
     dof_count: int
     residuals: tuple[float, ...]  # each pair's backward error, see neumann_eigenvalues
+    solves: int  # calls to the shift-invert solve
 
 
 def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -210,7 +217,8 @@ def assemble(mesh: Mesh):
 def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     """The k smallest Neumann eigenvalues of a mesh, ascending.
 
-    The first is always ~0 (constants); the second is the mesh's mu_1,
+    The first is the constant mode, reported as exactly 0.0 once the
+    solve has found it; the second is the mesh's mu_1,
     an over-approximation of the true mu_1 that decreases under
     refinement.  Shift-invert Lanczos about sigma < 0: A = K - sigma M,
     symmetric bit for bit on the pattern K and M share (so its CSR arrays
@@ -218,9 +226,12 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     eigsh's OPinv.  ncv = 2k + 2 (at least 10, at most the DOF count).  The
     fixed start, a smooth quadratic in the centred and scaled vertex
     coordinates plus 0.2 times a seeded normal draw (a component along
-    every eigenvector), makes the result deterministic.  A pair (lam, x)
-    whose backward error ||Kx - lam Mx||_1 / ((||K||_1 + |lam| ||M||_1)
-    ||x||_1), returned as residuals, exceeds 1e-8 raises NumericalError.
+    every eigenvector), makes the result deterministic.  eigsh stops at
+    tol = 1e-10: that bounds ARPACK's Ritz estimates relative to their Ritz
+    values, and is not what certifies a pair.  Every returned pair (lam, x)
+    is checked on its own: a backward error ||Kx - lam Mx||_1 /
+    ((||K||_1 + |lam| ||M||_1) ||x||_1), returned as residuals, above 1e-8
+    raises NumericalError.  solves counts the calls to the splu solve.
     """
     if check_int("k", k, 2) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
@@ -239,7 +250,14 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     shifted = scipy.sparse.csc_matrix(
         (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv)
     )
-    solve = scipy.sparse.linalg.splu(shifted).solve
+    lu = scipy.sparse.linalg.splu(shifted)
+    solves = 0
+
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        return lu.solve(b)
+
     x, y = ((mesh.vertices - center) / spread).T
     v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
     v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)
@@ -253,6 +271,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             v0=v0,
             ncv=min(nv, max(2 * k + 2, 10)),
             maxiter=2000,
+            tol=_EIGSH_TOL,
             OPinv=scipy.sparse.linalg.LinearOperator((nv, nv), matvec=solve, dtype=float),
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -265,6 +284,9 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         raise NumericalError(
             f"spectrum lacks the constant mode: lambda_0={lam0}, lambda_1={lam1}"
         )
+    # constants lie exactly in K's kernel (stiffness rows sum to zero), so
+    # lam0 is round-off: report 0.0, and check the pair for that value
+    vals[0] = 0.0
     # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
     k_norm, m_norm = (
         np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass)
@@ -280,6 +302,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         mesh_size=mesh.mesh_size,
         dof_count=nv,
         residuals=tuple(float(r) for r in residuals),
+        solves=solves,
     )
 
 

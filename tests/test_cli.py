@@ -99,12 +99,15 @@ def test_bound_report_round_trip(capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    _, first, _ = _run(capsys, "bound", "--domain", "bowtie")
-    _, second, _ = _run(capsys, "bound", "--domain", "bowtie")
-    assert first == second
-    _, third, _ = _run(capsys, "mecb", "--domain", "tan_disc", "--seed", "5")
-    _, fourth, _ = _run(capsys, "mecb", "--domain", "tan_disc", "--seed", "5")
-    assert third == fourth
+    for argv in (
+        ("bound", "--domain", "bowtie"),
+        ("mecb", "--domain", "tan_disc", "--seed", "5"),
+        ("verify", "--domain", "unit_disc", "--refinement", "2"),
+        ("fem", "--domain", "bowtie", "--refinement", "2", "--table"),
+    ):
+        first = _run(capsys, *argv)
+        assert first[0] == 0, argv
+        assert _run(capsys, *argv) == first, argv
 
 
 def test_inline_json_domain(capsys):

@@ -81,7 +81,7 @@ def test_spectrum_shape_and_constant_mode():
     result = fem.neumann_eigenvalues(_square(refinement=3), k=5)
     vals = np.asarray(result.eigenvalues)
     assert len(vals) == 5
-    assert abs(vals[0]) < 1e-10
+    assert vals[0] == 0.0  # the constant mode, not its round-off
     assert np.all(np.diff(vals) >= -1e-12)
     # square eigenvalues approach pi^2 (twice) then 2 pi^2
     assert vals[1] == pytest.approx(math.pi**2, rel=2e-2)
@@ -249,6 +249,46 @@ def test_eigenvalues_match_scipy_shift_invert_oracle(name):
             assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=0.0), (refinement, k)
 
 
+_DOUBLE_MU1 = {"unit_disc": 1.8411837813406593**2, "square": math.pi**2}
+
+
+@pytest.mark.parametrize("name", sorted(_DOUBLE_MU1))
+@pytest.mark.parametrize("boundary", [12, 34])
+def test_double_eigenvalues_are_returned_twice(name, boundary):
+    """Stopping at tol = 1e-10 loses no copy of a double eigenvalue: the
+    disc's mu_1 and the square's pi^2 each appear twice, and the whole list
+    matches the tol = 0 oracle, at the verify workload's smallest and
+    largest boundary sizes."""
+    spec = geometry.load_domain_spec(_SQUARE_SPEC if name == "square" else name)
+    target = _DOUBLE_MU1[name]
+    for refinement in range(1, 4):
+        mesh = fem.triangulate(spec, refinement=refinement, samples=boundary)
+        for k in (4, 10):
+            got = np.array(fem.neumann_eigenvalues(mesh, k=k).eigenvalues)
+            want = scipy_shift_invert_eigenvalues(mesh, k)
+            assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=0.0), (refinement, k)
+            near = got[np.abs(got - target) < 0.1 * target]
+            assert len(near) == 2, (refinement, k, got)
+
+
+# k = 4 solve counts plus a slack of 2; measured 23, 22 and 22 (42, 27 and
+# 28 when ARPACK iterated to machine epsilon)
+_SOLVE_BUDGET = [("unit_disc", 4, 24, 25), ("bowtie", 5, None, 24), ("random_star", 4, None, 24)]
+
+
+@pytest.mark.parametrize("name, refinement, samples, budget", _SOLVE_BUDGET)
+def test_solve_count_stays_within_budget(name, refinement, samples, budget):
+    mesh = fem.triangulate(_ORACLE_SPECS[name], refinement=refinement, samples=samples)
+    solves = fem.neumann_eigenvalues(mesh, k=4).solves
+    assert 0 < solves <= budget
+
+
+def test_solve_count_is_bounded_by_the_iteration_cap():
+    for k in (2, 6, 10):
+        solves = fem.neumann_eigenvalues(_square(refinement=2), k=k).solves
+        assert 0 < solves <= 2000 * (2 * k + 2)  # maxiter * ncv
+
+
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
 def test_mesh_size_matches_three_side_oracle(name):
     for refinement in range(4):
@@ -320,6 +360,26 @@ def test_a_large_backward_error_is_a_numerical_error(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         assert cli.main(["fem", "--domain", "bowtie", "--refinement", "2"]) == 2
     assert "backward error" in err.getvalue()
+
+
+def test_a_missing_constant_mode_is_a_numerical_error(monkeypatch):
+    # a spectrum that skips the constant pair must fail the constant-mode
+    # check before lambda_0 is reported as 0.0
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def without_constant(*args, k, **kwargs):
+        vals, vecs = eigsh(*args, k=k + 1, **kwargs)
+        keep = np.argsort(vals)[1:]
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", without_constant)
+    with pytest.raises(NumericalError, match="constant mode"):
+        fem.neumann_eigenvalues(_square(refinement=2), k=4)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["fem", "--domain", "bowtie", "--refinement", "2"]) == 2
+    assert "constant mode" in err.getvalue()
 
 
 def test_degenerate_triangle_is_named():
