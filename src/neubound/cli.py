@@ -5,7 +5,7 @@ to standard output; notes and discrepancy warnings go to standard error.
 Exit status 0 is success, 1 an input or validation problem, 2 a numerical
 failure.  Floats are printed with NEUBOUND_PRECISION significant digits
 (default 10); NaN and infinities, which JSON lacks, are numerical failures.
-Runs with identical flags and seed are byte-identical.
+Runs with identical flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _cmd_mecb(args) -> dict:
 
     spec = geometry.load_domain_spec(args.domain)
     points = geometry.boundary_loop(spec, args.samples)[0]
-    ball = geometry.min_enclosing_ball(points, seed=args.seed)
+    ball = geometry.min_enclosing_ball(points)
     return {
         "domain": spec.name,
         "points_used": int(len(points)),
@@ -289,7 +289,6 @@ def _build_parser() -> _Parser:
     p = add("mecb", _cmd_mecb, "minimum enclosing ball of a domain's boundary")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
     p.add_argument("--samples", type=int, help="boundary sample count")
-    p.add_argument("--seed", type=int, default=0, help="shuffle seed for the ball solver")
 
     p = add("bound", _cmd_bound, "every applicable eigenvalue lower bound")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")

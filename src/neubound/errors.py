@@ -8,6 +8,7 @@ of a declared number: a dimension, a norm, a coefficient, a length.
 """
 
 import math
+import sys
 
 
 class NumericalError(ArithmeticError):
@@ -16,7 +17,8 @@ class NumericalError(ArithmeticError):
 
 def check_real(name: str, value, lo: float, hi: float = math.inf, strict: bool = False) -> float:
     """value as a float: a finite int or float (not a bool) in [lo, hi), or (lo, hi) if strict."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # compared, not math.isfinite: that raises OverflowError on an int beyond the float range
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     if not (ok and (value > lo if strict else value >= lo) and value < hi):
         span = f"{'(' if strict else '['}{lo}, {hi})"
         raise ValueError(f"{name} must be a finite number in {span}, got {value!r}")

@@ -34,8 +34,8 @@ class Ball:
     center: np.ndarray
     radius: float
 
-    def _outside(self, coords: np.ndarray, slack: float = _CONTAIN_SLACK) -> np.ndarray:
-        """Mask of the points outside the ball widened by slack.
+    def _outside(self, coords: np.ndarray) -> np.ndarray:
+        """Mask of the points outside the ball widened by _CONTAIN_SLACK.
 
         coords holds one row per axis and one column per point, so each
         axis is a contiguous run.
@@ -44,7 +44,7 @@ class Ball:
         for x, c in zip(coords, self.center):
             diff = x - c
             d2 += diff * diff
-        return d2 > self.radius * self.radius * (1.0 + slack) + 1e-30
+        return d2 > self.radius * self.radius * (1.0 + _CONTAIN_SLACK) + 1e-30
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +84,9 @@ class DomainSpec:
         if self.kind == "polygon":
             if self.vertices is None:
                 raise ValueError("polygon spec needs vertices")
-            verts = np.array(self.vertices, dtype=float)
+            verts = _coords("vertices", self.vertices)
             if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
                 raise ValueError("vertices must be an (m, 2) array with m >= 3")
-            if not np.all(np.abs(verts) <= _MAX_COORD):  # NaN fails too
-                raise ValueError(f"vertex coordinates c must be finite with |c| <= {_MAX_COORD:g}")
             if np.any(np.all(verts == np.roll(verts, -1, axis=0), axis=1)):
                 raise ValueError("polygon has a repeated consecutive vertex")
             if abs(_shoelace(verts)) < 1e-14:
@@ -110,14 +108,28 @@ class DomainSpec:
         for attr in ("symmetry_center", "anchor"):
             value = getattr(self, attr)
             if value is not None:
-                arr = np.array(value, dtype=float)
-                if arr.shape != (2,) or not np.all(np.abs(arr) <= _MAX_COORD):
-                    raise ValueError(f"{attr} must be a 2-vector of coordinates c with |c| <= {_MAX_COORD:g}")
+                arr = _coords(attr, value)
+                if arr.shape != (2,):
+                    raise ValueError(f"{attr} must be a 2-vector")
                 arr.flags.writeable = False
                 object.__setattr__(self, attr, arr)
         for attr, lo, hi in (("qc_coefficient", 1, math.inf), ("star_beta", 0, 1), ("norm_sq", 1, math.inf)):
             if getattr(self, attr) is not None:
                 object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
+
+
+def _coords(name: str, value) -> np.ndarray:
+    """value as a new float array of numbers c with |c| <= _MAX_COORD.
+
+    Bools, strings, None, other objects and ragged nesting are rejected.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.abs(arr) <= _MAX_COORD):  # NaN fails too
+        raise ValueError(f"{name} must be an array of numbers c with |c| <= {_MAX_COORD:g}")
+    return arr.astype(float)
 
 
 def _shoelace(verts: np.ndarray) -> float:
@@ -269,11 +281,9 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
 # diameter and smallest enclosing ball
 
 def _point_cloud(points: Sequence[Sequence[float]]) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = _coords("points", points)
     if pts.ndim != 2 or len(pts) == 0:
         raise ValueError("points must be a nonempty (m, dim) array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
     return pts
 
 
@@ -396,13 +406,13 @@ def _welzl_mtf(coords: np.ndarray, end: int, support: list[np.ndarray]) -> Ball 
     return ball
 
 
-def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball:
+def min_enclosing_ball(points: Sequence[Sequence[float]]) -> Ball:
     """Smallest enclosing ball of a finite point cloud, dimensions 1 through 8.
 
-    Move-to-front Welzl over a seeded shuffle of the input order, each
-    step searching the remaining points for the first one outside the
-    current ball in one array pass; recursion depth is bounded by dim + 2
-    regardless of cloud size, and a fixed seed makes the run fully
+    Move-to-front Welzl over a fixed shuffle of the input order, each step
+    searching the remaining points for the first one outside the current
+    ball in one array pass; recursion depth is bounded by dim + 2
+    regardless of cloud size, and the fixed shuffle makes the run fully
     reproducible.  The returned ball is the exact optimum up to roundoff:
     at most dim + 1 support points determine it.
     """
@@ -410,8 +420,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]], seed: int = 0) -> Ball
     dim = pts.shape[1]
     if not 1 <= dim <= _MAX_BALL_DIM:
         raise ValueError(f"dimension must be between 1 and {_MAX_BALL_DIM}, got {dim}")
-    rng = np.random.default_rng(seed)
-    coords = pts[rng.permutation(len(pts))].T.copy()
+    coords = pts[np.random.default_rng(0).permutation(len(pts))].T.copy()
     return _welzl_mtf(coords, len(pts), [])  # a Ball: the cloud is nonempty
 
 
@@ -459,41 +468,11 @@ def named_domain(name: str, **overrides) -> DomainSpec:
     return DomainSpec(**{**_PRESETS[name], **overrides})
 
 
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f'"{key}" must be a JSON number, got {value!r}')
-    return float(value)
-
-
-def _boolean(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f'"{key}" must be a JSON boolean')
-    return value
-
-
-def _float_array(key: str, value) -> np.ndarray:
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.ndim == 0 or arr.dtype.kind not in "iuf":
-        raise ValueError(f'"{key}" must be an array of numbers')
-    return arr.astype(float)
-
-
-# JSON key -> (DomainSpec field, converter); a key without a converter is
-# passed as given, and DomainSpec checks every field
+# JSON key -> DomainSpec field; DomainSpec checks every value
 _SPEC_FIELDS = {
-    "dim": ("dim", None),
-    "vertices": ("vertices", _float_array),
-    "name": ("name", None),
-    "samples": ("samples", None),
-    "symmetry_center": ("symmetry_center", _float_array),
-    "K": ("qc_coefficient", _number),
-    "beta": ("star_beta", _number),
-    "convex": ("convex", _boolean),
-    "norm_sq": ("norm_sq", _number),
-    "anchor": ("anchor", _float_array),
+    "dim": "dim", "vertices": "vertices", "name": "name", "samples": "samples",
+    "symmetry_center": "symmetry_center", "K": "qc_coefficient", "beta": "star_beta",
+    "convex": "convex", "norm_sq": "norm_sq", "anchor": "anchor",
 }
 
 
@@ -503,10 +482,12 @@ def load_domain_spec(source) -> DomainSpec:
     Schema: {"kind": "polygon" | "named" | "sampler", "dim": n,
     "vertices": [[x, y], ...], "name": ..., "samples": m} plus optional
     metadata keys "symmetry_center", "K", "beta", "convex", "norm_sq",
-    "anchor"; "dim" and "samples" must be integers.  A bare preset name
-    reads as {"kind": "named", "name": ...}.  "named" resolves a preset and
-    then applies every other key given alongside it as an override;
-    "vertices" is rejected there, since the preset fixes the shape.
+    "anchor".  Keys are only renamed to their DomainSpec fields, which
+    check the values; a null is rejected on every key but "name", since
+    DomainSpec reads None as "not declared".  A bare preset name reads as
+    {"kind": "named", "name": ...}.  "named" resolves a preset and then
+    applies every other key given alongside it as an override; "vertices"
+    is rejected there, since the preset fixes the shape.
     """
     if isinstance(source, dict):
         data = source
@@ -533,11 +514,10 @@ def load_domain_spec(source) -> DomainSpec:
     kind = data.get("kind")
     if kind not in ("polygon", "sampler", "named"):
         raise ValueError(f'kind must be "polygon", "sampler" or "named", got {kind!r}')
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key != "kind":
-            field, convert = _SPEC_FIELDS[key]
-            kwargs[field] = value if convert is None else convert(key, value)
+    nulls = sorted(key for key, value in data.items() if value is None and key != "name")
+    if nulls:
+        raise ValueError(f'only "name" may be null, got null for {nulls}')
+    kwargs = {_SPEC_FIELDS[key]: value for key, value in data.items() if key != "kind"}
     if kind != "named":
         return DomainSpec(kind=kind, **kwargs)
     if "name" not in kwargs:

@@ -101,7 +101,7 @@ def test_bound_report_round_trip(capsys):
 def test_byte_identical_reruns(capsys):
     for argv in (
         ("bound", "--domain", "bowtie"),
-        ("mecb", "--domain", "tan_disc", "--seed", "5"),
+        ("mecb", "--domain", "tan_disc"),
         ("verify", "--domain", "unit_disc", "--refinement", "2"),
         ("fem", "--domain", "bowtie", "--refinement", "2", "--table"),
     ):
@@ -231,10 +231,11 @@ def _assert_one_error_line(spec):
         {"kind": "sampler", "name": "unit_disc", "samples": 10**12},
         {"kind": "named", "name": "bowtie", "convex": True},
         {"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
+        {"kind": "named", "name": "bowtie", "K": 10**400},
     ],
     ids=["K_list", "name_list", "name_object", "samples_fraction", "dim_fraction",
          "samples_string", "samples_float", "sampler_vertices", "samples_huge",
-         "reflex_polygon_declared_convex", "vertices_huge"],
+         "reflex_polygon_declared_convex", "vertices_huge", "K_huge_int"],
 )
 def test_malformed_spec_exits_1(spec):
     _assert_one_error_line(spec)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -50,6 +51,11 @@ _ARGUMENTS = {
     # a negative entry here reverses the orientation
     "affine_qc_coefficient.matrix": (lambda v: nb.affine_qc_coefficient([[v, 0], [0, 1]]), -1.0, False),
     "spiral_shaped_K.gamma": (lambda v: nb.spiral_shaped_K(0.5, v), 1.0, False),
+    "bessel_j.nu": (lambda v: nb.bessel_j(v, 1.0), -1.0, False),
+    "bessel_j.x": (lambda v: nb.bessel_j(1.0, v), -1.0, False),
+    "bessel_i.nu": (lambda v: nb.bessel_i(v, 1.0), -1.0, False),
+    "bessel_i.x": (lambda v: nb.bessel_i(1.0, v), -1.0, False),
+    "bessel_k.x": (lambda v: nb.bessel_k(1.0, v), 0.0, False),
     "p_zero.n": (lambda v: nb.p_zero(v, tol=1e-10), 1, True),
     "p_zero.tol": (lambda v: nb.p_zero(2, tol=v), 0.0, False),
     "triangulate.refinement": (lambda v: nb.triangulate(_disc(), refinement=v), 9, True),
@@ -59,11 +65,15 @@ _ARGUMENTS = {
 }
 
 
+_HUGE = 10**400  # an int beyond the float range: float(_HUGE) overflows
+
+
 def _cases():
     for name, (call, out_of_range, integer) in _ARGUMENTS.items():
-        extra = [3.0] if integer else []
+        extra = [3.0] if integer else [_HUGE]
         for bad in [True, math.nan, math.inf, "2", *extra, out_of_range]:
-            yield pytest.param(call, bad, id=f"{name}-{bad!r}")
+            label = "10**400" if bad is _HUGE else repr(bad)
+            yield pytest.param(call, bad, id=f"{name}-{label}")
 
 
 @pytest.mark.parametrize("call, bad", _cases())
@@ -84,3 +94,10 @@ def test_checks_accept_and_convert():
     assert check_int("n", 3, 3) == 3
     with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
         check_int("n", 2, 3)
+
+
+def test_check_real_compares_ints_with_the_float_range():
+    # float(-_HUGE) would raise OverflowError, not ValueError
+    assert check_real("x", int(sys.float_info.max), 0) == sys.float_info.max
+    with pytest.raises(ValueError, match=r"x must be a finite number in \[-inf, inf\)"):
+        check_real("x", -_HUGE, -math.inf)
