@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import geometry, qcmaps
-from .errors import check_int, check_real
+from .errors import check_real
 from .extension_norms import quasidisc_norm_sq
 from .special import p_zero
 
@@ -146,21 +146,15 @@ def _is_duplicate(value: float, entries: list[LowerBound]) -> bool:
     )
 
 
-def best_bound_report(
-    spec: geometry.DomainSpec,
-    n: int | None = None,
-    samples: int | None = None,
-) -> BoundReport:
+def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     """Assemble all metadata-supported lower bounds for a domain spec.
 
-    The boundary cloud supplies the diameter d and enclosing-ball radius R.
-    n defaults to the spec's dimension; passing a larger n evaluates the
-    dimension-dependent constants for the analytic extension of the shape
-    (the planar cross-section's d and R are used unchanged, which is only
-    meaningful for axially symmetric shapes like the half-ball).
+    The spec is the only input.  The diameter d and enclosing-ball radius R
+    come from boundary_loop(spec): a polygon's vertices, or a sampler's
+    spec.samples points.  The bounds are evaluated in dimension spec.dim.
     """
-    n = check_int("dimension", spec.dim if n is None else n, 2)
-    points = geometry.boundary_loop(spec, samples)[0]
+    n = spec.dim
+    points = geometry.boundary_loop(spec)[0]
     d = geometry.diameter(points)
     ball = geometry.min_enclosing_ball(points)
     radius = ball.radius

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -173,11 +174,21 @@ def _cmd_qc(args) -> dict:
     return {"kind": "star", "beta": args.beta, "K": qcmaps.star_shaped_K(args.beta)}
 
 
-def _cmd_mecb(args) -> dict:
+def _domain(args, **flags):
+    """The --domain spec with each flag given set as the spec field of its
+    name, so DomainSpec checks it like the JSON key."""
     from . import geometry
 
     spec = geometry.load_domain_spec(args.domain)
-    points = geometry.boundary_loop(spec, args.samples)[0]
+    flags = {field: value for field, value in flags.items() if value is not None}
+    return dataclasses.replace(spec, **flags) if flags else spec
+
+
+def _cmd_mecb(args) -> dict:
+    from . import geometry
+
+    spec = _domain(args, samples=args.samples)
+    points = geometry.boundary_loop(spec)[0]
     ball = geometry.min_enclosing_ball(points)
     return {
         "domain": spec.name,
@@ -188,53 +199,36 @@ def _cmd_mecb(args) -> dict:
 
 
 def _cmd_bound(args) -> dict:
-    from . import bounds, geometry
+    from . import bounds
 
-    spec = geometry.load_domain_spec(args.domain)
-    report = bounds.best_bound_report(spec, n=args.n, samples=args.samples)
+    report = bounds.best_bound_report(_domain(args, samples=args.samples, dim=args.n))
     _warn(report.notes)
     return report.as_dict()
 
 
 def _cmd_fem(args) -> dict:
-    from . import fem, geometry
+    from . import fem
 
-    spec = geometry.load_domain_spec(args.domain)
-    if args.table:
-        rows = []
-        for level in range(args.refinement + 1):
-            mesh = fem.triangulate(spec, refinement=level, samples=args.samples)
-            result = fem.neumann_eigenvalues(mesh, k=args.k)
-            rows.append(
-                {
-                    "refinement": level,
-                    "dof_count": result.dof_count,
-                    "mesh_size": result.mesh_size,
-                    "mu1": result.eigenvalues[1],
-                }
-            )
-        return {"domain": spec.name, "rows": rows}
-    mesh = fem.triangulate(spec, refinement=args.refinement, samples=args.samples)
-    result = fem.neumann_eigenvalues(mesh, k=args.k)
-    return {
-        "domain": spec.name,
-        "refinement": args.refinement,
-        "dof_count": result.dof_count,
-        "mesh_size": result.mesh_size,
-        "eigenvalues": list(result.eigenvalues),
-        "mu1": result.eigenvalues[1],
-    }
+    spec = _domain(args)
+    rows = []
+    for level in range(0 if args.table else args.refinement, args.refinement + 1):
+        result = fem.neumann_eigenvalues(
+            fem.triangulate(spec, refinement=level, samples=args.samples), k=args.k
+        )
+        row = {"refinement": level, "dof_count": result.dof_count, "mesh_size": result.mesh_size}
+        if not args.table:
+            row["eigenvalues"] = list(result.eigenvalues)
+        rows.append({**row, "mu1": result.eigenvalues[1]})
+    return {"domain": spec.name, "rows": rows} if args.table else {"domain": spec.name, **rows[0]}
 
 
 def _cmd_verify(args) -> dict:
-    from . import fem, geometry
+    from . import fem
 
-    spec = geometry.load_domain_spec(args.domain)
     record = fem.verify_bound(
-        spec,
+        _domain(args, samples=args.samples),
         refinement=args.refinement,
         k=args.k,
-        samples=args.samples,
         fem_samples=args.fem_samples,
         strict=not args.allow_violation,
     )
@@ -288,12 +282,12 @@ def _build_parser() -> _Parser:
 
     p = add("mecb", _cmd_mecb, "minimum enclosing ball of a domain's boundary")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--samples", type=int, help="boundary sample count")
+    p.add_argument("--samples", type=int, help='sampler boundary resolution: the spec\'s "samples"')
 
     p = add("bound", _cmd_bound, "every applicable eigenvalue lower bound")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--n", type=int, help="ambient dimension (default: the domain's)")
-    p.add_argument("--samples", type=int, help="boundary sample count")
+    p.add_argument("--n", type=int, help='ambient dimension: the spec\'s "dim"')
+    p.add_argument("--samples", type=int, help='sampler boundary resolution: the spec\'s "samples"')
 
     p = add("fem", _cmd_fem, "finite-element Neumann eigenvalues")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
@@ -308,7 +302,7 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify, "check all bounds against the mesh eigenvalue")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
     p.add_argument("--refinement", type=int, default=4, help="uniform refinement levels")
-    p.add_argument("--samples", type=int, help="geometry sample count")
+    p.add_argument("--samples", type=int, help='sampler boundary resolution: the spec\'s "samples"')
     p.add_argument("--fem-samples", type=int, help="mesh boundary sample count")
     p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
     p.add_argument(

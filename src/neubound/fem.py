@@ -310,7 +310,6 @@ def verify_bound(
     spec: geometry.DomainSpec,
     refinement: int = 4,
     k: int = 4,
-    samples: int | None = None,
     fem_samples: int | None = None,
     strict: bool = True,
 ) -> dict:
@@ -321,40 +320,33 @@ def verify_bound(
     the bound (or the metadata it came from); on a sampler spec it flags a
     discrepancy with the curved domain, not a proof.  With strict=True such a
     violation raises NumericalError; the returned record carries per-bound
-    margins either way.  samples feeds the geometry cloud, fem_samples the
-    mesh boundary.
+    margins either way.  The bounds come from best_bound_report(spec);
+    fem_samples, if given, is the mesh boundary's sample count.
     """
     if spec.dim != 2:
         raise ValueError("finite-element verification is planar: spec.dim must be 2")
-    report = bounds_mod.best_bound_report(spec, n=2, samples=samples)
+    summary = bounds_mod.best_bound_report(spec).as_dict()
+    del summary["best_value"]
     mesh = triangulate(spec, refinement=refinement, samples=fem_samples)
     spectrum = neumann_eigenvalues(mesh, k=k)
     fem_mu1 = spectrum.eigenvalues[1]
 
-    checked = []
     violations = []
-    for bound in report.bounds:
-        entry = bound.as_dict()
-        if bound.applicable:
-            margin = fem_mu1 - bound.value
+    for entry in summary["bounds"]:
+        if entry["applicable"]:
+            margin = fem_mu1 - entry["value"]
             entry["margin"] = margin
             entry["satisfied"] = bool(margin > 0.0)
             if margin <= 0.0:
-                violations.append(f"{bound.formula}={bound.value:.6g} vs fem mu1={fem_mu1:.6g}")
-        checked.append(entry)
+                violations.append(f"{entry['formula']}={entry['value']:.6g} vs fem mu1={fem_mu1:.6g}")
 
-    summary = report.as_dict()
     record = {
         "fem_mu1": fem_mu1,
         "eigenvalues": list(spectrum.eigenvalues),
         "dof_count": spectrum.dof_count,
         "mesh_size": spectrum.mesh_size,
         "refinement": refinement,
-        "geometry": summary["geometry"],
-        "bounds": checked,
-        "best": summary["best"],
-        "improves_on_payne_weinberger": summary["improves_on_payne_weinberger"],
-        "notes": summary["notes"],
+        **summary,
         "all_satisfied": not violations,
     }
     if strict and violations:

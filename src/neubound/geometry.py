@@ -51,6 +51,14 @@ class Ball:
 class DomainSpec:
     """Description of a bounded planar domain plus user-declared metadata.
 
+    The spec is the bound pipeline's only input.  dim is the dimension the
+    bounds are evaluated in; above 2 they take the dimension-dependent
+    constants of the shape's analytic extension into R^dim with the planar
+    cross-section's d and R unchanged, which is only meaningful for axially
+    symmetric shapes like the half-ball.  samples, an integer in
+    [3, _MAX_SAMPLES], is a sampler's boundary resolution; a polygon is
+    measured at its vertices, so samples does not apply to it.
+
     Metadata fields (symmetry_center, qc_coefficient, star_beta, convex,
     norm_sq) are assertions by the caller, never derived from the shape;
     the bounds module only uses a bound family when its metadata is
@@ -78,7 +86,7 @@ class DomainSpec:
         check_int("dim", self.dim, 2)
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        check_int("samples", self.samples, 3)
+        _sample_count(self.samples)
         if not (self.convex is None or isinstance(self.convex, bool)):
             raise ValueError(f"convex must be true, false or absent, got {self.convex!r}")
         if self.kind == "polygon":
@@ -116,6 +124,13 @@ class DomainSpec:
         for attr, lo, hi in (("qc_coefficient", 1, math.inf), ("star_beta", 0, 1), ("norm_sq", 1, math.inf)):
             if getattr(self, attr) is not None:
                 object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
+
+
+def _sample_count(m) -> int:
+    """m itself if it is an integer in [3, _MAX_SAMPLES]."""
+    if check_int("samples", m, 3) > _MAX_SAMPLES:
+        raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
+    return m
 
 
 def _coords(name: str, value) -> np.ndarray:
@@ -255,11 +270,13 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     as a callable (an array of parameters gives an array of points, a
     scalar a single point).  Sampler breakpoints (polygon vertices, the
     half-disc corners) are always included so no corner gets rounded off.
-    m, if given, must be an integer >= 3, and at most _MAX_SAMPLES.
+    Without m a polygon gives its vertices and a sampler spec.samples
+    points; the mesh passes m, an integer in [3, _MAX_SAMPLES], to densify.
     """
-    m = spec.samples if m is None and spec.kind == "sampler" else m
-    if m is not None and check_int("samples", m, 3) > _MAX_SAMPLES:
-        raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
+    if m is not None:
+        _sample_count(m)
+    elif spec.kind == "sampler":
+        m = spec.samples
     if spec.kind == "polygon":
         return _polygon_loop(spec.vertices, m)
     curve, breaks = _SAMPLER_FAMILIES[spec.name]

@@ -76,40 +76,34 @@ def _mikhlin_table() -> dict:
 def _bowtie() -> dict:
     from . import bounds, geometry
 
-    spec = geometry.named_domain("bowtie")
-    points, _, _ = geometry.boundary_loop(spec, None)
-
     piece = [[1.0, 0.0], [1.0, 1.0]]
     k_computed = qcmaps.affine_qc_coefficient(piece)
     k_exact = (3.0 + math.sqrt(5.0)) / 2.0
-    d_computed = geometry.diameter(points)
     d_exact = math.sqrt(10.0) / 2.0
-    ball = geometry.min_enclosing_ball(points)
-    norm_sq = extension_norms.quasidisc_norm_sq(k_computed).value_sq
-
-    bound_sym = bounds.symmetric_domain_bound(norm_sq, d_computed, 2)
-    bound_mecb = bounds.quasidisc_bound(k_computed, ball.radius)
+    spec = geometry.named_domain("bowtie", qc_coefficient=k_computed)
+    report = bounds.best_bound_report(spec)
+    found = {b.formula: b for b in report.bounds}
 
     return {
         "name": "bowtie",
         "description": "piecewise-affine image of a square: quasiconformal "
         "coefficient, diameter, enclosing ball, and both eigenvalue bounds",
         "inputs": {
-            "vertices": [list(map(float, v)) for v in points],
+            "vertices": spec.vertices.tolist(),
             "affine_piece": piece,
         },
         "intermediate": {
             "qc_coefficient": _entry(k_exact, k_computed, 1e-12),
-            "diameter": _entry(d_exact, d_computed, 1e-12),
-            "norm_sq": norm_sq,
-            "enclosing_center": [float(c) for c in ball.center],
+            "diameter": _entry(d_exact, report.geometry["diameter"], 1e-12),
+            "norm_sq": found["quasidisc"].inputs["norm_sq"],
+            "enclosing_center": report.geometry["enclosing_center"],
             "enclosing_center_published": [0.0, 2.0 / 3.0],
-            "enclosing_radius": _entry(5.0 / 6.0, ball.radius, 1e-9),
+            "enclosing_radius": _entry(5.0 / 6.0, report.geometry["enclosing_radius"], 1e-9),
         },
         "bounds": {
             # the published "approximately 2/5" rounds the d/2 figure
-            "symmetric_form": _entry(0.4, bound_sym, 0.02),
-            "enclosing_ball_form": _entry(0.3729, bound_mecb, 1e-3),
+            "symmetric_form": _entry(0.4, found["symmetric_extension"].value, 0.02),
+            "enclosing_ball_form": _entry(0.3729, found["quasidisc"].value, 1e-3),
         },
         "discrepancies": [],
     }
@@ -155,9 +149,9 @@ def _tan_star() -> dict:
     published_claim = 0.2  # stated as "approximately 1/5"
 
     spec = geometry.named_domain("tan_disc")
-    points = geometry.boundary_loop(spec)[0]
-    d_sampled = geometry.diameter(points)
-    pipeline_bound = bounds.star_shaped_bound(spec.star_beta, d_sampled)
+    report = bounds.best_bound_report(spec)
+    d_sampled = report.geometry["diameter"]
+    pipeline_bound = next(b.value for b in report.bounds if b.formula == "star_shaped")
 
     discrepancies = []
     if not math.isclose(published_product, published_claim, rel_tol=0.25):

@@ -144,7 +144,7 @@ def test_tan_disc_report():
 
 def test_report_with_explicit_dimension():
     # half-disc metadata reused in ambient dimension 4 (analytic mode)
-    report = bounds.best_bound_report(geometry.named_domain("half_disc"), n=4)
+    report = bounds.best_bound_report(geometry.named_domain("half_disc", dim=4))
     by_formula = {b.formula: b for b in report.bounds}
     assert by_formula["extension_ball"].value == pytest.approx(
         p_zero(4) ** 2 / 2.0, rel=1e-4
