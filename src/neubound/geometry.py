@@ -136,15 +136,21 @@ def _sample_count(m) -> int:
 def _coords(name: str, value) -> np.ndarray:
     """value as a new float array of numbers c with |c| <= _MAX_COORD.
 
-    Bools, strings, None, other objects and ragged nesting are rejected.
+    An ndarray needs an integer or float dtype.  Other input must nest ints
+    and floats evenly, each element's type checked as given, so a bool
+    among numbers is rejected and an int of any size is read.  Strings,
+    None, other objects and ragged nesting are rejected.
     """
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or not np.all(np.abs(arr) <= _MAX_COORD):  # NaN fails too
+    if not isinstance(value, np.ndarray):
+        try:
+            value = np.array(value, dtype=object)
+            if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, value.flat))):
+                value = value.astype(float)
+        except (ValueError, OverflowError):  # ragged nesting, an int beyond the float range
+            value = np.array(None)
+    if value.dtype.kind not in "iuf" or not np.all(np.abs(value) <= _MAX_COORD):  # NaN fails too
         raise ValueError(f"{name} must be an array of numbers c with |c| <= {_MAX_COORD:g}")
-    return arr.astype(float)
+    return value.astype(float)
 
 
 def _shoelace(verts: np.ndarray) -> float:

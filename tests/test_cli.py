@@ -232,10 +232,13 @@ def _assert_one_error_line(spec):
         {"kind": "named", "name": "bowtie", "convex": True},
         {"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
         {"kind": "named", "name": "bowtie", "K": 10**400},
+        {"kind": "polygon", "vertices": [[0, 0], [2, 0], [0, 1.5]], "samples": 2**21},
+        {"kind": "polygon", "vertices": [[True, 0], [2, 0], [0, 1.5]]},
     ],
     ids=["K_list", "name_list", "name_object", "samples_fraction", "dim_fraction",
          "samples_string", "samples_float", "sampler_vertices", "samples_huge",
-         "reflex_polygon_declared_convex", "vertices_huge", "K_huge_int"],
+         "reflex_polygon_declared_convex", "vertices_huge", "K_huge_int",
+         "polygon_samples_above_cap", "vertices_bool_among_numbers"],
 )
 def test_malformed_spec_exits_1(spec):
     _assert_one_error_line(spec)
@@ -261,11 +264,54 @@ def test_mecb_rejects_an_infinite_declared_norm(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("domain", ["unit_disc", "bowtie"])  # sampler, densified polygon
+@pytest.mark.parametrize("domain", ["unit_disc", "bowtie"])  # the cap holds for samplers and polygons
 def test_samples_flag_above_the_cap_exits_1(capsys, domain):
     code, out, err = _run(capsys, "bound", "--domain", domain, "--samples", str(10**12))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_QUAD = {"kind": "polygon", "vertices": [[0, 0], [3, 0.4], [2.5, 2], [0.3, 1.7]], "convex": True}
+
+
+@pytest.mark.parametrize("domain", ["bowtie", json.dumps(_QUAD)], ids=["bowtie", "quadrilateral"])
+@pytest.mark.parametrize("command", ["bound", "mecb", "verify"])
+def test_samples_flag_on_a_polygon_measures_the_vertices(capsys, monkeypatch, command, domain):
+    # edge points are convex combinations of the vertices, so the vertices
+    # alone give d and R; the sample count does not apply to a polygon
+    monkeypatch.setenv(cli.PRECISION_ENV, "17")  # floats print round-trip
+    verts = geometry.load_domain_spec(domain).vertices
+    argv = [command, "--domain", domain, "--samples", "1000"]
+    code, out, _ = _run(capsys, *argv, *(["--refinement", "1"] if command == "verify" else []))
+    assert code == 0
+    doc = json.loads(out)
+    if command == "mecb":
+        radius, points = doc["radius"], doc["points_used"]
+    else:
+        radius, points = doc["geometry"]["enclosing_radius"], doc["geometry"]["boundary_points"]
+        assert doc["geometry"]["diameter"] == geometry.diameter(verts)
+    want = geometry.min_enclosing_ball(verts).radius
+    assert points == len(verts)
+    assert abs(radius - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize(
+    "command, domain, flag, key, value",
+    [
+        ("bound", "bowtie", "--samples", "samples", 1000),
+        ("mecb", "bowtie", "--samples", "samples", 1000),
+        ("verify", "bowtie", "--samples", "samples", 1000),
+        ("verify", "unit_disc", "--samples", "samples", 48),  # the mesh follows spec.samples
+        ("bound", "bowtie", "--samples", "samples", 2**21),
+        ("bound", "half_disc", "--n", "dim", 1),
+    ],
+    ids=["bound_polygon", "mecb_polygon", "verify_polygon", "verify_sampler", "samples_above_cap", "dim_1"],
+)
+def test_flags_read_as_their_spec_keys(capsys, command, domain, flag, key, value):
+    extra = ["--refinement", "1"] if command == "verify" else []
+    by_flag = _run(capsys, command, "--domain", domain, flag, str(value), *extra)
+    spec = json.dumps({"kind": "named", "name": domain, key: value})
+    assert _run(capsys, command, "--domain", spec, *extra) == by_flag
 
 
 _BASE_SPECS = {

@@ -327,13 +327,25 @@ def test_min_enclosing_ball_degenerate_inputs():
 @pytest.mark.parametrize("measure", [geometry.diameter, geometry.min_enclosing_ball])
 @pytest.mark.parametrize(
     "points",
-    [[[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], [[0.0, 0.0], [-2e150, 0.0]], [[True, False], [False, True]]],
-    ids=["1e200", "-2e150", "bools"],
+    [
+        [[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], [[0.0, 0.0], [-2e150, 0.0]],
+        [[True, False], [False, True]], [[True, 0.0], [2.0, 0.0]], [[0, 0], [10**151, 0]],
+        [[0, 0], [10**400, 0]],
+    ],
+    ids=["1e200", "-2e150", "bools", "bool_among_numbers", "int_above_limit", "int_beyond_floats"],
 )
 def test_point_clouds_must_be_numbers_up_to_the_coordinate_limit(measure, points):
     # at 1e200 squared distances overflow: diameter read inf, the ball a NaN radius
     with pytest.raises(ValueError, match="points"):
         measure(points)
+
+
+def test_int_coordinates_beyond_int64_read_as_floats():
+    # JSON integers have no size limit; below 1e150 they are coordinates like 1e22
+    big = [[0, 0], [2, 0], [0, 10**22]]
+    assert geometry.diameter(big) == geometry.diameter([[0.0, 0.0], [2.0, 0.0], [0.0, 1e22]])
+    spec = geometry.load_domain_spec({"kind": "polygon", "vertices": big})
+    assert spec.vertices.tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 1e22]]
 
 
 def test_preset_names():
