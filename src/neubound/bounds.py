@@ -157,7 +157,6 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     points = geometry.boundary_loop(spec)[0]
     d = geometry.diameter(points)
     ball = geometry.min_enclosing_ball(points)
-    radius = ball.radius
 
     notes: list[str] = []
     entries: list[LowerBound] = []
@@ -178,18 +177,12 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
 
     if spec.star_beta is not None and n == 2:
         value = star_shaped_bound(spec.star_beta, d)
-        entries.append(
-            LowerBound(
-                value,
-                "star_shaped",
-                {"n": 2, "d": d, "beta": spec.star_beta},
-            )
-        )
+        entries.append(LowerBound(value, "star_shaped", {"n": 2, "d": d, "beta": spec.star_beta}))
 
     if norm_sq is not None:
-        value = extension_ball_bound(norm_sq, radius, n)
+        value = extension_ball_bound(norm_sq, ball.radius, n)
         if not _is_duplicate(value, entries):
-            inputs = {"n": n, "R": radius, "norm_sq": norm_sq}
+            inputs = {"n": n, "R": ball.radius, "norm_sq": norm_sq}
             if norm_formula == "quasidisc":
                 inputs["K"] = math.sqrt(norm_sq) - 1.0
             entries.append(LowerBound(value, norm_formula, inputs))
@@ -207,36 +200,19 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
                     "symmetric-form bound uses d/2 in place of the enclosing radius; "
                     "it competes for best only when a symmetry center is declared"
                 )
-            entries.append(
-                LowerBound(
-                    sym_value,
-                    "symmetric_extension",
-                    {"n": n, "d": d, "norm_sq": norm_sq},
-                    applicable=declared,
-                    note=note,
-                )
-            )
+            inputs = {"n": n, "d": d, "norm_sq": norm_sq}
+            entries.append(LowerBound(sym_value, "symmetric_extension", inputs, declared, note))
 
-    pw = payne_weinberger_bound(d)
     convex = bool(spec.convex)
     pw_note = "" if convex else "convexity not verified; reference only"
     if not convex:
         notes.append("convexity not verified: pi^2/d^2 listed for reference only")
-    entries.append(
-        LowerBound(
-            pw,
-            "payne_weinberger",
-            {"n": n, "d": d},
-            applicable=convex,
-            note=pw_note,
-        )
-    )
+    pw = payne_weinberger_bound(d)
+    entries.append(LowerBound(pw, "payne_weinberger", {"n": n, "d": d}, convex, pw_note))
 
     claims = [e for e in entries if e.applicable]
-    if claims:
-        best = max(claims, key=lambda e: e.value)
-    else:
-        best = max(entries, key=lambda e: e.value)
+    best = max(claims or entries, key=lambda e: e.value)
+    if not claims:
         notes.append("no bound is certified for this domain; best shown is reference only")
 
     pw_comparison = None if norm_sq is None else improvement_condition(norm_sq, n)
@@ -249,7 +225,7 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
         geometry={
             "dim": n,
             "diameter": d,
-            "enclosing_radius": radius,
+            "enclosing_radius": ball.radius,
             "enclosing_center": [float(c) for c in ball.center],
             "boundary_points": int(len(points)),
         },

@@ -175,8 +175,7 @@ def _cmd_qc(args) -> dict:
 
 
 def _domain(args, **flags):
-    """The --domain spec with each flag given set as the spec field of its
-    name, so DomainSpec checks it like the JSON key."""
+    """The --domain spec with each flag given set as its spec field, checked like the JSON key."""
     from . import geometry
 
     spec = geometry.load_domain_spec(args.domain)

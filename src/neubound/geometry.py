@@ -51,13 +51,11 @@ class Ball:
 class DomainSpec:
     """Description of a bounded planar domain plus user-declared metadata.
 
-    The spec is the bound pipeline's only input.  dim is the dimension the
-    bounds are evaluated in; above 2 they take the dimension-dependent
-    constants of the shape's analytic extension into R^dim with the planar
-    cross-section's d and R unchanged, which is only meaningful for axially
-    symmetric shapes like the half-ball.  samples, an integer in
-    [3, _MAX_SAMPLES], is a sampler's boundary resolution; a polygon is
-    measured at its vertices, so samples does not apply to it.
+    The bound pipeline's only input.  The bounds are evaluated in dimension
+    dim; above 2, for the shape's analytic extension into R^dim with the
+    planar d and R, which only suits axially symmetric shapes like the
+    half-ball.  samples, in [3, _MAX_SAMPLES], is a sampler's boundary
+    resolution; a polygon is measured at its vertices.
 
     Metadata fields (symmetry_center, qc_coefficient, star_beta, convex,
     norm_sq) are assertions by the caller, never derived from the shape;
@@ -126,8 +124,7 @@ class DomainSpec:
                 object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
 
 
-def _sample_count(m) -> int:
-    """m itself if it is an integer in [3, _MAX_SAMPLES]."""
+def _sample_count(m) -> int:  # the one check on a boundary sample count
     if check_int("samples", m, 3) > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
     return m
@@ -279,10 +276,9 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     Without m a polygon gives its vertices and a sampler spec.samples
     points; the mesh passes m, an integer in [3, _MAX_SAMPLES], to densify.
     """
+    m = spec.samples if m is None and spec.kind == "sampler" else m
     if m is not None:
         _sample_count(m)
-    elif spec.kind == "sampler":
-        m = spec.samples
     if spec.kind == "polygon":
         return _polygon_loop(spec.vertices, m)
     curve, breaks = _SAMPLER_FAMILIES[spec.name]

@@ -88,10 +88,7 @@ def _bowtie() -> dict:
         "name": "bowtie",
         "description": "piecewise-affine image of a square: quasiconformal "
         "coefficient, diameter, enclosing ball, and both eigenvalue bounds",
-        "inputs": {
-            "vertices": spec.vertices.tolist(),
-            "affine_piece": piece,
-        },
+        "inputs": {"vertices": spec.vertices.tolist(), "affine_piece": piece},
         "intermediate": {
             "qc_coefficient": _entry(k_exact, k_computed, 1e-12),
             "diameter": _entry(d_exact, report.geometry["diameter"], 1e-12),
