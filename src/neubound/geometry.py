@@ -25,6 +25,7 @@ _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
 _PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
 _MAX_SAMPLES = 2**20  # boundary samples per loop
 _MAX_COORD = 1e150  # squared distances between such points stay finite
+_NUMBER_TYPES = (int, float, np.integer, np.floating)  # bool is an int; np.bool_ is neither
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,7 @@ class DomainSpec:
         check_int("dim", self.dim, 2)
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        _sample_count(self.samples)
+        _check_samples(self.samples)
         if not (self.convex is None or isinstance(self.convex, bool)):
             raise ValueError(f"convex must be true, false or absent, got {self.convex!r}")
         if self.kind == "polygon":
@@ -124,24 +125,23 @@ class DomainSpec:
                 object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
 
 
-def _sample_count(m) -> int:  # the one check on a boundary sample count
+def _check_samples(m) -> None:  # the one check on a boundary sample count
     if check_int("samples", m, 3) > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
-    return m
 
 
 def _coords(name: str, value) -> np.ndarray:
     """value as a new float array of numbers c with |c| <= _MAX_COORD.
 
     An ndarray needs an integer or float dtype.  Other input must nest ints
-    and floats evenly, each element's type checked as given, so a bool
-    among numbers is rejected and an int of any size is read.  Strings,
-    None, other objects and ragged nesting are rejected.
+    and floats (Python's or NumPy's) evenly, each element's type checked as
+    given, so a bool among numbers is rejected and an int of any size is
+    read.  Strings, None, other objects and ragged nesting are rejected.
     """
     if not isinstance(value, np.ndarray):
         try:
             value = np.array(value, dtype=object)
-            if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, value.flat))):
+            if all(issubclass(t, _NUMBER_TYPES) and t is not bool for t in set(map(type, value.flat))):
                 value = value.astype(float)
         except (ValueError, OverflowError):  # ragged nesting, an int beyond the float range
             value = np.array(None)
@@ -274,11 +274,12 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     scalar a single point).  Sampler breakpoints (polygon vertices, the
     half-disc corners) are always included so no corner gets rounded off.
     Without m a polygon gives its vertices and a sampler spec.samples
-    points; the mesh passes m, an integer in [3, _MAX_SAMPLES], to densify.
+    points; the mesh passes m, an integer in [3, _MAX_SAMPLES], to set its
+    own boundary resolution.
     """
     m = spec.samples if m is None and spec.kind == "sampler" else m
     if m is not None:
-        _sample_count(m)
+        _check_samples(m)
     if spec.kind == "polygon":
         return _polygon_loop(spec.vertices, m)
     curve, breaks = _SAMPLER_FAMILIES[spec.name]

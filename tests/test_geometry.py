@@ -340,12 +340,13 @@ def test_point_clouds_must_be_numbers_up_to_the_coordinate_limit(measure, points
         measure(points)
 
 
-def test_int_coordinates_beyond_int64_read_as_floats():
+def test_int_coordinates_of_any_size_and_type_read_as_floats():
     # JSON integers have no size limit; below 1e150 they are coordinates like 1e22
     big = [[0, 0], [2, 0], [0, 10**22]]
     assert geometry.diameter(big) == geometry.diameter([[0.0, 0.0], [2.0, 0.0], [0.0, 1e22]])
     spec = geometry.load_domain_spec({"kind": "polygon", "vertices": big})
     assert spec.vertices.tolist() == [[0.0, 0.0], [2.0, 0.0], [0.0, 1e22]]
+    assert geometry.diameter([[np.int64(0), 0], [np.int64(3), np.float32(4)]]) == 5.0
 
 
 def test_preset_names():
