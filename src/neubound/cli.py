@@ -21,9 +21,10 @@ import os
 import sys
 
 from . import reproduce
-from .errors import NumericalError
+from .errors import NumericalError, check_int
 
 PRECISION_ENV = "NEUBOUND_PRECISION"
+_SAMPLES_HELP = 'the spec\'s "samples": a sampler\'s boundary resolution; a polygon rejects it'
 
 
 class _UsageError(Exception):
@@ -209,6 +210,7 @@ def _cmd_fem(args) -> dict:
     from . import fem
 
     spec = _domain(args)
+    check_int("refinement", args.refinement, 0)  # an empty table would skip triangulate's check
     rows = []
     for level in range(0 if args.table else args.refinement, args.refinement + 1):
         result = fem.neumann_eigenvalues(
@@ -281,12 +283,12 @@ def _build_parser() -> _Parser:
 
     p = add("mecb", _cmd_mecb, "minimum enclosing ball of a domain's boundary")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--samples", type=int, help='sampler boundary resolution: the spec\'s "samples"')
+    p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
 
     p = add("bound", _cmd_bound, "every applicable eigenvalue lower bound")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
     p.add_argument("--n", type=int, help='ambient dimension: the spec\'s "dim"')
-    p.add_argument("--samples", type=int, help='sampler boundary resolution: the spec\'s "samples"')
+    p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
 
     p = add("fem", _cmd_fem, "finite-element Neumann eigenvalues")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
@@ -301,7 +303,7 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify, "check all bounds against the mesh eigenvalue")
     p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
     p.add_argument("--refinement", type=int, default=4, help="uniform refinement levels")
-    p.add_argument("--samples", type=int, help='sampler boundary resolution: the spec\'s "samples"')
+    p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
     p.add_argument("--fem-samples", type=int, help="mesh boundary sample count")
     p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
     p.add_argument(

@@ -94,13 +94,13 @@ def triangulate(
     the parameter midpoint, so curved domains are tracked and straight
     edges are simply halved.  New vertices are numbered in the order their
     edges are first met, triangle by triangle and edges 01, 12, 20 within
-    a triangle; children come four per parent, in parent order.  For
-    sampler domains the initial boundary resolution defaults to
-    min(spec.samples, 96); pass samples to override.
+    a triangle; children come four per parent, in parent order.  The
+    initial boundary is boundary_loop(spec, samples); samples defaults to
+    min(spec.samples, 96) for a sampler and to the vertices for a polygon.
     """
     if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
         raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
-    if spec.kind == "sampler" and samples is None:
+    if samples is None and spec.samples is not None:
         samples = min(spec.samples, _SAMPLER_MESH_BOUNDARY)
     points, params, curve = geometry.boundary_loop(spec, samples)
     m = len(points)

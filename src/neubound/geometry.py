@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class DomainSpec:
     dim; above 2, for the shape's analytic extension into R^dim with the
     planar d and R, which only suits axially symmetric shapes like the
     half-ball.  samples, in [3, _MAX_SAMPLES], is a sampler's boundary
-    resolution; a polygon is measured at its vertices.
+    resolution, 256 unless given; a polygon is measured at its vertices and
+    rejects it, as a sampler rejects vertices.
 
     Metadata fields (symmetry_center, qc_coefficient, star_beta, convex,
     norm_sq) are assertions by the caller, never derived from the shape;
@@ -71,7 +72,7 @@ class DomainSpec:
     dim: int = 2
     vertices: np.ndarray | None = None
     name: str | None = None
-    samples: int = 256
+    samples: int | None = None
     symmetry_center: np.ndarray | None = None
     qc_coefficient: float | None = None
     star_beta: float | None = None
@@ -85,12 +86,13 @@ class DomainSpec:
         check_int("dim", self.dim, 2)
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        _check_samples(self.samples)
         if not (self.convex is None or isinstance(self.convex, bool)):
             raise ValueError(f"convex must be true, false or absent, got {self.convex!r}")
         if self.kind == "polygon":
             if self.vertices is None:
                 raise ValueError("polygon spec needs vertices")
+            if self.samples is not None:
+                raise ValueError("a polygon spec is measured at its vertices; samples do not apply")
             verts = _coords("vertices", self.vertices)
             if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
                 raise ValueError("vertices must be an (m, 2) array with m >= 3")
@@ -112,6 +114,10 @@ class DomainSpec:
         elif self.name not in _SAMPLER_FAMILIES:
             known = ", ".join(sorted(_SAMPLER_FAMILIES))
             raise ValueError(f"unknown sampler {self.name!r}; known: {known}")
+        elif self.samples is None:
+            object.__setattr__(self, "samples", 256)
+        else:
+            _check_samples(self.samples)
         for attr in ("symmetry_center", "anchor"):
             value = getattr(self, attr)
             if value is not None:
@@ -125,9 +131,10 @@ class DomainSpec:
                 object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
 
 
-def _check_samples(m) -> None:  # the one check on a boundary sample count
+def _check_samples(m: int) -> int:  # the one check on a boundary sample count
     if check_int("samples", m, 3) > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
+    return m
 
 
 def _coords(name: str, value) -> np.ndarray:
@@ -225,23 +232,30 @@ def _half_disc_curve(s):
     return np.stack((x, y), axis=-1)
 
 
-# each family: (curve, breakpoints in s that samples must land on exactly);
-# a curve maps an array of parameters to an array of points, a scalar to a
-# single (2,) point
-_SAMPLER_FAMILIES: dict[str, tuple[Callable[[float], np.ndarray], tuple[float, ...]]] = {
-    "unit_disc": (_circle_curve, (0.0,)),
-    "tan_disc": (_tan_disc_curve, (0.0,)),
-    "half_disc": (_half_disc_curve, (0.0, _HALF_DISC_ARC_FRAC)),
+# each family: (curve, breakpoint parameters, their points, one weight per
+# piece from a breakpoint to the next); a curve maps an array of parameters
+# to an array of points, a scalar to a single (2,) point
+_SAMPLER_FAMILIES = {
+    name: (curve, np.array(breaks), curve(np.array(breaks)), np.array(weights))
+    for name, curve, breaks, weights in (
+        ("unit_disc", _circle_curve, (0.0,), (1.0,)),
+        ("tan_disc", _tan_disc_curve, (0.0,), (1.0,)),
+        ("half_disc", _half_disc_curve, (0.0, _HALF_DISC_ARC_FRAC), (math.pi, 2.0)),  # arclengths
+    )
 }
 
 
-def _polygon_loop(verts: np.ndarray, m: int | None):
-    """Arclength parameterization of a polygon loop, optionally densified."""
+def _family(spec: DomainSpec):
+    """(curve, breaks, corners, weights) as in _SAMPLER_FAMILIES; a polygon's
+    curve runs by arclength, its weights are its edge lengths, and its corners
+    its vertices as given (two vertices' parameters may round to one float)."""
+    if spec.kind == "sampler":
+        return _SAMPLER_FAMILIES[spec.name]
+    verts = spec.vertices
     edges = np.roll(verts, -1, axis=0) - verts
     lengths = np.linalg.norm(edges, axis=1)
     total = float(lengths.sum())
     starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1])) / total
-    nv = len(verts)
 
     def curve(s):
         s = np.asarray(s, dtype=float) % 1.0
@@ -249,52 +263,35 @@ def _polygon_loop(verts: np.ndarray, m: int | None):
         u = (s - starts[i]) * total / lengths[i]
         return verts[i] + u[..., None] * edges[i]
 
-    if m is None or m <= nv:
-        return verts.copy(), starts.copy(), curve
-    # distribute extra samples over edges proportionally to length
-    extra = m - nv
-    alloc = np.floor(lengths / total * extra).astype(int)
-    for _ in range(extra - int(alloc.sum())):
-        alloc[int(np.argmax(lengths / (alloc + 1)))] += 1
-    # edge i gets its start plus alloc[i] evenly spaced interior parameters
-    counts = alloc + 1
-    edge = np.repeat(np.arange(nv), counts)
-    step = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
-    spans = np.diff(np.append(starts, 1.0))
-    params = starts[edge] + spans[edge] * step / counts[edge]
-    return curve(params), params, curve
+    return curve, starts, verts, lengths
 
 
 def boundary_loop(spec: DomainSpec, m: int | None = None):
-    """Ordered boundary samples of a domain.
+    """Ordered boundary samples of a domain: (points, params, curve).
 
-    Returns (points, params, curve): an (m, 2) array of counterclockwise
-    boundary points, their curve parameters in [0, 1), and the exact curve
-    as a callable (an array of parameters gives an array of points, a
-    scalar a single point).  Sampler breakpoints (polygon vertices, the
-    half-disc corners) are always included so no corner gets rounded off.
-    Without m a polygon gives its vertices and a sampler spec.samples
-    points; the mesh passes m, an integer in [3, _MAX_SAMPLES], to set its
-    own boundary resolution.
+    Points run counterclockwise at parameters ascending in [0, 1); curve maps
+    an array of parameters to points, a scalar to one point.  m, in [3,
+    _MAX_SAMPLES], defaults to spec.samples; a polygon without m gives its
+    vertices.  Every breakpoint (a vertex, a half-disc corner) is a sample,
+    bit for bit; the other max(m - breakpoints, 0) go to the pieces by D'Hondt
+    on their weights, evenly spaced in parameter within each piece.
     """
-    m = spec.samples if m is None and spec.kind == "sampler" else m
-    if m is not None:
-        _check_samples(m)
-    if spec.kind == "polygon":
-        return _polygon_loop(spec.vertices, m)
-    curve, breaks = _SAMPLER_FAMILIES[spec.name]
-    pieces = list(breaks) + [1.0]
-    params: list[np.ndarray] = []
-    placed = 0
-    for i in range(len(pieces) - 1):
-        lo, hi = pieces[i], pieces[i + 1]
-        count = max(1, round(m * (hi - lo)))
-        if i == len(pieces) - 2:
-            count = max(1, m - placed)
-        params.append(lo + (hi - lo) * np.arange(count) / count)
-        placed += count
-    arr = np.concatenate(params)[:m]
-    return curve(arr), arr, curve
+    curve, breaks, corners, weights = _family(spec)
+    m = spec.samples if m is None else _check_samples(m)
+    extra = max(m - len(breaks), 0) if m else 0
+    if not extra:
+        return corners.copy(), breaks.copy(), curve
+    alloc = np.floor(weights / weights.sum() * extra).astype(int)
+    for _ in range(extra - int(alloc.sum())):  # fewer rounds than pieces
+        alloc[int(np.argmax(weights / (alloc + 1)))] += 1
+    counts = alloc + 1  # piece i: its breakpoint, then alloc[i] evenly spaced samples
+    first = np.cumsum(counts) - counts
+    step = np.arange(len(breaks) + extra) - np.repeat(first, counts)
+    spans = np.append(breaks[1:], 1.0) - breaks
+    params = np.repeat(breaks, counts) + np.repeat(spans, counts) * step / np.repeat(counts, counts)
+    points = curve(params)
+    points[first] = corners
+    return points, params, curve
 
 
 # ---------------------------------------------------------------------------

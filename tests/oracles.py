@@ -145,7 +145,7 @@ def scalar_triangulate(spec, refinement: int):
     default, and skips its validation and degeneracy checks.
     """
     samples = None
-    if spec.kind == "sampler":
+    if spec.samples is not None:  # a sampler
         samples = min(spec.samples, fem._SAMPLER_MESH_BOUNDARY)
     points, params, curve = geometry.boundary_loop(spec, samples)
     m = len(points)

@@ -264,7 +264,7 @@ def test_mecb_rejects_an_infinite_declared_norm(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("domain", ["unit_disc", "bowtie"])  # the cap holds for samplers and polygons
+@pytest.mark.parametrize("domain", ["unit_disc", "bowtie"])  # a polygon rejects any sample count
 def test_samples_flag_above_the_cap_exits_1(capsys, domain):
     code, out, err = _run(capsys, "bound", "--domain", domain, "--samples", str(10**12))
     assert (code, out) == (1, "")
@@ -278,11 +278,15 @@ _QUAD = {"kind": "polygon", "vertices": [[0, 0], [3, 0.4], [2.5, 2], [0.3, 1.7]]
 @pytest.mark.parametrize("command", ["bound", "mecb", "verify"])
 def test_samples_flag_on_a_polygon_measures_the_vertices(capsys, monkeypatch, command, domain):
     # edge points are convex combinations of the vertices, so the vertices
-    # alone give d and R; the sample count does not apply to a polygon
+    # alone give d and R; a sample count does not apply to a polygon, and
+    # --samples, its spec's "samples", is rejected
     monkeypatch.setenv(cli.PRECISION_ENV, "17")  # floats print round-trip
     verts = geometry.load_domain_spec(domain).vertices
-    argv = [command, "--domain", domain, "--samples", "1000"]
-    code, out, _ = _run(capsys, *argv, *(["--refinement", "1"] if command == "verify" else []))
+    argv = [command, "--domain", domain, *(["--refinement", "1"] if command == "verify" else [])]
+    code, out, err = _run(capsys, *argv, "--samples", "1000")
+    assert (code, out) == (1, "")
+    assert err == "error: a polygon spec is measured at its vertices; samples do not apply\n"
+    code, out, _ = _run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     if command == "mecb":
@@ -296,20 +300,21 @@ def test_samples_flag_on_a_polygon_measures_the_vertices(capsys, monkeypatch, co
 
 
 @pytest.mark.parametrize(
-    "command, domain, flag, key, value",
+    "command, domain, flag, key, value, code",
     [
-        ("bound", "bowtie", "--samples", "samples", 1000),
-        ("mecb", "bowtie", "--samples", "samples", 1000),
-        ("verify", "bowtie", "--samples", "samples", 1000),
-        ("verify", "unit_disc", "--samples", "samples", 48),  # the mesh follows spec.samples
-        ("bound", "bowtie", "--samples", "samples", 2**21),
-        ("bound", "half_disc", "--n", "dim", 1),
+        ("bound", "bowtie", "--samples", "samples", 1000, 1),  # a polygon takes no samples
+        ("mecb", "bowtie", "--samples", "samples", 1000, 1),
+        ("verify", "bowtie", "--samples", "samples", 1000, 1),
+        ("verify", "unit_disc", "--samples", "samples", 48, 0),  # the mesh follows spec.samples
+        ("bound", "bowtie", "--samples", "samples", 2**21, 1),
+        ("bound", "half_disc", "--n", "dim", 1, 1),
     ],
     ids=["bound_polygon", "mecb_polygon", "verify_polygon", "verify_sampler", "samples_above_cap", "dim_1"],
 )
-def test_flags_read_as_their_spec_keys(capsys, command, domain, flag, key, value):
+def test_flags_read_as_their_spec_keys(capsys, command, domain, flag, key, value, code):
     extra = ["--refinement", "1"] if command == "verify" else []
     by_flag = _run(capsys, command, "--domain", domain, flag, str(value), *extra)
+    assert by_flag[0] == code
     spec = json.dumps({"kind": "named", "name": domain, key: value})
     assert _run(capsys, command, "--domain", spec, *extra) == by_flag
 

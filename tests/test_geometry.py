@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -159,6 +159,88 @@ def test_half_disc_loop_includes_diameter_corners():
     for corner in ([1.0, 0.0], [-1.0, 0.0]):
         assert np.min(np.linalg.norm(points - np.asarray(corner), axis=1)) < 1e-12
     assert np.all(points[:, 1] <= 1e-12)
+
+
+def test_polygon_samples_are_rejected_and_samplers_default_to_256():
+    with pytest.raises(ValueError, match="samples do not apply"):
+        geometry.DomainSpec(kind="polygon", vertices=_SQUARE, samples=64)
+    assert geometry.DomainSpec(kind="polygon", vertices=_SQUARE).samples is None
+    assert geometry.DomainSpec(kind="sampler", name="half_disc").samples == 256
+
+
+# the 2**-52 edge: vertices 3 and 4 share one arclength parameter in floats
+_TINY_EDGE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0 - 2.0**-52, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("m", [None, 7, 20, 50])
+def test_polygon_loop_keeps_every_vertex_bit_for_bit(m):
+    spec = geometry.DomainSpec(kind="polygon", vertices=_TINY_EDGE)
+    points, params, _ = geometry.boundary_loop(spec, m)
+    where = [np.flatnonzero(np.all(points == v, axis=1)) for v in spec.vertices]
+    assert [len(w) for w in where] == [1] * 6
+    assert np.all(np.diff(np.concatenate(where)) > 0)  # in loop order
+    assert len(points) == max(m or 0, 6)
+
+
+# each sampler's breakpoint parameters, their points up to the curve's
+# rounding, and its piece weights: the pieces' arclengths, or the parameter
+# span of a single closed piece
+_SAMPLER_PIECES = {
+    "unit_disc": ([0.0], [[1.0, 0.0]], [1.0]),
+    "tan_disc": ([0.0], [[math.tan(1.0), 0.0]], [1.0]),
+    "half_disc": ([0.0, math.pi / (math.pi + 2.0)], [[-1.0, 0.0], [1.0, 0.0]], [math.pi, 2.0]),
+}
+
+
+def _star_polygon(seed: int, k: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+    radius = rng.uniform(0.2, 2.0, k)
+    return np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
+
+
+_PLACEMENTS = st.one_of(
+    st.tuples(st.sampled_from(sorted(_SAMPLER_PIECES)), st.integers(3, 600)),
+    st.tuples(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(3, 40)).map(lambda a: _star_polygon(*a)),
+        st.one_of(st.none(), st.integers(3, 400)),
+    ),
+)
+
+
+@_PROPERTY
+@given(_PLACEMENTS)
+@example(("half_disc", 14))  # rounding gave the arc 9 samples, D'Hondt gives 8
+def test_boundary_placement_rule(shape_and_m):
+    # every breakpoint is a sample, bit for bit; the other samples go to the
+    # pieces by D'Hondt on the weights, so with c_i samples on piece i (its
+    # breakpoint included) no piece's next share w_i / c_i beats a share
+    # already given, w_j / (c_j - 1)
+    shape, m = shape_and_m
+    if isinstance(shape, str):
+        spec = geometry.named_domain(shape)
+        breaks, corners, weights = map(np.asarray, _SAMPLER_PIECES[shape])
+        points, params, curve = geometry.boundary_loop(spec, m)
+        where = np.searchsorted(params, breaks)
+        assert np.array_equal(params[where], breaks)
+        assert np.array_equal(points[where], curve(breaks))
+        assert np.allclose(points[where], corners, rtol=0.0, atol=1e-15)
+    else:
+        try:
+            spec = geometry.DomainSpec(kind="polygon", vertices=shape)
+        except ValueError:  # too thin or crossing
+            assume(False)
+        corners = spec.vertices
+        weights = np.linalg.norm(np.roll(corners, -1, axis=0) - corners, axis=1)
+        points, params, _ = geometry.boundary_loop(spec, m)
+        where = np.array([np.flatnonzero(np.all(points == v, axis=1))[0] for v in corners])
+    assert len(points) == len(params) == max(m or 0, len(corners))
+    assert where[0] == 0 and np.all(np.diff(where) > 0)
+    assert params[0] == 0.0 and np.all(np.diff(params) > 0.0) and params[-1] < 1.0
+    counts = np.diff(np.append(where, len(points)))
+    taken = counts > 1
+    if taken.any():
+        assert np.max(weights / counts) <= np.min(weights[taken] / (counts[taken] - 1))
 
 
 def test_diameter_known_values():

@@ -7,6 +7,8 @@ so any change to any output shows as a diff of those files.  After a
 deliberate change to the output, regenerate them and review the diff:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the id of each case whose file it rewrote.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def _cases() -> dict[str, list[str]]:
     cases["fem-unit_disc-r1-samples24-k6"] = [
         "fem", "--domain", "unit_disc", "--refinement", "1", "--samples", "24", "--k", "6"
     ]
+    # D'Hondt gives the diameter one sample more than rounding the arc's share did
+    cases["fem-half_disc-r1-samples14"] = ["fem", "--domain", "half_disc", "--refinement", "1", "--samples", "14"]
     for n in range(3, 10):
         cases[f"bound-half_disc-n{n}"] = ["bound", "--domain", "half_disc", "--n", str(n)]
     for example in ("bowtie", "half_ball", "mikhlin_table", "pzero_table", "tan_star"):
@@ -60,7 +64,7 @@ def _cases() -> dict[str, list[str]]:
         "qc-piecewise": ["qc", "--matrix", "1", "0", "0", "1", "--matrix", "1", "0", "1", "1"],
         "bound-square-json": ["bound", "--domain", json.dumps(_SQUARE)],
         "reproduce-pzero_table-csv": ["reproduce", "pzero_table", "--output", "csv"],
-        # the sample count and the dimension, as flags
+        # the sample count and the dimension, as flags; a polygon rejects a sample count
         "bound-bowtie-samples1000": ["bound", "--domain", "bowtie", "--samples", "1000"],
         "mecb-bowtie-samples1000": ["mecb", "--domain", "bowtie", "--samples", "1000"],
         "verify-bowtie-samples1000-r2": ["verify", "--domain", "bowtie", "--samples", "1000", "--refinement", "2"],
@@ -84,6 +88,7 @@ def _cases() -> dict[str, list[str]]:
         "reject-verify-fem-samples2": ["verify", "--domain", "unit_disc", "--fem-samples", "2", "--refinement", "0"],
         "reject-verify-refinement9": ["verify", "--domain", "bowtie", "--refinement", "9"],
         "reject-fem-csv-single": ["fem", "--domain", "unit_disc", "--output", "csv"],
+        "reject-fem-table-refinement-negative": ["fem", "--domain", "bowtie", "--refinement", "-1", "--table"],
         "reject-reproduce-unknown": ["reproduce", "nonsense"],
         "reject-pzero-missing-n": ["pzero"],
         "reject-pzero-n1": ["pzero", "--n", "1"],
@@ -143,9 +148,13 @@ def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in set(GOLDEN.glob("*.txt")) - {GOLDEN / f"{c}.txt" for c in CASES}:
         stale.unlink()
+        sys.stdout.write(f"removed {stale.stem}\n")
     for case, argv in CASES.items():
-        (GOLDEN / f"{case}.txt").write_text(render(argv), encoding="utf-8")
-    sys.stdout.write(f"wrote {len(CASES)} cases to {GOLDEN}\n")
+        path, text = GOLDEN / f"{case}.txt", render(argv)
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            path.write_text(text, encoding="utf-8")
+            sys.stdout.write(f"rewrote {case}\n")
+    sys.stdout.write(f"checked {len(CASES)} cases in {GOLDEN}\n")
 
 
 if __name__ == "__main__":
