@@ -20,8 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "bounds": "BoundReport LowerBound ball_mu1 best_bound_report extension_ball_bound"
-        " improvement_condition payne_weinberger_bound quasi_monotonicity_upper"
-        " quasidisc_bound star_shaped_bound symmetric_domain_bound",
+        " improvement_condition payne_weinberger_bound quasidisc_bound"
+        " star_shaped_bound symmetric_domain_bound",
         "errors": "NumericalError",
         "extension_norms": "ExtensionNormEstimate StarShapeData half_ball_reflection_norm_sq"
         " mikhlin_ball_norm_sq mikhlin_star_norm_sq_bound quasidisc_norm_sq",
@@ -30,7 +30,7 @@ _EXPORTS = {
         " min_enclosing_ball named_domain preset_names",
         "qcmaps": "affine_qc_coefficient piecewise_qc_coefficient spiral_shaped_K star_shaped_K",
         "reproduce": "example_names reproduce",
-        "special": "bessel_i bessel_j bessel_k p_zero",
+        "special": "bessel_i bessel_k p_zero",
     }.items()
     for name in names.split()
 }

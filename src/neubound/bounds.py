@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import geometry, qcmaps
+from . import qcmaps
 from .errors import check_real
 from .extension_norms import quasidisc_norm_sq
 from .special import p_zero
@@ -74,16 +74,6 @@ def payne_weinberger_bound(diam: float) -> float:
 def improvement_condition(norm_sq: float, n: int) -> bool:
     """Whether the symmetric extension bound beats pi^2/d^2: ||E|| <= 2 p_{n/2} / pi."""
     return math.sqrt(check_real("norm_sq", norm_sq, 1)) <= 2.0 * p_zero(n) / math.pi
-
-
-def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
-    """Upper bound mu_1(outer) <= ||E||^2 mu_1(inner) for an extending pair.
-
-    Here `inner` is the domain the extension leaves and `outer` any
-    Lipschitz domain the extension lands in; enlarging a domain can raise
-    mu_1 by at most the energy factor of the extension.
-    """
-    return check_real("mu1_inner", mu1_inner, 0) * check_real("norm_sq", norm_sq, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +143,8 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     come from boundary_loop(spec): a polygon's vertices, or a sampler's
     spec.samples points.  The bounds are evaluated in dimension spec.dim.
     """
+    from . import geometry  # NumPy loads here, so the bound formulas run on math alone
+
     n = spec.dim
     points = geometry.boundary_loop(spec)[0]
     d = geometry.diameter(points)

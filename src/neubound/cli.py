@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import reproduce
-from .errors import NumericalError, check_int
+from .errors import NumericalError
 
 PRECISION_ENV = "NEUBOUND_PRECISION"
 _SAMPLES_HELP = 'the spec\'s "samples": a sampler\'s boundary resolution; a polygon rejects it'
@@ -121,34 +121,17 @@ def _cmd_mikhlin(args) -> dict:
     from . import extension_norms
 
     est = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
-    return {
-        "n": args.n,
-        "R": args.big_r,
-        "value_sq": est.value_sq,
-        "kind": est.kind,
-        "source": est.source,
-    }
+    return {"n": args.n, "R": args.big_r, **dataclasses.asdict(est)}
 
 
 def _cmd_mikhlin_star(args) -> dict:
     from . import extension_norms
 
-    data = extension_norms.StarShapeData(
-        m1=args.m1, m2=args.m2, m3=args.m3, n=args.n, big_r=args.big_r
-    )
+    data = extension_norms.StarShapeData(args.m1, args.m2, args.m3, args.n, args.big_r)
     est = extension_norms.mikhlin_star_norm_sq_bound(data)
     ball = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
-    return {
-        "m1": args.m1,
-        "m2": args.m2,
-        "m3": args.m3,
-        "n": args.n,
-        "R": args.big_r,
-        "ball_value_sq": ball.value_sq,
-        "value_sq": est.value_sq,
-        "kind": est.kind,
-        "source": est.source,
-    }
+    return {"m1": args.m1, "m2": args.m2, "m3": args.m3, "n": args.n, "R": args.big_r,
+            "ball_value_sq": ball.value_sq, **dataclasses.asdict(est)}
 
 
 def _cmd_qc(args) -> dict:
@@ -210,7 +193,7 @@ def _cmd_fem(args) -> dict:
     from . import fem
 
     spec = _domain(args)
-    check_int("refinement", args.refinement, 0)  # an empty table would skip triangulate's check
+    fem.check_refinement_limits(spec, args.refinement, args.samples)  # before any solve
     rows = []
     for level in range(0 if args.table else args.refinement, args.refinement + 1):
         result = fem.neumann_eigenvalues(

@@ -79,6 +79,26 @@ def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndar
     return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
 
 
+def _check_refinement(refinement: int) -> None:
+    if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
+        raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
+
+
+def _check_dof(nv: int) -> int:
+    if nv > _MAX_DOF:
+        raise ValueError(f"mesh has {nv} unknowns, above the supported {_MAX_DOF}")
+    return nv
+
+
+def check_refinement_limits(spec: geometry.DomainSpec, refinement: int, samples: int | None = None) -> None:
+    """The ValueError triangulate or neumann_eigenvalues would raise at this
+    refinement, without refining: a fan of m triangles refined r times has
+    1 + m 2^(r-1) (2^r + 1) vertices (V' = V + E, E' = 2E + 3T, T' = 4T)."""
+    _check_refinement(refinement)
+    m = triangulate(spec, 0, samples).dof_count - 1
+    _check_dof(1 + m * 2**refinement * (2**refinement + 1) // 2)
+
+
 def triangulate(
     spec: geometry.DomainSpec,
     refinement: int = 0,
@@ -98,8 +118,7 @@ def triangulate(
     initial boundary is boundary_loop(spec, samples); samples defaults to
     min(spec.samples, 96) for a sampler and to the vertices for a polygon.
     """
-    if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
-        raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
+    _check_refinement(refinement)
     if samples is None and spec.samples is not None:
         samples = min(spec.samples, _SAMPLER_MESH_BOUNDARY)
     points, params, curve = geometry.boundary_loop(spec, samples)
@@ -235,9 +254,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     """
     if check_int("k", k, 2) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
-    nv = mesh.dof_count
-    if nv > _MAX_DOF:
-        raise ValueError(f"mesh has {nv} unknowns, above the supported {_MAX_DOF}")
+    nv = _check_dof(mesh.dof_count)
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")
     import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s

@@ -71,8 +71,8 @@ def _mikhlin_table() -> dict:
     }
 
 
-# bounds and geometry load NumPy, so only the examples that use them import
-# them
+# geometry loads NumPy, and bounds loads it inside best_bound_report, so
+# half_ball, which uses only the bound formulas, runs on math alone
 def _bowtie() -> dict:
     from . import bounds, geometry
 

@@ -1,55 +1,78 @@
-"""Bessel functions of real nonnegative order and the radial Neumann constant.
+"""Modified Bessel functions I and K of real order nu >= 0, and the radial Neumann constant.
 
-bessel_j, bessel_i and bessel_k are scipy.special.jv, iv and kv behind
-errors.check_real: the order and x must be finite ints or floats (not
-bools or strings), order >= 0 and x >= 0 (x > 0 for K).  I raises
-OverflowError above x = 700, where exp(x) is about to overflow.  Measured
-against 40-digit reference values: J within 1.3e-15 absolute, I within
-7.9e-16 relative and K within 1.8e-14 relative.
+bessel_i and bessel_k use the math module alone.  I_nu(x) sums its power
+series, whose terms are all positive, so nothing cancels; above x = 700,
+where exp(x) is about to overflow, it raises OverflowError.  K_nu(x) is the
+trapezoidal rule on int_0^inf exp(-x cosh t) cosh(nu t) dt, summed in log
+scale outward from the node nearest the peak t = asinh(nu/x) until 40
+e-folds below it; the integrand decays double-exponentially, so the rule
+converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  A K
+beyond the float range raises OverflowError.
 
 p_zero(n) is the first positive zero of d/dt [t^(1 - n/2) J_{n/2}(t)],
 equivalently of J_{n/2}(t) - t J_{n/2 + 1}(t); its square is the first
-nontrivial Neumann eigenvalue of the unit ball in dimension n.
-
-scipy.special loads on first use, inside these functions, so importing
-the package does not pay for it.  p_zero at its default tol for the paper's
-dimensions n = 2..8 is read from a table of the scan's own results, so
-bounds in those dimensions never load it.
+nontrivial Neumann eigenvalue of the unit ball in dimension n.  At its
+default tol for the paper's dimensions n = 2..8 it is read from a table of
+the scan's own results; off the table the scan loads scipy.special for J.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import NumericalError, check_int, check_real
 
 _I_OVERFLOW_X = 700.0          # exp(x) overflows float64 just above 709
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x), nu >= 0, x >= 0."""
-    from scipy.special import jv
-
-    return float(jv(check_real("order", nu, 0), check_real("x", x, 0)))
+_LOG_FLOAT_MAX = 1024 * math.log(2.0)  # log of the largest float, 1.8e308
+_K_MAX_NODES = 100_000         # about 0.1 s; needed only with nu and x both above 1e8
 
 
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0."""
-    from scipy.special import iv
-
     nu, x = check_real("order", nu, 0), check_real("x", x, 0)
     if x > _I_OVERFLOW_X:
-        raise OverflowError(
-            f"I_nu grows like exp(x); x={x} exceeds the supported {_I_OVERFLOW_X}"
-        )
-    return float(iv(nu, x))
+        raise OverflowError(f"I_nu grows like exp(x); x={x} exceeds the supported {_I_OVERFLOW_X}")
+    try:  # the first term (x/2)^nu / Gamma(nu + 1), in logarithms once a factor overflows
+        term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
+    except OverflowError:
+        term = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)) if 0.5 * x else 0.0
+    q, total, k = 0.25 * x * x, term, 0
+    # the terms rise while k (k + nu) < q and fall after
+    while not (term <= 2.0**-53 * total and k * (k + nu) > q):
+        k += 1
+        term *= q / (k * (k + nu))
+        total += term
+    return total
 
 
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), nu >= 0, x > 0."""
-    from scipy.special import kv
+    nu, x = check_real("order", nu, 0), check_real("x", x, 0, strict=True)
+    if x - 0.5 * nu * nu / x > 746.0:
+        return 0.0  # K <= sqrt(pi / 2x) exp(nu^2 / 2x - x), below half the least subnormal
 
-    return float(kv(check_real("order", nu, 0), check_real("x", x, 0, strict=True)))
+    def log_f(t: float) -> float:  # log of exp(x) times the integrand, its large term nu t added last
+        a, s = nu * t, math.sinh(0.5 * t)
+        return a + (math.log1p(math.exp(-2.0 * a)) - math.log(2.0) - 2.0 * x * s * s)
+
+    h = min(0.25, math.pi**2 / (40.0 + 2.0 * x + 2.0 * nu))
+    k0 = round((math.log(nu + math.hypot(nu, x)) - math.log(x)) / h)  # asinh(nu / x), for any x > 0
+    peak = log_f(k0 * h)
+    total, budget = 0.0, _K_MAX_NODES
+    for k, step in ((k0, 1), (k0 - 1, -1)):
+        g = 0.0
+        while k >= 0 and g > -40.0 and budget:
+            g = log_f(k * h) - peak
+            total += math.exp(g) if k else 0.5 * math.exp(g)  # the node t = 0 has half weight
+            k, budget = k + step, budget - 1
+    log_k = peak - x + math.log(h * total)
+    if log_k > _LOG_FLOAT_MAX:  # with the budget spent, the part summed is a lower bound
+        raise OverflowError(f"K_nu(x) exceeds the float range at nu={nu}, x={x}")
+    if not budget:
+        raise NumericalError(f"K_nu(x) needs more than {_K_MAX_NODES} nodes at nu={nu}, x={x}")
+    # exp(-x) taken apart keeps its accuracy for large x; past 700, exp(peak) alone could overflow
+    return h * total * math.exp(peak) * math.exp(-x) if peak <= 700.0 else math.exp(log_k)
 
 
 # ---------------------------------------------------------------------------

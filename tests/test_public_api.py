@@ -32,7 +32,6 @@ _PUBLIC_NAMES = [
     "assemble",
     "ball_mu1",
     "bessel_i",
-    "bessel_j",
     "bessel_k",
     "best_bound_report",
     "boundary_loop",
@@ -51,7 +50,6 @@ _PUBLIC_NAMES = [
     "payne_weinberger_bound",
     "piecewise_qc_coefficient",
     "preset_names",
-    "quasi_monotonicity_upper",
     "quasidisc_bound",
     "quasidisc_norm_sq",
     "reproduce",
@@ -131,14 +129,20 @@ def test_import_does_not_load_the_sparse_stack():
 
 
 def test_import_does_not_load_scipy_special():
-    # scipy.special loads inside the Bessel wrappers and inside p_zero off
-    # its table (n = 2..8 at the default tol), so commands that evaluate no
-    # Bessel function (qc, mecb, bound and verify in those dimensions) skip
-    # its import cost
+    # scipy.special loads only inside p_zero off its table (n = 2..8 at the
+    # default tol), for J; I and K run on math alone
     assert not _loaded_by_fresh_import("scipy.special")
 
 
 _TAN_DISC = ("bound", "--domain", "tan_disc")
+# the two-ball extension norm needs only Bessel I and K, and half_ball only
+# the bound formulas, so these run on math alone
+_MATH_ONLY = [
+    ("mikhlin", "--n", "4", "--R", "2.5"),
+    ("mikhlin-star", "--m1", "1", "--m2", "1.5", "--m3", "0.3", "--n", "3", "--R", "2"),
+    ("reproduce", "mikhlin_table"),
+    ("reproduce", "half_ball"),
+]
 
 
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
@@ -154,7 +158,7 @@ def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
         # p_zero(2) comes from the table
         (_TAN_DISC, "scipy.special", False),
         (("pzero", "--n", "5"), "scipy.special", False),
-        (("reproduce", "half_ball"), "scipy.special", False),
+        *((argv, "scipy.special", False) for argv in _MATH_ONLY),
         (("verify", "--domain", "bowtie", "--refinement", "1"), "scipy.special", False),
         # off the table p_zero falls back to the scan over scipy.special.jv
         (("pzero", "--n", "9"), "scipy.special", True),
@@ -174,6 +178,7 @@ def test_command_loads_scipy_module_only_when_it_needs_it(argv, module, loaded):
         (("qc", "--beta", "0.5"), False),
         (("qc", "--matrix", "1", "1", "0", "1"), False),
         (("reproduce", "pzero_table"), False),
+        *((argv, False) for argv in _MATH_ONLY),
         (_TAN_DISC, True),
     ],
     ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, tuple) else None,

@@ -1,9 +1,10 @@
 """Bessel evaluation and the radial Neumann zeros against frozen references.
 
 The reference values were produced once with an arbitrary-precision
-library at 40 digits and are frozen here; only the one-sided p_zero check
-asks mpmath for its roots as it runs.  The package itself never depends on
-that library.
+library at 40 digits and are frozen here; the one-sided p_zero check and
+the I/K accuracy envelope ask mpmath for their references as they run.
+The package itself never depends on that library.  J, which the package
+evaluates only inside p_zero's scan, is tested through tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from neubound import special
+from oracles import bessel_j
 
 # (order, argument, value) triples, 17 significant digits
 _J_REFERENCE = [
@@ -73,7 +75,7 @@ _P_REFERENCE = {
 
 @pytest.mark.parametrize("nu,x,want", _J_REFERENCE)
 def test_bessel_j_reference(nu, x, want):
-    assert special.bessel_j(nu, x) == pytest.approx(want, abs=5e-13)
+    assert bessel_j(nu, x) == pytest.approx(want, abs=5e-13)
 
 
 @pytest.mark.parametrize("nu,x,want", _I_REFERENCE)
@@ -86,11 +88,57 @@ def test_bessel_k_reference(nu, x, want):
     assert special.bessel_k(nu, x) == pytest.approx(want, rel=5e-11)
 
 
+# the accuracy envelope the README states for x in [1e-3, 700], orders 0..50
+_I_ENVELOPE, _K_ENVELOPE = 3e-14, 6e-14
+
+
+def _envelope_grid():
+    rng = np.random.default_rng(20171016)
+    orders = [0.0, 1.0, 2.0, 3.0, 7.0, 16.0, 33.0, 50.0, 0.5, 1.5, 2.5, 9.5, 24.5, 49.5]
+    orders += [float(v) for v in rng.uniform(0.0, 50.0, 8)]
+    xs = [1e-3, 1.0, 700.0] + [float(v) for v in 10.0 ** rng.uniform(-3.0, math.log10(700.0), 9)]
+    return orders, xs
+
+
+def test_bessel_i_and_k_within_the_stated_envelope():
+    # integer, half-integer and other orders against 30-digit mpmath values;
+    # every value in this range is a normal float
+    worst_i = worst_k = 0.0
+    orders, xs = _envelope_grid()
+    with mpmath.workdps(30):
+        for nu in orders:
+            for x in xs:
+                ref_i, ref_k = mpmath.besseli(nu, x), mpmath.besselk(nu, x)
+                worst_i = max(worst_i, abs(float((special.bessel_i(nu, x) - ref_i) / ref_i)))
+                worst_k = max(worst_k, abs(float((special.bessel_k(nu, x) - ref_k) / ref_k)))
+    assert worst_i <= _I_ENVELOPE
+    assert worst_k <= _K_ENVELOPE
+
+
+def test_bessel_at_the_ends_of_the_float_range():
+    assert special.bessel_i(0, 0.0) == 1.0
+    assert special.bessel_i(2.5, 0.0) == special.bessel_i(200, 0.0) == special.bessel_i(200, 5e-324) == 0.0
+    # far from the envelope's range, still against mpmath: I tiny but normal,
+    # I near the top of the range, K_0 at the least subnormal x, and K at a
+    # peak past exp's range with a finite value
+    for f, ref, nu, x in [
+        (special.bessel_i, mpmath.besseli, 0.8, 5.4e-176),
+        (special.bessel_i, mpmath.besseli, 300, 700.0),
+        (special.bessel_k, mpmath.besselk, 0, 5e-324),
+        (special.bessel_k, mpmath.besselk, 1000, 400.0),
+    ]:
+        assert f(nu, x) == pytest.approx(float(ref(nu, x)), rel=1e-12)
+    assert special.bessel_k(0, 800.0) == special.bessel_k(2, 1e300) == 0.0  # below the float range
+    for nu, x in [(200.0, 1e-3), (1e6, 1.0), (0.965, 5e-324), (152.5, 1.037), (1e12, 1.0)]:
+        with pytest.raises(OverflowError):  # beyond it, never a finite number
+            special.bessel_k(nu, x)
+
+
 def test_half_integer_closed_forms():
     for x in (0.2, 0.9, 2.7, 7.5, 22.0):
         sqrt_fac = math.sqrt(2.0 / (math.pi * x))
-        assert special.bessel_j(0.5, x) == pytest.approx(sqrt_fac * math.sin(x), rel=1e-9)
-        assert special.bessel_j(1.5, x) == pytest.approx(
+        assert bessel_j(0.5, x) == pytest.approx(sqrt_fac * math.sin(x), rel=1e-9)
+        assert bessel_j(1.5, x) == pytest.approx(
             sqrt_fac * (math.sin(x) / x - math.cos(x)), rel=1e-9, abs=1e-12
         )
         assert special.bessel_i(0.5, x) == pytest.approx(sqrt_fac * math.sinh(x), rel=1e-9)
@@ -132,14 +180,14 @@ def test_j_three_term_recurrence():
     for _ in range(100):
         nu = float(rng.uniform(1.0, 6.0))
         x = float(rng.uniform(0.5, 30.0))
-        lhs = special.bessel_j(nu - 1.0, x) + special.bessel_j(nu + 1.0, x)
-        rhs = (2.0 * nu / x) * special.bessel_j(nu, x)
+        lhs = bessel_j(nu - 1.0, x) + bessel_j(nu + 1.0, x)
+        rhs = (2.0 * nu / x) * bessel_j(nu, x)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-11)
 
 
 def test_bessel_argument_validation():
     with pytest.raises(ValueError):
-        special.bessel_j(0.5, -1.0)
+        bessel_j(0.5, -1.0)
     with pytest.raises(ValueError):
         special.bessel_i(-0.5, 1.0)
     with pytest.raises(ValueError):
@@ -178,7 +226,7 @@ def test_p_zero_solves_its_equation():
     for n in range(2, 9):
         p = special.p_zero(n)
         half = 0.5 * n
-        residual = special.bessel_j(half, p) - p * special.bessel_j(half + 1.0, p)
+        residual = bessel_j(half, p) - p * bessel_j(half + 1.0, p)
         assert abs(residual) < 1e-9
 
 
