@@ -121,17 +121,34 @@ def _cmd_mikhlin(args) -> dict:
     from . import extension_norms
 
     est = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
-    return {"n": args.n, "R": args.big_r, **dataclasses.asdict(est)}
+    return {
+        "n": args.n,
+        "R": args.big_r,
+        "value_sq": est.value_sq,
+        "kind": est.kind,
+        "source": est.source,
+    }
 
 
 def _cmd_mikhlin_star(args) -> dict:
     from . import extension_norms
 
-    data = extension_norms.StarShapeData(args.m1, args.m2, args.m3, args.n, args.big_r)
+    data = extension_norms.StarShapeData(
+        m1=args.m1, m2=args.m2, m3=args.m3, n=args.n, big_r=args.big_r
+    )
     est = extension_norms.mikhlin_star_norm_sq_bound(data)
     ball = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
-    return {"m1": args.m1, "m2": args.m2, "m3": args.m3, "n": args.n, "R": args.big_r,
-            "ball_value_sq": ball.value_sq, **dataclasses.asdict(est)}
+    return {
+        "m1": args.m1,
+        "m2": args.m2,
+        "m3": args.m3,
+        "n": args.n,
+        "R": args.big_r,
+        "ball_value_sq": ball.value_sq,
+        "value_sq": est.value_sq,
+        "kind": est.kind,
+        "source": est.source,
+    }
 
 
 def _cmd_qc(args) -> dict:
@@ -193,12 +210,11 @@ def _cmd_fem(args) -> dict:
     from . import fem
 
     spec = _domain(args)
-    fem.check_refinement_limits(spec, args.refinement, args.samples)  # before any solve
+    top = fem.triangulate(spec, refinement=args.refinement, samples=args.samples)  # before any solve
     rows = []
     for level in range(0 if args.table else args.refinement, args.refinement + 1):
-        result = fem.neumann_eigenvalues(
-            fem.triangulate(spec, refinement=level, samples=args.samples), k=args.k
-        )
+        mesh = top if level == args.refinement else fem.triangulate(spec, level, args.samples)
+        result = fem.neumann_eigenvalues(mesh, k=args.k)
         row = {"refinement": level, "dof_count": result.dof_count, "mesh_size": result.mesh_size}
         if not args.table:
             row["eigenvalues"] = list(result.eigenvalues)

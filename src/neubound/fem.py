@@ -79,24 +79,10 @@ def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndar
     return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
 
 
-def _check_refinement(refinement: int) -> None:
-    if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
-        raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
-
-
 def _check_dof(nv: int) -> int:
     if nv > _MAX_DOF:
         raise ValueError(f"mesh has {nv} unknowns, above the supported {_MAX_DOF}")
     return nv
-
-
-def check_refinement_limits(spec: geometry.DomainSpec, refinement: int, samples: int | None = None) -> None:
-    """The ValueError triangulate or neumann_eigenvalues would raise at this
-    refinement, without refining: a fan of m triangles refined r times has
-    1 + m 2^(r-1) (2^r + 1) vertices (V' = V + E, E' = 2E + 3T, T' = 4T)."""
-    _check_refinement(refinement)
-    m = triangulate(spec, 0, samples).dof_count - 1
-    _check_dof(1 + m * 2**refinement * (2**refinement + 1) // 2)
 
 
 def triangulate(
@@ -117,12 +103,17 @@ def triangulate(
     a triangle; children come four per parent, in parent order.  The
     initial boundary is boundary_loop(spec, samples); samples defaults to
     min(spec.samples, 96) for a sampler and to the vertices for a polygon.
+    A refinement above 8, or a mesh with more unknowns than
+    neumann_eigenvalues supports, is rejected before any refining: a fan of
+    m triangles refined r times has 1 + m 2^(r-1) (2^r + 1) vertices.
     """
-    _check_refinement(refinement)
+    if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
+        raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
     if samples is None and spec.samples is not None:
         samples = min(spec.samples, _SAMPLER_MESH_BOUNDARY)
     points, params, curve = geometry.boundary_loop(spec, samples)
     m = len(points)
+    _check_dof(1 + m * 2**refinement * (2**refinement + 1) // 2)
 
     anchor = spec.anchor
     if anchor is None:

@@ -19,6 +19,7 @@ the scan's own results; off the table the scan loads scipy.special for J.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import NumericalError, check_int, check_real
@@ -33,17 +34,20 @@ def bessel_i(nu: float, x: float) -> float:
     nu, x = check_real("order", nu, 0), check_real("x", x, 0)
     if x > _I_OVERFLOW_X:
         raise OverflowError(f"I_nu grows like exp(x); x={x} exceeds the supported {_I_OVERFLOW_X}")
-    try:  # the first term (x/2)^nu / Gamma(nu + 1), in logarithms once a factor overflows
-        term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    except OverflowError:
-        term = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)) if 0.5 * x else 0.0
-    q, total, k = 0.25 * x * x, term, 0
-    # the terms rise while k (k + nu) < q and fall after
+    q, term, total, k = 0.25 * x * x, 1.0, 1.0, 0
+    # the series over its first term (x/2)^nu / Gamma(nu + 1), which can
+    # underflow while I is normal; the terms rise while k (k + nu) < q and fall after
     while not (term <= 2.0**-53 * total and k * (k + nu) > q):
         k += 1
         term *= q / (k * (k + nu))
         total += term
-    return total
+    try:
+        first = (0.5 * x) ** nu / math.gamma(nu + 1.0)
+    except OverflowError:
+        first = 0.0
+    if first >= sys.float_info.min or not 0.5 * x:
+        return first * total
+    return math.exp(math.log(total) + nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -71,8 +75,9 @@ def bessel_k(nu: float, x: float) -> float:
         raise OverflowError(f"K_nu(x) exceeds the float range at nu={nu}, x={x}")
     if not budget:
         raise NumericalError(f"K_nu(x) needs more than {_K_MAX_NODES} nodes at nu={nu}, x={x}")
-    # exp(-x) taken apart keeps its accuracy for large x; past 700, exp(peak) alone could overflow
-    return h * total * math.exp(peak) * math.exp(-x) if peak <= 700.0 else math.exp(log_k)
+    # exp(-x) taken apart keeps its accuracy for large x; past 700, exp(peak)
+    # could overflow or exp(-x) lose digits as a subnormal
+    return h * total * math.exp(peak) * math.exp(-x) if max(peak, x) <= 700.0 else math.exp(log_k)
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,10 @@ def test_refinement_matches_scalar_oracle(name):
     """
     spec = _ORACLE_SPECS[name]
     for refinement in range(6):
-        mesh = fem.triangulate(spec, refinement=refinement)
-        if mesh.dof_count > fem._MAX_DOF:
-            assert refinement >= 4  # every spec is checked on refined meshes
+        try:
+            mesh = fem.triangulate(spec, refinement=refinement)
+        except ValueError as exc:  # above the DOF cap, rejected before refining
+            assert "unknowns" in str(exc) and refinement >= 4  # every spec is checked on refined meshes
             break
         vertices, triangles, boundary = scalar_triangulate(spec, refinement)
         assert np.array_equal(mesh.vertices, vertices)
@@ -329,27 +330,30 @@ def test_triangulate_validation():
 
 
 @pytest.mark.parametrize("name", ["bowtie", "unit_disc"])
-def test_refinement_limits_predict_the_unknowns(name):
-    # the count check_refinement_limits predicts from level 0 is the mesh's,
-    # up to the first level above the solver's cap, and it rejects that level
-    # with the message neumann_eigenvalues gives the built mesh
+def test_refinement_limits_predict_the_unknowns(name, monkeypatch):
+    # triangulate predicts the first level above the solver's cap from the
+    # fan: its count is the last mesh's V + E, with E = V + T - 1 (Euler for
+    # a disc), and it is rejected before refining, also from verify_bound,
+    # with the message neumann_eigenvalues gives a built mesh
     spec = geometry.named_domain(name)
     for refinement in range(fem._MAX_REFINEMENT + 1):
-        mesh = fem.triangulate(spec, refinement=refinement)
-        if mesh.dof_count <= fem._MAX_DOF:
-            fem.check_refinement_limits(spec, refinement)
-            continue
-        message = f"mesh has {mesh.dof_count} unknowns, above the supported {fem._MAX_DOF}"
-        with pytest.raises(ValueError, match=message):
-            fem.check_refinement_limits(spec, refinement)
-        with pytest.raises(ValueError, match=message):
-            fem.neumann_eigenvalues(mesh)
-        break
+        try:
+            mesh = fem.triangulate(spec, refinement=refinement)
+        except ValueError as exc:
+            message = str(exc)
+            break
     assert refinement >= 4
+    nv, nt = mesh.dof_count, len(mesh.triangles)
+    assert message == f"mesh has {2 * nv + nt - 1} unknowns, above the supported {fem._MAX_DOF}"
+    assert nv <= fem._MAX_DOF < 2 * nv + nt - 1
+    monkeypatch.setattr(fem, "_refine_once", lambda *a: pytest.fail("refined a rejected mesh"))
+    with pytest.raises(ValueError) as exc:
+        fem.verify_bound(spec, refinement=refinement)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="unknowns, above the supported"):
+        fem.verify_bound(spec, refinement=fem._MAX_REFINEMENT)
     with pytest.raises(ValueError, match="refinement must be at most 8, got 9"):
-        fem.check_refinement_limits(spec, 9)
-    with pytest.raises(ValueError, match="refinement must be an integer >= 0"):
-        fem.check_refinement_limits(spec, -1)
+        fem.triangulate(spec, 9)
 
 
 def test_eigen_solver_validation():

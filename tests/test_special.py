@@ -126,8 +126,12 @@ def test_bessel_at_the_ends_of_the_float_range():
         (special.bessel_i, mpmath.besseli, 300, 700.0),
         (special.bessel_k, mpmath.besselk, 0, 5e-324),
         (special.bessel_k, mpmath.besselk, 1000, 400.0),
+        (special.bessel_k, mpmath.besselk, 400, 720.0),  # exp(-x) a subnormal
+        (special.bessel_k, mpmath.besselk, 400, 746.0),  # exp(-x) a zero
     ]:
-        assert f(nu, x) == pytest.approx(float(ref(nu, x)), rel=1e-12)
+        assert f(nu, x) == pytest.approx(float(ref(nu, x)), rel=1e-12, abs=0.0)
+    # the series' first term a zero, I normal; lgamma(1551) = 9,840 leaves 1e-12
+    assert special.bessel_i(1550, 700.0) == pytest.approx(float(mpmath.besseli(1550, 700)), rel=1e-11, abs=0.0)
     assert special.bessel_k(0, 800.0) == special.bessel_k(2, 1e300) == 0.0  # below the float range
     for nu, x in [(200.0, 1e-3), (1e6, 1.0), (0.965, 5e-324), (152.5, 1.037), (1e12, 1.0)]:
         with pytest.raises(OverflowError):  # beyond it, never a finite number
@@ -143,7 +147,7 @@ def test_half_integer_closed_forms():
         )
         assert special.bessel_i(0.5, x) == pytest.approx(sqrt_fac * math.sinh(x), rel=1e-9)
         assert special.bessel_k(0.5, x) == pytest.approx(
-            math.sqrt(0.5 * math.pi / x) * math.exp(-x), rel=1e-9
+            math.sqrt(0.5 * math.pi / x) * math.exp(-x), rel=1e-9, abs=0.0
         )
 
 
@@ -152,9 +156,9 @@ def test_half_integer_routes_agree():
     # elementary closed forms
     for x in (0.3, 1.0, 2.0, 6.0, 11.0, 25.0):
         k_fac = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
-        assert special.bessel_k(1.5, x) == pytest.approx(k_fac * (1.0 + 1.0 / x), rel=1e-11)
+        assert special.bessel_k(1.5, x) == pytest.approx(k_fac * (1.0 + 1.0 / x), rel=1e-11, abs=0.0)
         assert special.bessel_k(2.5, x) == pytest.approx(
-            k_fac * (1.0 + 3.0 / x + 3.0 / x**2), rel=1e-11
+            k_fac * (1.0 + 3.0 / x + 3.0 / x**2), rel=1e-11, abs=0.0
         )
         sqrt_fac = math.sqrt(2.0 / (math.pi * x))
         assert special.bessel_i(0.5, x) == pytest.approx(sqrt_fac * math.sinh(x), rel=1e-11)
