@@ -139,16 +139,12 @@ def _is_duplicate(value: float, entries: list[LowerBound]) -> bool:
 def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     """Assemble all metadata-supported lower bounds for a domain spec.
 
-    The spec is the only input.  The diameter d and enclosing-ball radius R
-    come from boundary_loop(spec): a polygon's vertices, or a sampler's
+    The spec is the only input.  d and R come from spec.measurement, taken
+    on boundary_loop(spec): a polygon's vertices, or a sampler's
     spec.samples points.  The bounds are evaluated in dimension spec.dim.
     """
-    from . import geometry  # NumPy loads here, so the bound formulas run on math alone
-
     n = spec.dim
-    points = geometry.boundary_loop(spec)[0]
-    d = geometry.diameter(points)
-    ball = geometry.min_enclosing_ball(points)
+    count, d, ball = spec.measurement
 
     notes: list[str] = []
     entries: list[LowerBound] = []
@@ -219,6 +215,6 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
             "diameter": d,
             "enclosing_radius": ball.radius,
             "enclosing_center": [float(c) for c in ball.center],
-            "boundary_points": int(len(points)),
+            "boundary_points": count,
         },
     )

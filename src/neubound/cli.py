@@ -185,14 +185,11 @@ def _domain(args, **flags):
 
 
 def _cmd_mecb(args) -> dict:
-    from . import geometry
-
     spec = _domain(args, samples=args.samples)
-    points = geometry.boundary_loop(spec)[0]
-    ball = geometry.min_enclosing_ball(points)
+    count, _, ball = spec.measurement
     return {
         "domain": spec.name,
-        "points_used": int(len(points)),
+        "points_used": count,
         "center": [float(c) for c in ball.center],
         "radius": ball.radius,
     }

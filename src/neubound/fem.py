@@ -191,32 +191,35 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
 
 
 def assemble(mesh: Mesh):
-    """Stiffness and consistent mass matrices (CSR) for P1 elements, on one shared pattern."""
+    """Stiffness and consistent mass matrices (CSR) for P1 elements, on one shared pattern.
+
+    x and y are gathered once per triangle, and the blocks go into one complex
+    array, K real and M imaginary, in the formulas' order of operations; one
+    COO -> CSR conversion sums both parts as two real ones would, bit for bit.
+    """
     import scipy.sparse  # imported here so that commands without a mesh skip it
     v, t = mesh.vertices, mesh.triangles
     if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
         raise ValueError("mesh has no triangles")
-    double_area = _signed_double_areas(v, t)
+    x, y = v[:, 0][t], v[:, 1][t]
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]  # b_i = y_j - y_k
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]  # c_i = x_k - x_j
+    double_area = c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1]  # (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0)
     bad = np.nonzero(double_area <= _MIN_TRIANGLE_DOUBLE_AREA)[0]
     if len(bad):
         raise NumericalError(f"triangle {int(bad[0])} has non-positive area")
 
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
-    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
-    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        2.0 * double_area
-    )[:, None, None]
-    m_pattern = (np.ones((3, 3)) + np.eye(3)) / 24.0
-    m_local = double_area[:, None, None] * m_pattern[None, :, :]
+    k_local = np.multiply(b[:, :, None], b[:, None, :])
+    k_local += c[:, :, None] * c[:, None, :]
+    k_local /= (2.0 * double_area)[:, None, None]
+    local = np.empty(k_local.shape, dtype=complex)
+    local.real = k_local
+    np.multiply(double_area[:, None, None], (np.ones((3, 3)) + np.eye(3)) / 24.0, out=local.imag)
 
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
+    t = t.astype(np.int32)
     nv = len(v)
-    # one COO -> CSR conversion for both: complex addition sums the real
-    # (stiffness) and imaginary (mass) parts separately, in the same order
     both = scipy.sparse.coo_matrix(
-        (k_local.ravel() + 1j * m_local.ravel(), (rows, cols)), shape=(nv, nv)
+        (local.ravel(), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())), shape=(nv, nv)
     ).tocsr()
     pattern = (both.indices, both.indptr)
     stiffness = scipy.sparse.csr_matrix((both.data.real.copy(), *pattern), shape=(nv, nv))

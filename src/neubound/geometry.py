@@ -11,6 +11,7 @@ on chords.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -66,6 +67,7 @@ class DomainSpec:
     anchor is a point the domain is star-shaped with respect to, used as
     the fan center when meshing.  vertices, symmetry_center and anchor are
     stored as read-only float copies, the declared numbers as floats.
+    measurement is taken on first use and kept: the spec never changes.
     """
 
     kind: str  # "polygon" or "sampler"
@@ -129,6 +131,14 @@ class DomainSpec:
         for attr, lo, hi in (("qc_coefficient", 1, math.inf), ("star_beta", 0, 1), ("norm_sq", 1, math.inf)):
             if getattr(self, attr) is not None:
                 object.__setattr__(self, attr, check_real(attr, getattr(self, attr), lo, hi))
+
+    @functools.cached_property
+    def measurement(self) -> tuple[int, float, Ball]:
+        """boundary_loop(self)'s point count, diameter and smallest enclosing Ball."""
+        points = boundary_loop(self)[0]
+        d, ball = diameter(points), min_enclosing_ball(points)
+        ball.center.flags.writeable = False
+        return len(points), d, ball
 
 
 def _check_samples(m: int) -> int:  # the one check on a boundary sample count
@@ -234,13 +244,15 @@ def _half_disc_curve(s):
 
 # each family: (curve, breakpoint parameters, their points, one weight per
 # piece from a breakpoint to the next); a curve maps an array of parameters
-# to an array of points, a scalar to a single (2,) point
+# to an array of points, a scalar to a single (2,) point.  The points are the
+# curve's unless given (the half-disc curve's first is 1.2e-16 above y = 0)
 _SAMPLER_FAMILIES = {
-    name: (curve, np.array(breaks), curve(np.array(breaks)), np.array(weights))
-    for name, curve, breaks, weights in (
-        ("unit_disc", _circle_curve, (0.0,), (1.0,)),
-        ("tan_disc", _tan_disc_curve, (0.0,), (1.0,)),
-        ("half_disc", _half_disc_curve, (0.0, _HALF_DISC_ARC_FRAC), (math.pi, 2.0)),  # arclengths
+    name: (curve, np.array(breaks), np.array(corners or curve(np.array(breaks))), np.array(weights))
+    for name, curve, breaks, corners, weights in (
+        ("unit_disc", _circle_curve, (0.0,), None, (1.0,)),
+        ("tan_disc", _tan_disc_curve, (0.0,), None, (1.0,)),
+        # weights: arclengths
+        ("half_disc", _half_disc_curve, (0.0, _HALF_DISC_ARC_FRAC), ((-1.0, 0.0), (1.0, 0.0)), (math.pi, 2.0)),
     )
 }
 

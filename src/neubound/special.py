@@ -30,7 +30,8 @@ _K_MAX_NODES = 100_000         # about 0.1 s; needed only with nu and x both abo
 
 
 def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0."""
+    """Modified Bessel function of the first kind I_nu(x), nu >= 0, x >= 0; above order
+    about 171, where Gamma(nu + 1) overflows, it carries about 1e-12 relative error."""
     nu, x = check_real("order", nu, 0), check_real("x", x, 0)
     if x > _I_OVERFLOW_X:
         raise OverflowError(f"I_nu grows like exp(x); x={x} exceeds the supported {_I_OVERFLOW_X}")

@@ -222,14 +222,19 @@ def test_refinement_matches_scalar_oracle(name):
 _ASSEMBLY_CASES = [
     *((name, r) for name in geometry.preset_names() for r in range(4)),
     ("thin_fan", 3),
+    ("bowtie", 5),
+    ("unit_disc/34", 5),  # 34 boundary points: 17,953 unknowns, near the cap
 ]
 
 
 @pytest.mark.parametrize("name, refinement", _ASSEMBLY_CASES)
 def test_assembly_matches_two_pass_oracle(name, refinement):
     # one complex COO -> CSR conversion gives the same bits as two real ones
+    name, _, samples = name.partition("/")
     spec = geometry.load_domain_spec(_THIN_FAN) if name == "thin_fan" else geometry.named_domain(name)
-    mesh = fem.triangulate(spec, refinement=refinement)
+    mesh = fem.triangulate(spec, refinement=refinement, samples=int(samples) if samples else None)
+    if samples:
+        assert mesh.dof_count == 17_953
     for got, want in zip(fem.assemble(mesh), two_pass_assemble(mesh)):
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got.indices, want.indices)
@@ -461,3 +466,21 @@ def test_verify_bound_requires_planar_domain():
     spec = geometry.load_domain_spec({**_SQUARE_SPEC, "dim": 3})
     with pytest.raises(ValueError):
         fem.verify_bound(spec)
+
+
+@pytest.mark.parametrize("name, boundary", [("bowtie", None), ("half_disc", 16)])
+def test_a_verify_ladder_measures_its_spec_once(name, boundary, monkeypatch):
+    calls = {"diameter": 0, "min_enclosing_ball": 0}
+    for layer in calls:
+        def counted(points, _layer=layer, _original=getattr(geometry, layer)):
+            calls[_layer] += 1
+            return _original(points)
+
+        monkeypatch.setattr(geometry, layer, counted)
+    spec = geometry.named_domain(name)
+    records = [fem.verify_bound(spec, refinement=r, fem_samples=boundary) for r in range(1, 5)]
+    assert calls == {"diameter": 1, "min_enclosing_ball": 1}
+    # repr round-trips every float, so equal reprs are equal bits
+    for r, record in enumerate(records, 1):
+        fresh = fem.verify_bound(geometry.named_domain(name), refinement=r, fem_samples=boundary)
+        assert repr(record) == repr(fresh)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -157,8 +158,27 @@ def test_half_disc_loop_includes_diameter_corners():
     spec = geometry.named_domain("half_disc")
     points, _, _ = geometry.boundary_loop(spec, 40)
     for corner in ([1.0, 0.0], [-1.0, 0.0]):
-        assert np.min(np.linalg.norm(points - np.asarray(corner), axis=1)) < 1e-12
-    assert np.all(points[:, 1] <= 1e-12)
+        assert np.min(np.linalg.norm(points - np.asarray(corner), axis=1)) == 0.0
+    assert np.all(points[:, 1] <= 0.0)
+    _, d, ball = spec.measurement
+    assert (d, ball.radius, ball.center.tolist()) == (2.0, 1.0, [0.0, 0.0])
+
+
+def test_a_spec_is_measured_once_and_read_only():
+    spec = geometry.named_domain("unit_disc", samples=64)
+    count, d, ball = spec.measurement
+    assert spec.measurement is spec.measurement
+    points = geometry.boundary_loop(spec)[0]
+    assert (count, d) == (64, geometry.diameter(points))
+    assert ball.radius == geometry.min_enclosing_ball(points).radius
+    with pytest.raises(ValueError, match="read-only"):
+        ball.center[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.measurement = (0, 0.0, ball)
+    # a replaced spec is a new spec, measured afresh
+    finer = dataclasses.replace(spec, samples=300)
+    assert finer.measurement[0] == 300
+    assert repr(finer.measurement) == repr(geometry.named_domain("unit_disc", samples=300).measurement)
 
 
 def test_polygon_samples_are_rejected_and_samplers_default_to_256():
@@ -223,7 +243,10 @@ def test_boundary_placement_rule(shape_and_m):
         points, params, curve = geometry.boundary_loop(spec, m)
         where = np.searchsorted(params, breaks)
         assert np.array_equal(params[where], breaks)
-        assert np.array_equal(points[where], curve(breaks))
+        # the family's corners, bit for bit: the curve's points up to
+        # rounding, and half_disc's literal (-1, 0) and (1, 0)
+        assert np.array_equal(points[where], geometry._SAMPLER_FAMILIES[shape][2])
+        assert np.allclose(curve(breaks), corners, rtol=0.0, atol=1e-15)
         assert np.allclose(points[where], corners, rtol=0.0, atol=1e-15)
     else:
         try:
