@@ -13,9 +13,10 @@ That is the check verify_bound runs.
 
 Assembly uses the classic per-triangle formulas: with edge coefficients
 b_i = y_j - y_k and c_i = x_k - x_j (cyclic), the stiffness block is
-(b b^T + c c^T) / (4 area) and the consistent mass block is
-(area / 12) (1 + delta_ij).  Stiffness rows sum to zero (constants cost
-no energy) and the total mass equals the mesh area.
+(b b^T + c c^T) / (4 area) and the consistent mass block is (area / 12)
+(1 + delta_ij).  Stiffness rows sum to zero (constants cost no energy)
+and the total mass equals the mesh area.  Meshes of up to 128 unknowns
+are solved densely in NumPy alone; larger ones load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _MAX_EIGS = 10
 # backward error seen is about 2e-12.  tol=0 (machine epsilon) takes about
 # a third more solves for digits no check or output uses.
 _EIGSH_TOL = 1e-10
+_DENSE_MAX_DOF = 128  # the measured in-process crossover: splu + eigsh is faster above it
 _MIN_TRIANGLE_DOUBLE_AREA = 2e-14
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
 
@@ -69,7 +71,7 @@ class SpectrumResult:
     mesh_size: float
     dof_count: int
     residuals: tuple[float, ...]  # each pair's backward error, see neumann_eigenvalues
-    solves: int  # calls to the shift-invert solve
+    solves: int  # calls to the sparse route's splu solve; 0 on the dense route
 
 
 def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -190,14 +192,8 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
     )
 
 
-def assemble(mesh: Mesh):
-    """Stiffness and consistent mass matrices (CSR) for P1 elements, on one shared pattern.
-
-    x and y are gathered once per triangle, and the blocks go into one complex
-    array, K real and M imaginary, in the formulas' order of operations; one
-    COO -> CSR conversion sums both parts as two real ones would, bit for bit.
-    """
-    import scipy.sparse  # imported here so that commands without a mesh skip it
+def _local_blocks(mesh: Mesh):
+    """Per-triangle K (real) and M (imaginary) blocks as COO (data, (row, col)), int32 indices."""
     v, t = mesh.vertices, mesh.triangles
     if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
         raise ValueError("mesh has no triangles")
@@ -215,12 +211,20 @@ def assemble(mesh: Mesh):
     local = np.empty(k_local.shape, dtype=complex)
     local.real = k_local
     np.multiply(double_area[:, None, None], (np.ones((3, 3)) + np.eye(3)) / 24.0, out=local.imag)
-
     t = t.astype(np.int32)
-    nv = len(v)
-    both = scipy.sparse.coo_matrix(
-        (local.ravel(), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())), shape=(nv, nv)
-    ).tocsr()
+    return local.ravel(), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())
+
+
+def assemble(mesh: Mesh):
+    """Stiffness and consistent mass matrices (CSR) for P1 elements, on one shared pattern.
+
+    x and y are gathered once per triangle, and the blocks go into one complex
+    array, K real and M imaginary, in the formulas' order of operations; one
+    COO -> CSR conversion sums both parts as two real ones would, bit for bit.
+    """
+    import scipy.sparse  # imported here so that commands without a mesh skip it
+    nv = mesh.dof_count
+    both = scipy.sparse.coo_matrix(_local_blocks(mesh), shape=(nv, nv)).tocsr()
     pattern = (both.indices, both.indptr)
     stiffness = scipy.sparse.csr_matrix((both.data.real.copy(), *pattern), shape=(nv, nv))
     mass = scipy.sparse.csr_matrix((both.data.imag.copy(), *pattern), shape=(nv, nv))
@@ -230,13 +234,17 @@ def assemble(mesh: Mesh):
 def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     """The k smallest Neumann eigenvalues of a mesh, ascending.
 
-    The first is the constant mode, reported as exactly 0.0 once the
-    solve has found it; the second is the mesh's mu_1,
-    an over-approximation of the true mu_1 that decreases under
-    refinement.  Shift-invert Lanczos about sigma < 0: A = K - sigma M,
+    The first is the constant mode, reported as exactly 0.0 once the solve
+    has found it; the second is the mesh's mu_1, an over-approximation of
+    the true mu_1 that decreases under refinement.  Both routes invert
+    about a shift sigma < 0, where A = K - sigma M is positive definite,
+    which keeps lam_0 within about eps |sigma| of 0, not eps lam_max.  Up
+    to _DENSE_MAX_DOF unknowns, NumPy alone: dense K and M, A = L L^T by
+    Cholesky, eigh of L^-1 M L^-T, and from its k largest theta
+    lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos: A,
     symmetric bit for bit on the pattern K and M share (so its CSR arrays
     are its CSC arrays), is factored once with splu and its solves are
-    eigsh's OPinv.  ncv = 2k + 2 (at least 10, at most the DOF count).  The
+    eigsh's OPinv; ncv = 2k + 2 (at least 10, at most the DOF count).  The
     fixed start, a smooth quadratic in the centred and scaled vertex
     coordinates plus 0.2 times a seeded normal draw (a component along
     every eigenvector), makes the result deterministic.  eigsh stops at
@@ -244,49 +252,65 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     values, and is not what certifies a pair.  Every returned pair (lam, x)
     is checked on its own: a backward error ||Kx - lam Mx||_1 /
     ((||K||_1 + |lam| ||M||_1) ||x||_1), returned as residuals, above 1e-8
-    raises NumericalError.  solves counts the calls to the splu solve.
+    raises NumericalError.  solves counts the splu solves, 0 when dense.
     """
     if check_int("k", k, 2) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
     nv = _check_dof(mesh.dof_count)
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")
-    import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
-
-    stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
-
     center = mesh.vertices.mean(axis=0)
     spread = max(float(np.linalg.norm(mesh.vertices - center, axis=1).max()), 1e-9)
     sigma = -0.2 * (1.8412 / spread) ** 2
-    shifted = scipy.sparse.csc_matrix(
-        (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv)
-    )
-    lu = scipy.sparse.linalg.splu(shifted)
     solves = 0
-
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return lu.solve(b)
-
-    x, y = ((mesh.vertices - center) / spread).T
-    v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
-    v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            stiffness,
-            k=k,
-            M=mass,
-            sigma=sigma,
-            which="LM",
-            v0=v0,
-            ncv=min(nv, max(2 * k + 2, 10)),
-            maxiter=2000,
-            tol=_EIGSH_TOL,
-            OPinv=scipy.sparse.linalg.LinearOperator((nv, nv), matvec=solve, dtype=float),
+    if nv <= _DENSE_MAX_DOF:
+        data, (rows, cols) = _local_blocks(mesh)
+        stiffness, mass = (
+            np.bincount(rows * nv + cols, w, nv**2).reshape(nv, nv) for w in (data.real, data.imag)
         )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
+        try:
+            lower = np.linalg.cholesky(stiffness - sigma * mass)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"K - sigma M is not positive definite: {exc}") from exc
+        inverse = np.linalg.inv(lower)
+        theta, y = np.linalg.eigh(inverse @ mass @ inverse.T)  # theta = 1/(lam - sigma), ascending
+        vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
+        k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
+    else:
+        import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
+        stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
+        shifted = scipy.sparse.csc_matrix(
+            (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv)
+        )
+        lu = scipy.sparse.linalg.splu(shifted)
+
+        def solve(b):
+            nonlocal solves
+            solves += 1
+            return lu.solve(b)
+
+        x, y = ((mesh.vertices - center) / spread).T
+        v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
+        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                stiffness,
+                k=k,
+                M=mass,
+                sigma=sigma,
+                which="LM",
+                v0=v0,
+                ncv=min(nv, max(2 * k + 2, 10)),
+                maxiter=2000,
+                tol=_EIGSH_TOL,
+                OPinv=scipy.sparse.linalg.LinearOperator((nv, nv), matvec=solve, dtype=float),
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
+        # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
+        k_norm, m_norm = (
+            np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass)
+        )
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 
@@ -298,10 +322,6 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     # constants lie exactly in K's kernel (stiffness rows sum to zero), so
     # lam0 is round-off: report 0.0, and check the pair for that value
     vals[0] = 0.0
-    # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
-    k_norm, m_norm = (
-        np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass)
-    )
     residuals = np.abs(stiffness @ vecs - (mass @ vecs) * vals).sum(axis=0) / (
         (k_norm + np.abs(vals) * m_norm) * np.abs(vecs).sum(axis=0)
     )

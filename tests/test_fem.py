@@ -98,24 +98,65 @@ def test_square_convergence_is_monotone():
     assert all(value > math.pi**2 for value in mu)  # conforming upper bounds
 
 
+# (name, boundary points, refinement): the bowtie ladder and unit_disc/12 at
+# r = 0..4 span 7..1,633 unknowns; the rest bracket _DENSE_MAX_DOF, with
+# the verify workload's r2 rungs of 121 and 141 unknowns
+_SOLVER_MESHES = [
+    *(("bowtie", None, r) for r in range(5)),
+    *(("unit_disc", 12, r) for r in range(5)),
+    ("unit_disc", 14, 2),
+    ("unit_disc", 42, 1),
+    ("unit_disc", 43, 1),
+    ("unit_disc", fem._DENSE_MAX_DOF - 1, 0),
+    ("unit_disc", fem._DENSE_MAX_DOF, 0),
+]
+
+
+def _solver_mesh(name, samples, refinement):
+    return fem.triangulate(geometry.named_domain(name), refinement=refinement, samples=samples)
+
+
 def test_dense_and_sparse_solvers_agree():
-    # dense generalized eigh as the oracle for the shift-invert solver,
-    # over 7..1633 unknowns
-    for name, samples in (("bowtie", None), ("unit_disc", 12)):
-        for refinement in range(5):
-            mesh = fem.triangulate(
-                geometry.named_domain(name), refinement=refinement, samples=samples
-            )
-            stiffness, mass = fem.assemble(mesh)
-            dense = scipy.linalg.eigh(
-                stiffness.toarray(), mass.toarray(), subset_by_index=[0, 3], eigvals_only=True
-            )
-            sparse = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
-            assert np.allclose(dense, sparse, rtol=1e-8, atol=1e-9)
+    # generalized eigh as the oracle for both routes, on either side of
+    # the dense threshold
+    dofs = set()
+    for case in _SOLVER_MESHES:
+        mesh = _solver_mesh(*case)
+        dofs.add(mesh.dof_count)
+        stiffness, mass = fem.assemble(mesh)
+        dense = scipy.linalg.eigh(
+            stiffness.toarray(), mass.toarray(), subset_by_index=[0, 3], eigvals_only=True
+        )
+        sparse = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
+        assert np.allclose(dense, sparse, rtol=1e-8, atol=1e-9), case
+    assert {121, 141, fem._DENSE_MAX_DOF, fem._DENSE_MAX_DOF + 1} <= dofs
+    assert 121 <= fem._DENSE_MAX_DOF < 141
 
 
-# near-coincident vertex angles give slivers that cost a dense solve its
-# constant mode (lambda_0 ~ 1.5e-7 at 325 unknowns)
+def _both_routes(mesh, monkeypatch, k=4):
+    """neumann_eigenvalues with every mesh on the dense route, then on the sparse one."""
+    results = []
+    for threshold in (fem._MAX_DOF, 0):
+        monkeypatch.setattr(fem, "_DENSE_MAX_DOF", threshold)
+        results.append(fem.neumann_eigenvalues(mesh, k=k))
+    return results
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in _SOLVER_MESHES if c[2] <= 3], ids=lambda c: f"{c[0]}/{c[1]}/r{c[2]}"
+)
+def test_forced_routes_agree(case, monkeypatch):
+    # each route on the same meshes (7..433 unknowns) by moving the threshold
+    dense, sparse = _both_routes(_solver_mesh(*case), monkeypatch)
+    assert dense.solves == 0 < sparse.solves
+    assert dense.eigenvalues[0] == sparse.eigenvalues[0] == 0.0
+    assert np.allclose(dense.eigenvalues[1:], sparse.eigenvalues[1:], rtol=1e-12, atol=0.0)
+    assert max(dense.residuals) <= 1e-12
+
+
+# near-coincident vertex angles give slivers that cost an unshifted dense
+# solve its constant mode (lambda_0 ~ 1.5e-7 at 325 unknowns); both routes
+# solve about a negative shift and keep it
 _THIN_FAN = {
     "kind": "polygon",
     "vertices": [
@@ -139,6 +180,17 @@ def test_thin_fan_keeps_the_constant_mode():
     lam0, lam1 = fem.neumann_eigenvalues(mesh, k=4).eigenvalues[:2]
     assert abs(lam0) <= 1e-8 * lam1
     assert lam1 == pytest.approx(8.981154423, rel=1e-8)
+
+
+@pytest.mark.parametrize("refinement, dof", [(0, 10), (1, 28), (2, 91)])
+def test_thin_fan_keeps_the_constant_mode_on_the_dense_route(refinement, dof, monkeypatch):
+    # the solve raises NumericalError unless |lambda_0| < 1e-8 lambda_1
+    mesh = fem.triangulate(geometry.load_domain_spec(_THIN_FAN), refinement=refinement)
+    assert mesh.dof_count == dof <= fem._DENSE_MAX_DOF
+    dense = fem.neumann_eigenvalues(mesh, k=4)
+    assert dense.solves == 0 and dense.eigenvalues[0] == 0.0
+    sparse = _both_routes(mesh, monkeypatch)[1]
+    assert dense.eigenvalues[1] == pytest.approx(sparse.eigenvalues[1], rel=1e-12, abs=0.0)
 
 
 def test_boundary_vertices_are_tracked():
@@ -290,9 +342,18 @@ def test_solve_count_stays_within_budget(name, refinement, samples, budget):
 
 
 def test_solve_count_is_bounded_by_the_iteration_cap():
+    mesh = _square(refinement=3)
+    assert mesh.dof_count > fem._DENSE_MAX_DOF  # the sparse route
     for k in (2, 6, 10):
-        solves = fem.neumann_eigenvalues(_square(refinement=2), k=k).solves
+        solves = fem.neumann_eigenvalues(mesh, k=k).solves
         assert 0 < solves <= 2000 * (2 * k + 2)  # maxiter * ncv
+
+
+def test_the_dense_route_makes_no_solves():
+    mesh = _square(refinement=2)
+    assert mesh.dof_count <= fem._DENSE_MAX_DOF
+    for k in (2, 6, 10):
+        assert fem.neumann_eigenvalues(mesh, k=k).solves == 0
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
@@ -377,6 +438,16 @@ def test_eigenpairs_carry_small_backward_errors():
         assert all(0.0 <= r <= 1e-12 for r in result.residuals), result.residuals
 
 
+def _fem_cli_exits_2(refinement, message):
+    argv = ["fem", "--domain", "bowtie", "--refinement", str(refinement)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(argv) == 2
+    assert message in err.getvalue()
+
+
+# the sparse route's faults on meshes above _DENSE_MAX_DOF: the unit square
+# at r3 has 145 unknowns and the bowtie at r3 217; the dense route's twins
+# below use the square at r2 (41) and the bowtie at r2 (61)
 def test_a_large_backward_error_is_a_numerical_error(monkeypatch):
     # eigenvectors spoiled after ARPACK returns must fail the residual check
     import scipy.sparse.linalg
@@ -389,10 +460,8 @@ def test_a_large_backward_error_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spoiled)
     with pytest.raises(NumericalError, match="backward error"):
-        fem.neumann_eigenvalues(_square(refinement=2), k=4)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        assert cli.main(["fem", "--domain", "bowtie", "--refinement", "2"]) == 2
-    assert "backward error" in err.getvalue()
+        fem.neumann_eigenvalues(_square(refinement=3), k=4)
+    _fem_cli_exits_2(3, "backward error")
 
 
 def test_a_missing_constant_mode_is_a_numerical_error(monkeypatch):
@@ -409,10 +478,45 @@ def test_a_missing_constant_mode_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", without_constant)
     with pytest.raises(NumericalError, match="constant mode"):
+        fem.neumann_eigenvalues(_square(refinement=3), k=4)
+    _fem_cli_exits_2(3, "constant mode")
+
+
+def test_a_large_backward_error_on_the_dense_route_is_a_numerical_error(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def spoiled(a):
+        theta, y = eigh(a)
+        return theta, y + 1e-3 * np.random.default_rng(1).standard_normal(y.shape)
+
+    monkeypatch.setattr(np.linalg, "eigh", spoiled)
+    with pytest.raises(NumericalError, match="backward error"):
         fem.neumann_eigenvalues(_square(refinement=2), k=4)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        assert cli.main(["fem", "--domain", "bowtie", "--refinement", "2"]) == 2
-    assert "constant mode" in err.getvalue()
+    _fem_cli_exits_2(2, "backward error")
+
+
+def test_a_missing_constant_mode_on_the_dense_route_is_a_numerical_error(monkeypatch):
+    # theta = 1 / (lambda - sigma) is largest for the constant mode
+    eigh = np.linalg.eigh
+
+    def without_constant(a):
+        theta, y = eigh(a)
+        return theta[:-1], y[:, :-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", without_constant)
+    with pytest.raises(NumericalError, match="constant mode"):
+        fem.neumann_eigenvalues(_square(refinement=2), k=4)
+    _fem_cli_exits_2(2, "constant mode")
+
+
+def test_a_failed_cholesky_factorization_is_a_numerical_error(monkeypatch):
+    def not_positive_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        fem.neumann_eigenvalues(_square(refinement=2), k=4)
+    _fem_cli_exits_2(2, "not positive definite")
 
 
 def test_degenerate_triangle_is_named():

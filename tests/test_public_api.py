@@ -160,6 +160,11 @@ def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
         (("pzero", "--n", "5"), "scipy.special", False),
         *((argv, "scipy.special", False) for argv in _MATH_ONLY),
         (("verify", "--domain", "bowtie", "--refinement", "1"), "scipy.special", False),
+        # meshes up to fem._DENSE_MAX_DOF unknowns are solved in NumPy alone:
+        # the bowtie at r2 has 61, unit_disc at r0 97 and at r2 961
+        (("verify", "--domain", "bowtie", "--refinement", "2"), "scipy", False),
+        (("fem", "--domain", "unit_disc", "--refinement", "0"), "scipy", False),
+        (("verify", "--domain", "unit_disc", "--refinement", "2"), "scipy.sparse", True),
         # off the table p_zero falls back to the scan over scipy.special.jv
         (("pzero", "--n", "9"), "scipy.special", True),
         (("pzero", "--n", "5", "--tol", "1e-6"), "scipy.special", True),
@@ -202,8 +207,10 @@ def test_every_attribute_the_benchmark_tracer_patches_exists():
 
 
 def test_neumann_eigenvalues_assembles_through_the_module_attribute(monkeypatch):
-    # the tracer's fem.assemble layer wraps this attribute; assembly reached
-    # any other way (a private helper, a second pass) would read 0 ms there
+    # the tracer's fem.assemble layer wraps this attribute; sparse assembly
+    # reached any other way (a private helper, a second pass) would read
+    # 0 ms there.  Meshes up to fem._DENSE_MAX_DOF unknowns are solved
+    # densely and assemble no CSR matrices, so these meshes are larger
     calls = []
     assemble = fem.assemble
 
@@ -212,7 +219,8 @@ def test_neumann_eigenvalues_assembles_through_the_module_attribute(monkeypatch)
         return assemble(mesh)
 
     monkeypatch.setattr(fem, "assemble", counting)
-    mesh = fem.triangulate(neubound.named_domain("bowtie"), refinement=2)
+    mesh = fem.triangulate(neubound.named_domain("bowtie"), refinement=3)
+    assert mesh.dof_count > fem._DENSE_MAX_DOF
     for k in (2, 4):
         fem.neumann_eigenvalues(mesh, k=k)
     assert calls == [mesh, mesh]
