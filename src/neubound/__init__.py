@@ -20,8 +20,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "bounds": "BoundReport LowerBound ball_mu1 best_bound_report extension_ball_bound"
-        " improvement_condition payne_weinberger_bound quasidisc_bound"
-        " star_shaped_bound symmetric_domain_bound",
+        " improvement_condition payne_weinberger_bound star_shaped_bound symmetric_domain_bound",
         "errors": "NumericalError",
         "extension_norms": "ExtensionNormEstimate StarShapeData half_ball_reflection_norm_sq"
         " mikhlin_ball_norm_sq mikhlin_star_norm_sq_bound quasidisc_norm_sq",
@@ -34,8 +33,7 @@ _EXPORTS = {
     }.items()
     for name in names.split()
 }
-# star_shaped_bound resolves (the README calls it) but is not in __all__
-__all__ = sorted(_EXPORTS.keys() - {"star_shaped_bound"})
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

@@ -12,29 +12,30 @@ use ||E||^2 <= (1+K)^2, beta-star-shaped plane domains use the explicit
 K(beta), and the classical pi^2/d^2 bound for convex domains serves as the
 benchmark the extension route tries to beat.
 
-best_bound_report assembles every bound a domain's declared metadata
-supports, marks which ones are actual claims for this domain versus
-reference values, and picks the best claim.
+best_bound_report lists each formula once whenever the declared metadata
+supports it, marks which entries are claims for this domain and which are
+reference values, and picks the largest claim, ties going to the first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import qcmaps
 from .errors import check_real
 from .extension_norms import quasidisc_norm_sq
 from .special import p_zero
 
-_DEDUPE_TOL = 1e-12
+if TYPE_CHECKING:  # geometry loads NumPy, which half_ball's bound formulas never need
+    from . import geometry
 
 
 def ball_mu1(n: int, radius: float) -> float:
     """First nontrivial Neumann eigenvalue of a ball of given radius in R^n."""
     radius = check_real("radius", radius, 0, strict=True)
-    p = p_zero(n)
-    return (p / radius) ** 2
+    return (p_zero(n) / radius) ** 2
 
 
 def extension_ball_bound(norm_sq: float, radius: float, n: int) -> float:
@@ -47,14 +48,7 @@ def symmetric_domain_bound(norm_sq: float, diam: float, n: int) -> float:
     """The d/2 variant for centrally symmetric domains: (p/d)^2 (2/||E||)^2."""
     norm_sq = check_real("norm_sq", norm_sq, 1)
     diam = check_real("diameter", diam, 0, strict=True)
-    p = p_zero(n)
-    return (p / diam) ** 2 * (4.0 / norm_sq)
-
-
-def quasidisc_bound(k: float, radius: float) -> float:
-    """Planar K-quasidisc inside a disc of radius R: mu_1 >= (p_1/R)^2 / (1+K)^2."""
-    est = quasidisc_norm_sq(k)
-    return extension_ball_bound(est.value_sq, radius, 2)
+    return (p_zero(n) / diam) ** 2 * (4.0 / norm_sq)
 
 
 def star_shaped_bound(beta: float, diam: float) -> float:
@@ -62,8 +56,7 @@ def star_shaped_bound(beta: float, diam: float) -> float:
     diam = check_real("diameter", diam, 0, strict=True)
     beta = check_real("beta", beta, 0, 1)
     s = math.sin(0.25 * math.pi * (1.0 - beta))
-    p = p_zero(2)
-    return 4.0 * s**4 * (p / diam) ** 2
+    return 4.0 * s**4 * (p_zero(2) / diam) ** 2
 
 
 def payne_weinberger_bound(diam: float) -> float:
@@ -130,12 +123,6 @@ class BoundReport:
         }
 
 
-def _is_duplicate(value: float, entries: list[LowerBound]) -> bool:
-    return any(
-        abs(entry.value - value) <= _DEDUPE_TOL * max(1.0, abs(entry.value)) for entry in entries
-    )
-
-
 def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     """Assemble all metadata-supported lower bounds for a domain spec.
 
@@ -169,27 +156,25 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
 
     if norm_sq is not None:
         value = extension_ball_bound(norm_sq, ball.radius, n)
-        if not _is_duplicate(value, entries):
-            inputs = {"n": n, "R": ball.radius, "norm_sq": norm_sq}
-            if norm_formula == "quasidisc":
-                inputs["K"] = math.sqrt(norm_sq) - 1.0
-            entries.append(LowerBound(value, norm_formula, inputs))
+        inputs = {"n": n, "R": ball.radius, "norm_sq": norm_sq}
+        if norm_formula == "quasidisc":
+            inputs["K"] = math.sqrt(norm_sq) - 1.0
+        entries.append(LowerBound(value, norm_formula, inputs))
 
+        declared = spec.symmetry_center is not None
+        note = ""
+        if not declared:
+            note = (
+                "central symmetry not declared; d/2 convention shown "
+                "for comparison with published figures"
+            )
+            notes.append(
+                "symmetric-form bound uses d/2 in place of the enclosing radius; "
+                "it competes for best only when a symmetry center is declared"
+            )
         sym_value = symmetric_domain_bound(norm_sq, d, n)
-        if not _is_duplicate(sym_value, entries):
-            declared = spec.symmetry_center is not None
-            note = ""
-            if not declared:
-                note = (
-                    "central symmetry not declared; d/2 convention shown "
-                    "for comparison with published figures"
-                )
-                notes.append(
-                    "symmetric-form bound uses d/2 in place of the enclosing radius; "
-                    "it competes for best only when a symmetry center is declared"
-                )
-            inputs = {"n": n, "d": d, "norm_sq": norm_sq}
-            entries.append(LowerBound(sym_value, "symmetric_extension", inputs, declared, note))
+        inputs = {"n": n, "d": d, "norm_sq": norm_sq}
+        entries.append(LowerBound(sym_value, "symmetric_extension", inputs, declared, note))
 
     convex = bool(spec.convex)
     pw_note = "" if convex else "convexity not verified; reference only"
@@ -199,7 +184,7 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     entries.append(LowerBound(pw, "payne_weinberger", {"n": n, "d": d}, convex, pw_note))
 
     claims = [e for e in entries if e.applicable]
-    best = max(claims or entries, key=lambda e: e.value)
+    best = max(claims or entries, key=lambda e: e.value)  # the first of equal values
     if not claims:
         notes.append("no bound is certified for this domain; best shown is reference only")
 

@@ -30,6 +30,9 @@ the tests that check p_zero's equation and J's own identities; the package
 itself calls jv only inside p_zero's scan.  quasi_monotonicity_upper is
 extension_ball_bound's inequality read the other way round, an upper bound
 the acceptance tests check the finite-element eigenvalues against.
+quasidisc_bound is extension_ball_bound with the quasidisc norm (1+K)^2 in
+the plane, the value best_bound_report lists as "quasidisc", for the tests
+that check it against the star-shape formula and the bowtie's figures.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from neubound import fem, geometry
+from neubound import bounds, fem, geometry
 from neubound.errors import NumericalError, check_real
+from neubound.extension_norms import quasidisc_norm_sq
 
 
 def brute_force_mecb(points) -> tuple[np.ndarray, float]:
@@ -316,3 +320,8 @@ def quasi_monotonicity_upper(mu1_inner: float, norm_sq: float) -> float:
     mu_1 by at most the energy factor of the extension.
     """
     return check_real("mu1_inner", mu1_inner, 0) * check_real("norm_sq", norm_sq, 1)
+
+
+def quasidisc_bound(k: float, radius: float) -> float:
+    """Planar K-quasidisc inside a disc of radius R: mu_1 >= (p_1/R)^2 / (1+K)^2."""
+    return bounds.extension_ball_bound(quasidisc_norm_sq(k).value_sq, radius, 2)

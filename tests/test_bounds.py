@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neubound import bounds, geometry, qcmaps
 from neubound.special import p_zero
-from oracles import quasi_monotonicity_upper
+from oracles import quasi_monotonicity_upper, quasidisc_bound
 
 
 def test_ball_eigenvalue():
@@ -46,7 +48,7 @@ def test_star_bound_is_quasidisc_bound_at_half_diameter():
         beta = float(rng.uniform(0.0, 0.99))
         diam = float(rng.uniform(0.1, 20.0))
         lhs = bounds.star_shaped_bound(beta, diam)
-        rhs = bounds.quasidisc_bound(qcmaps.star_shaped_K(beta), 0.5 * diam)
+        rhs = quasidisc_bound(qcmaps.star_shaped_K(beta), 0.5 * diam)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -76,7 +78,7 @@ def test_scalar_validation():
     with pytest.raises(ValueError):
         bounds.extension_ball_bound(2.0, 1.0, 1)
     with pytest.raises(ValueError):
-        bounds.quasidisc_bound(0.5, 1.0)
+        quasidisc_bound(0.5, 1.0)
     with pytest.raises(ValueError):
         bounds.star_shaped_bound(1.0, 2.0)
     with pytest.raises(ValueError):
@@ -141,6 +143,52 @@ def test_tan_disc_report():
     # with the analytically known diameter 2 tan(1)
     want = 4.0 * math.sin(math.pi / 8.0) ** 4 * (p_zero(2) / (2.0 * math.tan(1.0))) ** 2
     assert best.value == pytest.approx(want, rel=1e-3)
+
+
+# each sampler preset's formulas in report order, and its best formula by
+# dimension: half_disc's reflection norm 2 beats pi^2/d^2 from n = 4 on
+_SAMPLER_REPORTS = {
+    "unit_disc": (("quasidisc", "symmetric_extension", "payne_weinberger"), {2: "payne_weinberger"}),
+    "tan_disc": (
+        ("star_shaped", "quasidisc", "symmetric_extension", "payne_weinberger"),
+        {2: "star_shaped"},
+    ),
+    "half_disc": (
+        ("extension_ball", "symmetric_extension", "payne_weinberger"),
+        {n: "payne_weinberger" if n < 4 else "extension_ball" for n in range(2, 9)},
+    ),
+}
+
+
+_SAMPLER_DIMS = st.sampled_from(sorted(_SAMPLER_REPORTS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(sorted(_SAMPLER_REPORTS[name][1])))
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(name_dim=_SAMPLER_DIMS, samples=st.integers(3, 4096))
+# the preset counts: even, so a sample pair spans a diameter and two entries
+# can be equal in value
+@example(name_dim=("unit_disc", 2), samples=256)
+@example(name_dim=("tan_disc", 2), samples=4096)
+@example(name_dim=("half_disc", 2), samples=256)
+def test_listed_formulas_do_not_depend_on_the_sample_count(name_dim, samples):
+    name, dim = name_dim
+    formulas, best_by_dim = _SAMPLER_REPORTS[name]
+    report = bounds.best_bound_report(geometry.named_domain(name, samples=samples, dim=dim))
+    assert tuple(b.formula for b in report.bounds) == formulas
+    assert report.best.formula == best_by_dim[dim]
+
+
+def test_ties_for_best_go_to_the_first_entry_listed():
+    # at an even count the unit disc's d is 2R, so the symmetric form
+    # equals the quasidisc entry; both stay listed and the first one wins
+    spec = geometry.load_domain_spec({"kind": "named", "name": "unit_disc", "convex": False})
+    report = bounds.best_bound_report(spec)
+    quasidisc, symmetric = report.bounds[:2]
+    assert (quasidisc.formula, symmetric.formula) == ("quasidisc", "symmetric_extension")
+    assert quasidisc.value == symmetric.value and symmetric.applicable
+    assert report.best is quasidisc
 
 
 def test_report_with_explicit_dimension():

@@ -70,6 +70,9 @@ def _cases() -> dict[str, list[str]]:
         "verify-bowtie-samples1000-r2": ["verify", "--domain", "bowtie", "--samples", "1000", "--refinement", "2"],
         "bound-square-samples64": ["bound", "--domain", json.dumps(_SQUARE), "--samples", "64"],
         "bound-unit_disc-samples512": ["bound", "--domain", "unit_disc", "--samples", "512"],
+        # an odd count puts no sample pair across a diameter; the same formulas are listed
+        "bound-unit_disc-samples511": ["bound", "--domain", "unit_disc", "--samples", "511"],
+        "bound-tan_disc-samples4095": ["bound", "--domain", "tan_disc", "--samples", "4095"],
         "bound-half_disc-samples300-n4": ["bound", "--domain", "half_disc", "--samples", "300", "--n", "4"],
         "mecb-tan_disc-samples1024": ["mecb", "--domain", "tan_disc", "--samples", "1024"],
         "verify-unit_disc-samples48-r2": ["verify", "--domain", "unit_disc", "--samples", "48", "--refinement", "2"],

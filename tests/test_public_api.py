@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -50,11 +53,11 @@ _PUBLIC_NAMES = [
     "payne_weinberger_bound",
     "piecewise_qc_coefficient",
     "preset_names",
-    "quasidisc_bound",
     "quasidisc_norm_sq",
     "reproduce",
     "spiral_shaped_K",
     "star_shaped_K",
+    "star_shaped_bound",
     "symmetric_domain_bound",
     "triangulate",
     "verify_bound",
@@ -74,11 +77,47 @@ def test_lazy_names_resolve_list_and_star_import():
     exec("from neubound import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(_PUBLIC_NAMES)
     assert namespace["p_zero"] is neubound.special.p_zero
-    # outside __all__ but used by the README, as before the lazy surface
-    assert neubound.star_shaped_bound is neubound.bounds.star_shaped_bound
     assert neubound.reproduce is importlib.import_module("neubound.reproduce")
     with pytest.raises(AttributeError):
         neubound.no_such_name
+
+
+def _type_checking_namespace(module) -> dict:
+    """The module's globals plus the names its `if TYPE_CHECKING:` block imports."""
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
+    return namespace
+
+
+def _annotated_members(obj) -> list:
+    """obj itself, and for a class every function defined on it."""
+    if not inspect.isclass(obj):
+        return [obj]
+    members = [obj]
+    for member in vars(obj).values():
+        # property, functools.cached_property, staticmethod and classmethod
+        for attribute in ("fget", "func", "__func__"):
+            member = getattr(member, attribute, member)
+        if inspect.isfunction(member):
+            members.append(member)
+    return members
+
+
+def test_exported_annotations_resolve():
+    # each annotation must name something a type checker can find: the
+    # defining module's globals, or what it imports under TYPE_CHECKING
+    checked = 0
+    for name in neubound.__all__:
+        obj = getattr(neubound, name)
+        if inspect.ismodule(obj):
+            continue
+        namespace = _type_checking_namespace(sys.modules[obj.__module__])
+        for member in _annotated_members(obj):
+            typing.get_type_hints(member, globalns=namespace)
+            checked += 1
+    assert checked > len(neubound.__all__)
 
 
 def test_readme_schema_lists_every_spec_key():
