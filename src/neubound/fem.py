@@ -4,7 +4,9 @@ Meshing is deliberately simple: fan out from an anchor the domain is
 star-shaped about, then refine uniformly, projecting each new boundary
 vertex onto the exact boundary curve via the parameterization carried by
 the boundary loop.  Refinement is array code: one np.unique over the edge
-keys of a level finds its edge midpoints, numbered by first use.
+keys of a level finds its edge midpoints, numbered by first use; each fan
+pattern (boundary count m, refinement r) keeps its levels, triangles and
+fill-reducing order in a memo that changes no result, only its cost.
 Conforming P1 elements over-approximate the Neumann eigenvalues of the
 mesh polygon.  For a polygon domain that is the domain, so a mesh mu_1 below
 a claimed lower bound is a rigorous violation; for a sampler domain it is a
@@ -39,8 +41,12 @@ _MAX_EIGS = 10
 # a third more solves for digits no check or output uses.
 _EIGSH_TOL = 1e-10
 _DENSE_MAX_DOF = 128  # the measured in-process crossover: splu + eigsh is faster above it
-_MIN_TRIANGLE_DOUBLE_AREA = 2e-14
+_MIN_TRIANGLE_DOUBLE_AREA = 2e-14  # relative to the area of the mesh's bounding box
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
+_PATTERN_CAP = 64  # fan patterns memoized, the oldest dropped first; a verify block meshes 42
+# (m, refinement) -> _FanPattern, oldest first; used only through single dict
+# calls (get, pop, list), each atomic, so that threads may share it
+_PATTERNS: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +93,12 @@ def _check_dof(nv: int) -> int:
     return nv
 
 
+def _degenerate(vertices: np.ndarray, double_areas: np.ndarray) -> np.ndarray:
+    """Triangles of double area at most _MIN_TRIANGLE_DOUBLE_AREA times the bounding box's area."""
+    width, height = np.ptp(vertices, axis=0)
+    return np.flatnonzero(double_areas <= _MIN_TRIANGLE_DOUBLE_AREA * width * height)
+
+
 def triangulate(
     spec: geometry.DomainSpec,
     refinement: int = 0,
@@ -108,6 +120,9 @@ def triangulate(
     A refinement above 8, or a mesh with more unknowns than
     neumann_eigenvalues supports, is rejected before any refining: a fan of
     m triangles refined r times has 1 + m 2^(r-1) (2^r + 1) vertices.
+    Each pattern (m, r) is memoized (see _fan_pattern), so a hit only places
+    coordinates; the mesh's arrays are read-only.  Degeneracy is relative to
+    the bounding box's area, so the domain's scale does not decide it.
     """
     if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
         raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
@@ -120,76 +135,82 @@ def triangulate(
     anchor = spec.anchor
     if anchor is None:
         anchor = points.mean(axis=0) if spec.kind == "polygon" else np.zeros(2)
-
-    vertices = np.vstack([anchor[None, :], points])
-    fan = np.arange(1, m + 1, dtype=np.int64)
-    triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
-    boundary = np.zeros(len(vertices), dtype=bool)
-    boundary[1:] = True
-    s_param = np.concatenate([[np.nan], params])  # curve parameter, NaN inside
-
-    double_areas = _signed_double_areas(vertices, triangles)
-    bad = np.nonzero(double_areas <= _MIN_TRIANGLE_DOUBLE_AREA)[0]
+    u, w = points - anchor, np.roll(points, -1, axis=0) - anchor  # fan triangle i: anchor, i, i + 1
+    bad = _degenerate(np.vstack([anchor, points]), u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
     if len(bad):
-        i = int(bad[0])
         raise NumericalError(
-            f"fan triangle at boundary index {i} is inverted or degenerate: "
+            f"fan triangle at boundary index {int(bad[0])} is inverted or degenerate: "
             f"the domain is not star-shaped about anchor {anchor.tolist()}"
         )
 
-    for _ in range(refinement):
-        vertices, triangles, boundary, s_param = _refine_once(
-            vertices, triangles, boundary, s_param, curve
-        )
+    pattern, nv = _fan_pattern(m, refinement), m + 1
+    vertices = np.concatenate([[anchor], points, np.empty((len(pattern.boundary) - nv, 2))])
+    s_param = np.concatenate([[np.nan], params, np.empty(len(vertices) - nv)])  # read on arcs only
+    for a, b, arc in pattern.levels:
+        vertices[nv : nv + len(a)] = 0.5 * (vertices[a] + vertices[b])
+        # children keep their parent's edge directions, so every arc runs from a to b
+        # as the loop does, and its parameter grows by (s_b - s_a) mod 1, across the seam too
+        s_a, s_b = s_param[a[arc]], s_param[b[arc]]
+        s_mid = (s_a + 0.5 * ((s_b - s_a) % 1.0)) % 1.0
+        vertices[nv + arc] = curve(s_mid)
+        s_param[nv + arc] = s_mid
+        nv += len(a)
+    vertices.flags.writeable = False
 
-    double_areas = _signed_double_areas(vertices, triangles)
-    bad = np.nonzero(double_areas <= _MIN_TRIANGLE_DOUBLE_AREA)[0]
+    bad = _degenerate(vertices, _signed_double_areas(vertices, pattern.triangles))
     if len(bad):
         raise NumericalError(
             f"triangle {int(bad[0])} degenerated during refinement "
             "(boundary resolution too coarse for this curve)"
         )
-    return Mesh(vertices=vertices, triangles=triangles, boundary=boundary)
+    return Mesh(vertices=vertices, triangles=pattern.triangles, boundary=pattern.boundary)
 
 
-def _refine_once(vertices, triangles, boundary, s_param, curve):
-    nv = len(vertices)
-    # each triangle's edges 01, 12, 20, triangle by triangle
+@dataclass(eq=False)
+class _FanPattern:
+    """The connectivity of a fan of m boundary points refined r times."""
+    levels: tuple  # per level (a, b, arc): int32 edge endpoints as first used, the arcs among them
+    triangles: np.ndarray  # read-only, shared by every mesh of the pattern
+    boundary: np.ndarray  # read-only, likewise
+    order: tuple | None = None  # the sparse route's fill order and its inverse, set on first use
+
+
+def _edges(triangles: np.ndarray, nv: int):
+    """Edges numbered by first use (triangle by triangle; 01, 12, 20): the endpoints a, b
+    as first run, and each triangle's three edge numbers, (nt, 3)."""
     starts = triangles.ravel()
     ends = triangles[:, [1, 2, 0]].ravel()
     keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # number the midpoints in the order the triangles first use their
-    # edges, not in key order (the numbering triangulate documents)
     by_use = np.argsort(first, kind="stable")
-    rank = np.empty_like(by_use)
-    rank[by_use] = np.arange(len(by_use))
-    mid = (nv + rank[inverse]).reshape(-1, 3)
-    a, b = starts[first[by_use]], ends[first[by_use]]  # edges as first used
+    rank = np.argsort(by_use)  # the inverse permutation: each edge's place in the order of use
+    return starts[first[by_use]], ends[first[by_use]], rank[inverse].reshape(-1, 3)
 
-    points = 0.5 * (vertices[a] + vertices[b])
-    # an edge between boundary vertices is a boundary arc by fan
-    # construction; track the exact curve.  Children keep their parent's
-    # edge directions, so every arc runs from a to b the way the loop does,
-    # and its parameter grows by (s_b - s_a) mod 1, across the seam too.
-    arc = boundary[a] & boundary[b]
-    s_a, s_b = s_param[a[arc]], s_param[b[arc]]
-    s_mid = (s_a + 0.5 * ((s_b - s_a) % 1.0)) % 1.0
-    points[arc] = curve(s_mid)
-    new_s = np.full(len(points), np.nan)
-    new_s[arc] = s_mid
 
-    v0, v1, v2 = triangles.T
-    m01, m12, m20 = mid.T
-    children = np.stack(
-        [v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], axis=1
-    ).reshape(-1, 3)
-    return (
-        np.vstack([vertices, points]),
-        children,
-        np.concatenate([boundary, arc]),
-        np.concatenate([s_param, new_s]),
-    )
+def _fan_pattern(m: int, refinement: int) -> _FanPattern:
+    """The memoized pattern (m, refinement); a miss builds it on (m, refinement - 1)'s levels."""
+    if (pattern := _PATTERNS.get((m, refinement))) is not None:
+        return pattern
+    if refinement == 0:
+        fan = np.arange(1, m + 1, dtype=np.int64)
+        triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
+        levels, boundary = (), np.arange(m + 1) > 0
+    else:
+        coarse = _fan_pattern(m, refinement - 1)
+        nv = len(coarse.boundary)
+        a, b, edges = _edges(coarse.triangles, nv)
+        # an edge between boundary vertices is a boundary arc by fan construction
+        arc = coarse.boundary[a] & coarse.boundary[b]
+        (v0, v1, v2), (m01, m12, m20) = coarse.triangles.T, (nv + edges).T
+        triangles = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], 1).reshape(-1, 3)
+        level = (a.astype(np.int32), b.astype(np.int32), np.flatnonzero(arc).astype(np.int32))
+        levels, boundary = coarse.levels + (level,), np.concatenate([coarse.boundary, arc])
+    for array in (triangles, boundary):
+        array.flags.writeable = False
+    pattern = _PATTERNS[(m, refinement)] = _FanPattern(levels, triangles, boundary)
+    while len(_PATTERNS) > _PATTERN_CAP:
+        _PATTERNS.pop(list(_PATTERNS)[0], None)
+    return pattern
 
 
 def _local_blocks(mesh: Mesh):
@@ -201,7 +222,7 @@ def _local_blocks(mesh: Mesh):
     b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]  # b_i = y_j - y_k
     c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]  # c_i = x_k - x_j
     double_area = c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1]  # (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0)
-    bad = np.nonzero(double_area <= _MIN_TRIANGLE_DOUBLE_AREA)[0]
+    bad = _degenerate(v, double_area)
     if len(bad):
         raise NumericalError(f"triangle {int(bad[0])} has non-positive area")
 
@@ -243,8 +264,12 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     Cholesky, eigh of L^-1 M L^-T, and from its k largest theta
     lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos: A,
     symmetric bit for bit on the pattern K and M share (so its CSR arrays
-    are its CSC arrays), is factored once with splu and its solves are
-    eigsh's OPinv; ncv = 2k + 2 (at least 10, at most the DOF count).  The
+    are its CSC arrays), is permuted symmetrically to COLAMD's order, which
+    depends on the pattern alone, and factored once with splu in it; its
+    solves, permuted back, are eigsh's OPinv.  triangulate's memo keeps the
+    order, and a miss (about +0.7 ms at 1,225 unknowns) computes it first,
+    so both factor alike.  eigsh sees M times a power of four near
+    spread^-2; ncv = 2k + 2 (at least 10, at most the DOF count).  The
     fixed start, a smooth quadratic in the centred and scaled vertex
     coordinates plus 0.2 times a seeded normal draw (a component along
     every eigenvector), makes the result deterministic.  eigsh stops at
@@ -282,13 +307,22 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         shifted = scipy.sparse.csc_matrix(
             (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv)
         )
-        lu = scipy.sparse.linalg.splu(shifted)
+        found = (p for p in list(_PATTERNS.values()) if p.triangles is mesh.triangles)
+        pattern = next(found, _FanPattern((), None, None))  # a throwaway one if not from triangulate
+        if pattern.order is None:  # COLAMD's, postordered as by splu; spilu keeping no fill costs less
+            position = scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0).perm_c.copy()
+            pattern.order = np.argsort(position).astype(position.dtype), position
+        order, position = pattern.order  # new-to-old and old-to-new
+        lu = scipy.sparse.linalg.splu(shifted[order][:, order], permc_spec="NATURAL")
 
         def solve(b):
             nonlocal solves
             solves += 1
-            return lu.solve(b)
+            return lu.solve(b[order])[position]
 
+        # ARPACK's stopping test floors Ritz values 1 / (lam - sigma), ~spread^2, at eps^(2/3):
+        # M times a power of four near spread^-2 keeps them near 1 and scales lam exactly
+        unit = 4.0 ** -round(np.log2(spread))
         x, y = ((mesh.vertices - center) / spread).T
         v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
         v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)
@@ -296,8 +330,8 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             vals, vecs = scipy.sparse.linalg.eigsh(
                 stiffness,
                 k=k,
-                M=mass,
-                sigma=sigma,
+                M=mass * unit,
+                sigma=sigma / unit,
                 which="LM",
                 v0=v0,
                 ncv=min(nv, max(2 * k + 2, 10)),
@@ -307,6 +341,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
+        vals = vals * unit
         # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
         k_norm, m_norm = (
             np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass)

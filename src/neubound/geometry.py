@@ -100,9 +100,10 @@ class DomainSpec:
                 raise ValueError("vertices must be an (m, 2) array with m >= 3")
             if np.any(np.all(verts == np.roll(verts, -1, axis=0), axis=1)):
                 raise ValueError("polygon has a repeated consecutive vertex")
-            if abs(_shoelace(verts)) < 1e-14:
+            area, (width, height) = _shoelace(verts), np.ptp(verts, axis=0)
+            if abs(area) <= 1e-14 * width * height:  # relative to the bounding box, so scale-free
                 raise ValueError("polygon has zero area")
-            if _shoelace(verts) < 0.0:
+            if area < 0.0:
                 verts = verts[::-1].copy()  # normalize to counterclockwise
             if not _polygon_is_simple(verts):
                 raise ValueError("polygon boundary is self-intersecting")
@@ -284,13 +285,15 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     Points run counterclockwise at parameters ascending in [0, 1); curve maps
     an array of parameters to points, a scalar to one point.  m, in [3,
     _MAX_SAMPLES], defaults to spec.samples; a polygon without m gives its
-    vertices.  Every breakpoint (a vertex, a half-disc corner) is a sample,
-    bit for bit; the other max(m - breakpoints, 0) go to the pieces by D'Hondt
-    on their weights, evenly spaced in parameter within each piece.
+    vertices, and rejects an m below them.  Every breakpoint (a vertex, a
+    half-disc corner) is a sample, bit for bit; the other m - breakpoints go
+    to the pieces by D'Hondt on their weights, evenly spaced in parameter.
     """
     curve, breaks, corners, weights = _family(spec)
     m = spec.samples if m is None else _check_samples(m)
-    extra = max(m - len(breaks), 0) if m else 0
+    if m is not None and m < len(breaks):
+        raise ValueError(f"{m} boundary samples are fewer than the polygon's {len(breaks)} vertices")
+    extra = m - len(breaks) if m else 0
     if not extra:
         return corners.copy(), breaks.copy(), curve
     alloc = np.floor(weights / weights.sum() * extra).astype(int)

@@ -247,7 +247,8 @@ def two_pass_assemble(mesh):
     if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
         raise ValueError("mesh has no triangles")
     double_area = fem._signed_double_areas(v, t)
-    bad = np.nonzero(double_area <= fem._MIN_TRIANGLE_DOUBLE_AREA)[0]
+    width, height = v.max(axis=0) - v.min(axis=0)
+    bad = np.nonzero(double_area <= fem._MIN_TRIANGLE_DOUBLE_AREA * width * height)[0]
     if len(bad):
         raise NumericalError(f"triangle {int(bad[0])} has non-positive area")
 

@@ -412,7 +412,7 @@ def test_refinement_limits_predict_the_unknowns(name, monkeypatch):
     nv, nt = mesh.dof_count, len(mesh.triangles)
     assert message == f"mesh has {2 * nv + nt - 1} unknowns, above the supported {fem._MAX_DOF}"
     assert nv <= fem._MAX_DOF < 2 * nv + nt - 1
-    monkeypatch.setattr(fem, "_refine_once", lambda *a: pytest.fail("refined a rejected mesh"))
+    monkeypatch.setattr(fem, "_edges", lambda *a: pytest.fail("refined a rejected mesh"))
     with pytest.raises(ValueError) as exc:
         fem.verify_bound(spec, refinement=refinement)
     assert str(exc.value) == message
@@ -588,3 +588,106 @@ def test_a_verify_ladder_measures_its_spec_once(name, boundary, monkeypatch):
     for r, record in enumerate(records, 1):
         fresh = fem.verify_bound(geometry.named_domain(name), refinement=r, fem_samples=boundary)
         assert repr(record) == repr(fresh)
+
+
+@pytest.mark.parametrize("side", [10.0**e for e in range(-8, 9, 2)])
+def test_scaled_squares_have_the_unit_square_spectrum(side):
+    # the degeneracy checks are relative to the domain's bounding box, so
+    # a square of any side meshes and solves like the unit one
+    vertices = (side * np.array(_SQUARE_SPEC["vertices"])).tolist()
+    spec = geometry.load_domain_spec({"kind": "polygon", "vertices": vertices})
+    for refinement, dof in ((2, 41), (3, 145)):  # the dense route, then the sparse one
+        mesh = fem.triangulate(spec, refinement=refinement)
+        assert (mesh.dof_count, mesh.dof_count <= fem._DENSE_MAX_DOF) == (dof, refinement == 2)
+        got = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
+        want = fem.neumann_eigenvalues(_square(refinement), k=4).eigenvalues
+        assert got[0] == 0.0
+        assert np.allclose(np.array(got[1:]) * side**2, want[1:], rtol=1e-9, atol=0.0)
+
+
+def _spectrum_bits(result):
+    return result.eigenvalues, result.residuals, result.solves, result.dof_count, result.mesh_size
+
+
+def _hand_built_mesh():
+    # the memo's arrays, copied: a mesh triangulate did not return
+    mesh = _solver_mesh("bowtie", None, 3)
+    return fem.Mesh(mesh.vertices.copy(), mesh.triangles.copy(), mesh.boundary.copy())
+
+
+_MEMO_CASES = [("unit_disc", 34, 3), ("unit_disc", 34, 4), ("bowtie", None, 3), "hand-built"]
+
+
+@pytest.mark.parametrize("case", _MEMO_CASES, ids=str)
+def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
+    def solve():
+        mesh = _hand_built_mesh() if case == "hand-built" else _solver_mesh(*case)
+        assert mesh.dof_count > fem._DENSE_MAX_DOF  # the route that keeps a fill order
+        return mesh, fem.neumann_eigenvalues(mesh, k=4)
+
+    monkeypatch.setattr(fem, "_PATTERNS", {})
+    cold_mesh, cold = solve()
+    warm_mesh, warm = solve()
+    entry = [p for p in fem._PATTERNS.values() if p.triangles is warm_mesh.triangles]
+    assert len(entry) == (case != "hand-built") and all(p.order is not None for p in entry)
+    for got, want in zip((warm_mesh.vertices, warm_mesh.triangles, warm_mesh.boundary),
+                         (cold_mesh.vertices, cold_mesh.triangles, cold_mesh.boundary)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert _spectrum_bits(warm) == _spectrum_bits(cold)
+    if case != "hand-built":
+        assert warm_mesh.triangles is cold_mesh.triangles
+    else:  # a miss each time, as bit-identical as a miss and then a hit on the memo's own mesh
+        memo_mesh = _solver_mesh("bowtie", None, 3)
+        for _ in range(2):
+            assert _spectrum_bits(fem.neumann_eigenvalues(memo_mesh, k=4)) == _spectrum_bits(cold)
+
+
+def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(monkeypatch):
+    # the sparse route computes a fill order through spilu, only on a miss
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def counted(shifted, *args, _original=scipy.sparse.linalg.spilu, **kwargs):
+        calls.append(shifted.shape)
+        return _original(shifted, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "_PATTERNS", {})
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
+    rectangle = geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]})
+    records = [fem.verify_bound(spec, refinement=3, fem_samples=34)
+               for spec in (geometry.named_domain("unit_disc"), rectangle)]
+    assert [record["dof_count"] for record in records] == [1225, 1225]
+    assert list(fem._PATTERNS) == [(34, r) for r in range(4)]
+    assert calls == [(1225, 1225)]
+    # the order arrays own their memory: a view would pin spilu's factor
+    (entry,) = (p for p in fem._PATTERNS.values() if p.order is not None)
+    assert all(array.flags.owndata and array.base is None for array in entry.order)
+    disc, rect = (fem.triangulate(spec, 3, samples=34) for spec in (geometry.named_domain("unit_disc"), rectangle))
+    assert disc.triangles is rect.triangles and disc.boundary is rect.boundary
+
+
+def test_the_memo_keeps_at_most_its_cap_and_drops_the_oldest(monkeypatch):
+    monkeypatch.setattr(fem, "_PATTERNS", {})
+    spec = geometry.named_domain("unit_disc")
+    for m in range(3, fem._PATTERN_CAP + 13):
+        fem.triangulate(spec, refinement=1, samples=m)  # two entries each: (m, 0) and (m, 1)
+        assert len(fem._PATTERNS) <= fem._PATTERN_CAP
+    assert len(fem._PATTERNS) == fem._PATTERN_CAP
+    assert list(fem._PATTERNS)[-2:] == [(fem._PATTERN_CAP + 12, 0), (fem._PATTERN_CAP + 12, 1)]
+    assert list(fem._PATTERNS)[0] == (fem._PATTERN_CAP // 2 + 13, 0)  # the last 32 fans
+
+
+def test_the_arrays_of_a_mesh_are_read_only():
+    mesh = fem.triangulate(geometry.named_domain("unit_disc"), refinement=2, samples=12)
+    for array in (mesh.vertices, mesh.triangles, mesh.boundary):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_refinement_matches_scalar_oracle_on_a_cold_and_a_warm_memo(name, monkeypatch):
+    monkeypatch.setattr(fem, "_PATTERNS", {})
+    test_refinement_matches_scalar_oracle(name)
+    assert fem._PATTERNS  # the levels the cold pass enumerated, read by the warm one
+    test_refinement_matches_scalar_oracle(name)

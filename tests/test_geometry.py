@@ -202,6 +202,14 @@ def test_polygon_loop_keeps_every_vertex_bit_for_bit(m):
     assert len(points) == max(m or 0, 6)
 
 
+def test_a_polygon_loop_below_the_vertex_count_is_rejected():
+    bowtie = geometry.named_domain("bowtie")
+    for m in (3, 4, 5):
+        with pytest.raises(ValueError, match=f"^{m} boundary samples are fewer than the polygon's 6 vertices$"):
+            geometry.boundary_loop(bowtie, m)
+    assert len(geometry.boundary_loop(bowtie, 6)[0]) == 6
+
+
 # each sampler's breakpoint parameters, their points up to the curve's
 # rounding, and its piece weights: the pieces' arclengths, or the parameter
 # span of a single closed piece
@@ -255,6 +263,10 @@ def test_boundary_placement_rule(shape_and_m):
             assume(False)
         corners = spec.vertices
         weights = np.linalg.norm(np.roll(corners, -1, axis=0) - corners, axis=1)
+        if m is not None and m < len(corners):
+            with pytest.raises(ValueError, match=f"fewer than the polygon's {len(corners)} vertices"):
+                geometry.boundary_loop(spec, m)
+            return
         points, params, _ = geometry.boundary_loop(spec, m)
         where = np.array([np.flatnonzero(np.all(points == v, axis=1))[0] for v in corners])
     assert len(points) == len(params) == max(m or 0, len(corners))

@@ -90,6 +90,8 @@ def _cases() -> dict[str, list[str]]:
         "reject-mecb-samples2": ["mecb", "--domain", "unit_disc", "--samples", "2"],
         "reject-verify-fem-samples2": ["verify", "--domain", "unit_disc", "--fem-samples", "2", "--refinement", "0"],
         "reject-verify-refinement9": ["verify", "--domain", "bowtie", "--refinement", "9"],
+        # a mesh boundary below the polygon's vertex count, once ignored
+        "reject-verify-bowtie-fem-samples4": ["verify", "--domain", "bowtie", "--refinement", "1", "--fem-samples", "4"],
         "reject-fem-csv-single": ["fem", "--domain", "unit_disc", "--output", "csv"],
         "reject-fem-table-refinement-negative": ["fem", "--domain", "bowtie", "--refinement", "-1", "--table"],
         # rejected before level 0 is solved, as the single-level form rejects it
