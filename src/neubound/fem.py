@@ -52,7 +52,8 @@ _PATTERNS: dict = {}
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """A conforming triangle mesh: vertices, positively oriented triangles,
-    and a boundary-vertex mask."""
+    and a boundary-vertex mask; assemble and neumann_eigenvalues reject a
+    triangle that is inverted or degenerate for the mesh's bounding box."""
 
     vertices: np.ndarray  # (nv, 2) float
     triangles: np.ndarray  # (nt, 3) int
@@ -78,13 +79,6 @@ class SpectrumResult:
     dof_count: int
     residuals: tuple[float, ...]  # each pair's backward error, see neumann_eigenvalues
     solves: int  # calls to the sparse route's splu solve; 0 on the dense route
-
-
-def _signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p0 = vertices[triangles[:, 0]]
-    u = vertices[triangles[:, 1]] - p0
-    w = vertices[triangles[:, 2]] - p0
-    return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
 
 
 def _check_dof(nv: int) -> int:
@@ -121,8 +115,9 @@ def triangulate(
     neumann_eigenvalues supports, is rejected before any refining: a fan of
     m triangles refined r times has 1 + m 2^(r-1) (2^r + 1) vertices.
     Each pattern (m, r) is memoized (see _fan_pattern), so a hit only places
-    coordinates; the mesh's arrays are read-only.  Degeneracy is relative to
-    the bounding box's area, so the domain's scale does not decide it.
+    coordinates; the mesh's arrays are read-only.  Only the fan is checked
+    here, relative to its bounding box's area, so the domain's scale does not
+    decide it; the refined triangles are checked where they are assembled.
     """
     if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
         raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
@@ -156,13 +151,6 @@ def triangulate(
         s_param[nv + arc] = s_mid
         nv += len(a)
     vertices.flags.writeable = False
-
-    bad = _degenerate(vertices, _signed_double_areas(vertices, pattern.triangles))
-    if len(bad):
-        raise NumericalError(
-            f"triangle {int(bad[0])} degenerated during refinement "
-            "(boundary resolution too coarse for this curve)"
-        )
     return Mesh(vertices=vertices, triangles=pattern.triangles, boundary=pattern.boundary)
 
 
@@ -224,7 +212,7 @@ def _local_blocks(mesh: Mesh):
     double_area = c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1]  # (x1 - x0)(y2 - y0) - (y1 - y0)(x2 - x0)
     bad = _degenerate(v, double_area)
     if len(bad):
-        raise NumericalError(f"triangle {int(bad[0])} has non-positive area")
+        raise NumericalError(f"triangle {int(bad[0])} is inverted or degenerate")
 
     k_local = np.multiply(b[:, :, None], b[:, None, :])
     k_local += c[:, :, None] * c[:, None, :]
@@ -284,15 +272,20 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     nv = _check_dof(mesh.dof_count)
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")
-    center = mesh.vertices.mean(axis=0)
-    spread = max(float(np.linalg.norm(mesh.vertices - center, axis=1).max()), 1e-9)
-    sigma = -0.2 * (1.8412 / spread) ** 2
-    solves = 0
     if nv <= _DENSE_MAX_DOF:
         data, (rows, cols) = _local_blocks(mesh)
         stiffness, mass = (
             np.bincount(rows * nv + cols, w, nv**2).reshape(nv, nv) for w in (data.real, data.imag)
         )
+    else:
+        import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
+        stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
+    # _local_blocks has rejected degenerate meshes, so spread > 0
+    center = mesh.vertices.mean(axis=0)
+    spread = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
+    sigma = -0.2 * (1.8412 / spread) ** 2
+    solves = 0
+    if nv <= _DENSE_MAX_DOF:
         try:
             lower = np.linalg.cholesky(stiffness - sigma * mass)
         except np.linalg.LinAlgError as exc:
@@ -302,8 +295,6 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
         k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
     else:
-        import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
-        stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
         shifted = scipy.sparse.csc_matrix(
             (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv)
         )
@@ -350,7 +341,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     vals, vecs = vals[order], vecs[:, order]
 
     lam0, lam1 = vals[0], vals[1]
-    if not (lam1 > 0.0 and abs(lam0) < 1e-8 * max(lam1, 1.0)):
+    if not (lam1 > 0.0 and abs(lam0) < 1e-8 * lam1):
         raise NumericalError(
             f"spectrum lacks the constant mode: lambda_0={lam0}, lambda_1={lam1}"
         )

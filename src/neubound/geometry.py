@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import check_int, check_real
 
-_MAX_BALL_DIM = 8
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
 _PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
 _MAX_SAMPLES = 2**20  # boundary samples per loop
@@ -46,7 +45,7 @@ class Ball:
         for x, c in zip(coords, self.center):
             diff = x - c
             d2 += diff * diff
-        return d2 > self.radius * self.radius * (1.0 + _CONTAIN_SLACK) + 1e-30
+        return d2 > self.radius * self.radius * (1.0 + _CONTAIN_SLACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +66,8 @@ class DomainSpec:
     anchor is a point the domain is star-shaped with respect to, used as
     the fan center when meshing.  vertices, symmetry_center and anchor are
     stored as read-only float copies, the declared numbers as floats.
-    measurement is taken on first use and kept: the spec never changes.
+    measurement, the planar d and R, is taken on first use and kept: the
+    spec never changes.
     """
 
     kind: str  # "polygon" or "sampler"
@@ -169,7 +169,7 @@ def _coords(name: str, value) -> np.ndarray:
 
 
 def _shoelace(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
+    x, y = (verts - verts[0]).T  # about a vertex: about the origin, a far-off polygon's terms cancel
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
@@ -314,8 +314,8 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
 
 def _point_cloud(points: Sequence[Sequence[float]]) -> np.ndarray:
     pts = _coords("points", points)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError("points must be a nonempty (m, dim) array")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError("points must be a nonempty (m, 2) array")
     return pts
 
 
@@ -373,26 +373,17 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
 
 
 def diameter(points: Sequence[Sequence[float]]) -> float:
-    """Largest pairwise distance over a point cloud.
+    """Largest pairwise distance over a planar point cloud.
 
-    A planar cloud is reduced to its convex hull and, unless that has
-    fewer than three vertices, scanned by rotating calipers, O(m log m).
-    Those hulls and clouds in other dimensions take an exhaustive pair
-    scan, chunked so memory stays bounded.
+    The cloud is reduced to its convex hull and, unless that has fewer than
+    three vertices, scanned by rotating calipers, O(m log m); a shorter
+    hull's diameter is the distance between its ends.
     """
-    pts = _point_cloud(points)
-    if pts.shape[1] == 2:
-        pts = _convex_hull(pts)
-        if len(pts) > 2:
-            return math.sqrt(_caliper_diameter_sq(pts))
-    m, dim = pts.shape
-    best = 0.0
-    chunk = max(1, int(4_000_000 // (m * dim)) or 1)
-    for i0 in range(0, m, chunk):
-        diff = pts[i0 : i0 + chunk, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+    hull = _convex_hull(_point_cloud(points))
+    if len(hull) > 2:
+        return math.sqrt(_caliper_diameter_sq(hull))
+    dx, dy = (hull[-1] - hull[0]).tolist()  # not diff @ diff: a BLAS dot may fuse
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def _ball_of_support(support: list[np.ndarray]) -> Ball | None:
@@ -439,19 +430,16 @@ def _welzl_mtf(coords: np.ndarray, end: int, support: list[np.ndarray]) -> Ball 
 
 
 def min_enclosing_ball(points: Sequence[Sequence[float]]) -> Ball:
-    """Smallest enclosing ball of a finite point cloud, dimensions 1 through 8.
+    """Smallest enclosing ball (disc) of a finite planar point cloud.
 
     Move-to-front Welzl over a fixed shuffle of the input order, each step
     searching the remaining points for the first one outside the current
-    ball in one array pass; recursion depth is bounded by dim + 2
-    regardless of cloud size, and the fixed shuffle makes the run fully
-    reproducible.  The returned ball is the exact optimum up to roundoff:
-    at most dim + 1 support points determine it.
+    ball in one array pass; recursion depth is at most 4 regardless of
+    cloud size, and the fixed shuffle makes the run fully reproducible.
+    The returned ball is the exact optimum up to roundoff: at most 3
+    support points determine it.
     """
     pts = _point_cloud(points)
-    dim = pts.shape[1]
-    if not 1 <= dim <= _MAX_BALL_DIM:
-        raise ValueError(f"dimension must be between 1 and {_MAX_BALL_DIM}, got {dim}")
     coords = pts[np.random.default_rng(0).permutation(len(pts))].T.copy()
     return _welzl_mtf(coords, len(pts), [])  # a Ball: the cloud is nonempty
 

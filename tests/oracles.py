@@ -18,12 +18,14 @@ midpoint places the new boundary vertices on the curve.
 The Rayleigh quotient of a nodal P1 function bounds the mesh's mu_1 from
 above once the function is M-orthogonal to constants.
 
-The assembly oracle converts each matrix from COO to CSR on its own, the
-eigensolve oracle lets scipy's eigsh build and factor K - sigma M itself
-and starts it from a standard normal vector with the default ncv, and the
-mesh-size oracle measures the three sides of each triangle as 2-vectors:
-fem's assemble, neumann_eigenvalues and Mesh.mesh_size before they shared
-one conversion, one factorization and per-coordinate gathers.
+The assembly oracle takes each triangle's double area from the vertex
+differences of signed_double_areas and converts each matrix from COO to
+CSR on its own, the eigensolve oracle lets scipy's eigsh build and factor
+K - sigma M itself and starts it from a standard normal vector with the
+default ncv, and the mesh-size oracle measures the three sides of each
+triangle as 2-vectors: fem's assemble, neumann_eigenvalues and
+Mesh.mesh_size before they shared one conversion, one factorization and
+per-coordinate gathers.
 
 bessel_j is scipy.special.jv behind the package's argument checks, for
 the tests that check p_zero's equation and J's own identities; the package
@@ -240,13 +242,20 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
     )
 
 
+def signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    p0 = vertices[triangles[:, 0]]
+    u = vertices[triangles[:, 1]] - p0
+    w = vertices[triangles[:, 2]] - p0
+    return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+
+
 def two_pass_assemble(mesh):
     """Stiffness and consistent mass matrices (CSR) for P1 elements."""
     import scipy.sparse
     v, t = mesh.vertices, mesh.triangles
     if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
         raise ValueError("mesh has no triangles")
-    double_area = fem._signed_double_areas(v, t)
+    double_area = signed_double_areas(v, t)
     width, height = v.max(axis=0) - v.min(axis=0)
     bad = np.nonzero(double_area <= fem._MIN_TRIANGLE_DOUBLE_AREA * width * height)[0]
     if len(bad):

@@ -208,8 +208,7 @@ def test_criterion_8_property_suites():
     ball_worst = 0.0
     for _ in range(200):
         m = int(rng.integers(2, 31))
-        dim = int(rng.integers(2, 4))
-        pts = rng.standard_normal((m, dim)) * float(rng.uniform(0.1, 10.0))
+        pts = rng.standard_normal((m, 2)) * float(rng.uniform(0.1, 10.0))
         ball = geometry.min_enclosing_ball(pts)
         _, oracle_radius = brute_force_mecb(pts)
         scale = max(oracle_radius, 1e-12)

@@ -60,6 +60,12 @@ def test_ball_norm_validation():
         en.mikhlin_ball_norm_sq(3, 900.0)
 
 
+def test_ball_norm_denominator_rounded_to_zero_is_a_numerical_error():
+    # one ulp above R = 1, I_150 and K_150 round to their values at 1 and cancel exactly
+    with pytest.raises(NumericalError, match="denominator is not positive at n=302, R=1.0000000000000002: 0.0"):
+        en.mikhlin_ball_norm_sq(302, math.nextafter(1.0, 2.0))
+
+
 _STAR_REFERENCE = [
     ((1.0, 1.0, 0.0, 3, 2.0), 30.556224395722595),
     ((1.0, 1.0, 0.0, 3, 3.0), 27.03303608381107),

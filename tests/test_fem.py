@@ -428,6 +428,8 @@ def test_eigen_solver_validation():
         fem.neumann_eigenvalues(mesh, k=1)
     with pytest.raises(ValueError):
         fem.neumann_eigenvalues(mesh, k=11)
+    with pytest.raises(ValueError, match="k=5 needs a mesh with more than 5 vertices"):
+        fem.neumann_eigenvalues(_square(refinement=0), k=5)
 
 
 def test_eigenpairs_carry_small_backward_errors():
@@ -507,6 +509,11 @@ def test_a_missing_constant_mode_on_the_dense_route_is_a_numerical_error(monkeyp
     with pytest.raises(NumericalError, match="constant mode"):
         fem.neumann_eigenvalues(_square(refinement=2), k=4)
     _fem_cli_exits_2(2, "constant mode")
+    # at side 1e5 every lambda is near 1e-9: the check is relative to lambda_1,
+    # so the stripped spectrum fails it, and not only the backward-error check
+    spec = geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [1e5, 0], [1e5, 1e5], [0, 1e5]]})
+    with pytest.raises(NumericalError, match="spectrum lacks the constant mode"):
+        fem.neumann_eigenvalues(fem.triangulate(spec, refinement=2), k=4)
 
 
 def test_a_failed_cholesky_factorization_is_a_numerical_error(monkeypatch):
@@ -525,8 +532,39 @@ def test_degenerate_triangle_is_named():
         triangles=np.array([[0, 1, 3], [0, 1, 2]]),  # second one is flat
         boundary=np.array([True, True, True, True]),
     )
-    with pytest.raises(NumericalError, match="triangle 1"):
-        fem.assemble(mesh)
+    for solve in (fem.assemble, lambda m: fem.neumann_eigenvalues(m, k=2)):
+        with pytest.raises(NumericalError, match="^triangle 1 is inverted or degenerate$"):
+            solve(mesh)
+
+
+def test_a_triangle_flattened_by_refinement_is_named_by_the_solve():
+    # the fan passes its check, but refinement quarters the sliver at the 1e-13 edge;
+    # triangulate leaves the refined triangles to the one check in the assembly
+    spec = geometry.load_domain_spec(
+        {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [1e-13, 1], [0, 1]]}
+    )
+    mesh = fem.triangulate(spec, refinement=1)
+    with pytest.raises(NumericalError, match="^triangle 12 is inverted or degenerate$"):
+        fem.neumann_eigenvalues(mesh)
+
+
+def test_a_mesh_without_triangles_is_rejected():
+    mesh = fem.Mesh(vertices=np.eye(3), triangles=np.empty((0, 3), dtype=int), boundary=np.ones(3, bool))
+    for solve in (fem.assemble, lambda m: fem.neumann_eigenvalues(m, k=2)):
+        with pytest.raises(ValueError, match="mesh has no triangles"):
+            solve(mesh)
+
+
+def test_arpack_non_convergence_is_a_numerical_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(*args, k, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    with pytest.raises(NumericalError, match="eigenvalue iteration did not converge"):
+        fem.neumann_eigenvalues(_square(refinement=3), k=4)
+    _fem_cli_exits_2(3, "did not converge")
 
 
 def test_rayleigh_quotient():

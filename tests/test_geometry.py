@@ -289,8 +289,7 @@ def test_diameter_matches_direct_maximum():
     rng = np.random.default_rng(3)
     for _ in range(50):
         m = int(rng.integers(2, 40))
-        dim = int(rng.integers(2, 4))
-        pts = rng.standard_normal((m, dim)) * rng.uniform(0.1, 5.0)
+        pts = rng.standard_normal((m, 2)) * rng.uniform(0.1, 5.0)
         direct = max(
             float(np.linalg.norm(pts[i] - pts[j]))
             for i in range(m)
@@ -364,8 +363,7 @@ def test_min_enclosing_ball_contains_and_is_minimal():
     rng = np.random.default_rng(17)
     for _ in range(30):
         m = int(rng.integers(2, 25))
-        dim = int(rng.integers(2, 4))
-        pts = rng.standard_normal((m, dim)) * rng.uniform(0.2, 3.0)
+        pts = rng.standard_normal((m, 2)) * rng.uniform(0.2, 3.0)
         ball = geometry.min_enclosing_ball(pts)
         dists = np.linalg.norm(pts - ball.center, axis=1)
         assert np.all(dists <= ball.radius * (1.0 + 1e-10))
@@ -373,16 +371,12 @@ def test_min_enclosing_ball_contains_and_is_minimal():
         assert ball.radius == pytest.approx(oracle_radius, rel=1e-9, abs=1e-12)
 
 
-# dims 1-3, up to 8 points; the integer grid makes repeated, collinear
-# and cocircular points common
+# planar, up to 8 points; the integer grid makes repeated, collinear and
+# cocircular points common
 _CLOUD_COORDS = st.one_of(
     st.integers(-4, 4).map(float), st.floats(-10.0, 10.0, allow_subnormal=False)
 )
-_SMALL_CLOUDS = st.integers(1, 3).flatmap(
-    lambda dim: st.lists(
-        st.lists(_CLOUD_COORDS, min_size=dim, max_size=dim), min_size=1, max_size=8
-    )
-)
+_SMALL_CLOUDS = st.lists(st.tuples(_CLOUD_COORDS, _CLOUD_COORDS), min_size=1, max_size=8)
 
 
 @_PROPERTY
@@ -455,6 +449,33 @@ def test_point_clouds_must_be_numbers_up_to_the_coordinate_limit(measure, points
     # at 1e200 squared distances overflow: diameter read inf, the ball a NaN radius
     with pytest.raises(ValueError, match="points"):
         measure(points)
+
+
+@pytest.mark.parametrize("measure", [geometry.diameter, geometry.min_enclosing_ball])
+@pytest.mark.parametrize(
+    "points", [np.zeros((4, 1)), np.ones((4, 3)), np.zeros((0, 2)), [1.0, 2.0]], ids=["m1", "m3", "empty", "flat"]
+)
+def test_point_clouds_must_be_planar_and_nonempty(measure, points):
+    with pytest.raises(ValueError, match=r"points must be a nonempty \(m, 2\) array"):
+        measure(points)
+
+
+@pytest.mark.parametrize("k", [-60, -52, -50, 0, 40])
+def test_a_scaled_bowtie_keeps_its_enclosing_radius(k):
+    # scaling by a power of two is exact, and containment has a relative slack
+    # only, so d / s and R / s are the unit bowtie's at any scale
+    s = 2.0**k
+    vertices = s * geometry.named_domain("bowtie").vertices
+    _, d, ball = geometry.DomainSpec(kind="polygon", vertices=vertices).measurement
+    assert (d / s, ball.radius / s) == (math.sqrt(2.5), 0.8333333333333334)
+
+
+def test_polygons_far_from_the_origin_keep_their_area():
+    # 1e8 + x is exact for these x, but a shoelace sum taken about the origin cancels to 0.0
+    for vertices in (_SQUARE, geometry.named_domain("bowtie").vertices.tolist()):
+        shifted = geometry.DomainSpec(kind="polygon", vertices=np.array(vertices) + 1e8)
+        assert geometry._shoelace(shifted.vertices) == geometry._shoelace(np.array(vertices))
+        assert shifted.measurement[1] == geometry.diameter(vertices)
 
 
 def test_int_coordinates_of_any_size_and_type_read_as_floats():
@@ -575,9 +596,19 @@ def test_spec_coordinates_must_be_numbers():
                 geometry.DomainSpec(kind="sampler", name="unit_disc", **{attr: value})
 
 
-def test_load_domain_spec_rejects_garbage():
+def test_load_domain_spec_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         geometry.load_domain_spec({"kind": "blob"})
+    with pytest.raises(ValueError, match="unknown domain kind 'blob'"):
+        geometry.DomainSpec(kind="blob")
+    with pytest.raises(ValueError, match="unknown sampler 'blob'"):
+        geometry.load_domain_spec({"kind": "sampler", "name": "blob"})
+    with pytest.raises(ValueError, match='kind "named" requires a "name"'):
+        geometry.load_domain_spec({"kind": "named"})
+    path = tmp_path / "list.json"
+    path.write_text("[[0, 0], [1, 0], [0, 1]]", encoding="utf-8")
+    with pytest.raises(ValueError, match="domain spec must be a JSON object"):
+        geometry.load_domain_spec(str(path))
     with pytest.raises(ValueError):
         geometry.load_domain_spec({"kind": "polygon"})  # no vertices
     with pytest.raises(ValueError):

@@ -29,6 +29,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _PRESETS = ("bowtie", "half_disc", "tan_disc", "unit_disc")
 _SQUARE = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 2], [0, 2]], "convex": True}
+_TRIANGLE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
+_TINY_EDGE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [1e-13, 1], [0, 1]]}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -102,6 +104,13 @@ def _cases() -> dict[str, list[str]]:
         "reject-qc-nothing": ["qc"],
         "reject-mikhlin-R-below-1": ["mikhlin", "--n", "3", "--R", "0.5"],
         "reject-mikhlin-R800-numerical": ["mikhlin", "--n", "3", "--R", "800"],
+        # I_150 and K_150 one ulp above R = 1 round to their values at 1: the denominator is 0.0
+        "reject-mikhlin-n302-R-one-ulp-numerical": ["mikhlin", "--n", "302", "--R", "1.0000000000000002"],
+        # the root passes the scan's end, t = 20
+        "reject-pzero-n420-numerical": ["pzero", "--n", "420"],
+        "reject-fem-k4-triangle": ["fem", "--domain", json.dumps(_TRIANGLE), "--refinement", "0", "--k", "4"],
+        # the fan passes; refinement flattens a child of the sliver at the 1e-13 edge
+        "reject-fem-tiny-edge-r1": ["fem", "--domain", json.dumps(_TINY_EDGE), "--refinement", "1"],
     })
     json_rejects = {
         "samples-cap-polygon": {**_SQUARE, "samples": 2**21},
@@ -115,6 +124,8 @@ def _cases() -> dict[str, list[str]]:
         "vertices-huge": {"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
         "K-huge-int": {"kind": "named", "name": "bowtie", "K": 10**400},
         "self-intersecting": {"kind": "polygon", "vertices": [[0, 0], [2, 2], [2, 0], [0, 1]]},
+        "unknown-sampler": {"kind": "sampler", "name": "blob"},
+        "named-without-name": {"kind": "named"},
     }
     for label, spec in json_rejects.items():
         cases[f"reject-bound-{label}"] = ["bound", "--domain", json.dumps(spec)]

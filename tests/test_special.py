@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from neubound import special
+from neubound.errors import NumericalError
 from oracles import bessel_j
 
 # (order, argument, value) triples, 17 significant digits
@@ -140,6 +141,12 @@ def test_bessel_at_the_ends_of_the_float_range():
     for nu, x in [(200.0, 1e-3), (1e6, 1.0), (0.965, 5e-324), (152.5, 1.037), (1e12, 1.0)]:
         with pytest.raises(OverflowError):  # beyond it, never a finite number
             special.bessel_k(nu, x)
+
+
+def test_bessel_k_past_its_node_budget_is_a_numerical_error():
+    # the rule needs about 7 sqrt(x) nodes across its peak, past the budget here
+    with pytest.raises(NumericalError, match="needs more than 100000 nodes at nu=600000000.0, x=400000000.0"):
+        special.bessel_k(6e8, 4e8)
 
 
 def test_half_integer_closed_forms():
@@ -268,3 +275,8 @@ def test_p_zero_rejects_bad_dimension():
     with pytest.raises(ValueError):
         special.p_zero(3, tol=0.0)
 
+
+def test_p_zero_past_its_scan_range_is_a_numerical_error():
+    # the root passes the scan's end, 20, between n = 300 (17.35) and n = 420
+    with pytest.raises(NumericalError, match=r"no sign change of the radial derivative in \(0.05, 20.0\] for n=420"):
+        special.p_zero(420)
