@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "bounds": "BoundReport LowerBound ball_mu1 best_bound_report extension_ball_bound"
+        "bounds": "BoundReport ball_mu1 best_bound_report extension_ball_bound"
         " improvement_condition payne_weinberger_bound star_shaped_bound symmetric_domain_bound",
         "errors": "NumericalError",
         "extension_norms": "ExtensionNormEstimate StarShapeData half_ball_reflection_norm_sq"

@@ -20,11 +20,11 @@ reference values, and picks the largest claim, ties going to the first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import qcmaps
-from .errors import check_real
+from .errors import NumericalError, check_real
 from .extension_norms import quasidisc_norm_sq
 from .special import p_zero
 
@@ -32,10 +32,18 @@ if TYPE_CHECKING:  # geometry loads NumPy, which half_ball's bound formulas neve
     from . import geometry
 
 
+def _squared_ratio(c: float, size: float) -> float:
+    """(c / size)^2 as a product: unlike pow, it scales exactly with size by powers of two."""
+    ratio = c / size
+    if ratio * ratio == math.inf:
+        raise NumericalError(f"mu_1 of a domain of size {size:.3g} is beyond the float range")
+    return ratio * ratio
+
+
 def ball_mu1(n: int, radius: float) -> float:
     """First nontrivial Neumann eigenvalue of a ball of given radius in R^n."""
     radius = check_real("radius", radius, 0, strict=True)
-    return (p_zero(n) / radius) ** 2
+    return _squared_ratio(p_zero(n), radius)
 
 
 def extension_ball_bound(norm_sq: float, radius: float, n: int) -> float:
@@ -48,7 +56,7 @@ def symmetric_domain_bound(norm_sq: float, diam: float, n: int) -> float:
     """The d/2 variant for centrally symmetric domains: (p/d)^2 (2/||E||)^2."""
     norm_sq = check_real("norm_sq", norm_sq, 1)
     diam = check_real("diameter", diam, 0, strict=True)
-    return (p_zero(n) / diam) ** 2 * (4.0 / norm_sq)
+    return _squared_ratio(p_zero(n), diam) * (4.0 / norm_sq)
 
 
 def star_shaped_bound(beta: float, diam: float) -> float:
@@ -56,12 +64,12 @@ def star_shaped_bound(beta: float, diam: float) -> float:
     diam = check_real("diameter", diam, 0, strict=True)
     beta = check_real("beta", beta, 0, 1)
     s = math.sin(0.25 * math.pi * (1.0 - beta))
-    return 4.0 * s**4 * (p_zero(2) / diam) ** 2
+    return 4.0 * s**4 * _squared_ratio(p_zero(2), diam)
 
 
 def payne_weinberger_bound(diam: float) -> float:
     """Classical convex-domain bound pi^2 / d^2 (not valid without convexity)."""
-    return (math.pi / check_real("diameter", diam, 0, strict=True)) ** 2
+    return _squared_ratio(math.pi, check_real("diameter", diam, 0, strict=True))
 
 
 def improvement_condition(norm_sq: float, n: int) -> bool:
@@ -73,52 +81,38 @@ def improvement_condition(norm_sq: float, n: int) -> bool:
 # report assembly
 
 
-@dataclass(frozen=True)
-class LowerBound:
-    """One lower-bound candidate for a domain.
-
-    applicable says whether the value is an actual claim about this domain
-    (and so must sit below any trustworthy computation of mu_1); entries
-    kept for reference only, like the convex-domain benchmark on a domain
-    not declared convex, have applicable False.  The largest applicable
-    entry is the headline number.
-    """
-
-    value: float
-    formula: str
-    inputs: dict
-    applicable: bool = True
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "formula": self.formula,
-            "inputs": dict(self.inputs),
-            "applicable": self.applicable,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
+def _entry(value: float, formula: str, inputs: dict, applicable: bool = True, note: str = "") -> dict:
+    """One listed bound as the CLI prints it; note only when there is one."""
+    entry = {"value": value, "formula": formula, "inputs": inputs, "applicable": applicable}
+    if note:
+        entry["note"] = note
+    return entry
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every bound the metadata supports, plus the headline choice."""
+    """Every bound the metadata supports, as the dicts the CLI prints, plus the headline choice.
 
-    bounds: list[LowerBound]
-    best: LowerBound | None
-    pw_comparison: bool | None
-    notes: list[str] = field(default_factory=list)
-    geometry: dict = field(default_factory=dict)
+    An entry has value, formula, inputs, applicable, and note when there is
+    one.  An applicable entry is a claim about this domain, so it must sit
+    below any trustworthy mu_1; the rest, like pi^2/d^2 on a domain not
+    declared convex, are for reference.  best indexes the largest claim, or
+    the largest entry when none applies."""
+
+    bounds: list[dict]
+    best: int
+    improves_on_payne_weinberger: bool | None
+    notes: list[str]
+    geometry: dict
 
     def as_dict(self) -> dict:
+        """The report in fresh containers, so changing them leaves the report as it is."""
         return {
-            "geometry": dict(self.geometry),
-            "bounds": [b.as_dict() for b in self.bounds],
-            "best": None if self.best is None else self.bounds.index(self.best),
-            "best_value": None if self.best is None else self.best.value,
-            "improves_on_payne_weinberger": self.pw_comparison,
+            "geometry": {**self.geometry, "enclosing_center": list(self.geometry["enclosing_center"])},
+            "bounds": [{**b, "inputs": dict(b["inputs"])} for b in self.bounds],
+            "best": self.best,
+            "best_value": self.bounds[self.best]["value"],
+            "improves_on_payne_weinberger": self.improves_on_payne_weinberger,
             "notes": list(self.notes),
         }
 
@@ -134,66 +128,54 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     count, d, ball = spec.measurement
 
     notes: list[str] = []
-    entries: list[LowerBound] = []
+    entries: list[dict] = []
 
     # resolve the squared extension norm this domain's metadata supports
-    norm_sq: float | None = None
-    norm_formula = "extension_ball"
-    if spec.norm_sq is not None:
-        norm_sq = spec.norm_sq
-    elif spec.qc_coefficient is not None and n == 2:
-        norm_sq = quasidisc_norm_sq(spec.qc_coefficient).value_sq
-        norm_formula = "quasidisc"
-    elif spec.star_beta is not None and n == 2:
-        norm_sq = quasidisc_norm_sq(qcmaps.star_shaped_K(spec.star_beta)).value_sq
-        norm_formula = "quasidisc"
-    elif (spec.qc_coefficient is not None or spec.star_beta is not None) and n != 2:
+    norm_sq, norm_formula, qc = spec.norm_sq, "extension_ball", spec.qc_coefficient
+    quasidisc = qc is not None or spec.star_beta is not None
+    if norm_sq is None and quasidisc and n == 2:
+        qc = qcmaps.star_shaped_K(spec.star_beta) if qc is None else qc
+        norm_sq, norm_formula = quasidisc_norm_sq(qc).value_sq, "quasidisc"
+    elif norm_sq is None and quasidisc:
         notes.append("quasidisc metadata ignored: it only applies in dimension 2")
 
     if spec.star_beta is not None and n == 2:
-        value = star_shaped_bound(spec.star_beta, d)
-        entries.append(LowerBound(value, "star_shaped", {"n": 2, "d": d, "beta": spec.star_beta}))
+        inputs = {"n": 2, "d": d, "beta": spec.star_beta}
+        entries.append(_entry(star_shaped_bound(spec.star_beta, d), "star_shaped", inputs))
 
     if norm_sq is not None:
-        value = extension_ball_bound(norm_sq, ball.radius, n)
         inputs = {"n": n, "R": ball.radius, "norm_sq": norm_sq}
         if norm_formula == "quasidisc":
             inputs["K"] = math.sqrt(norm_sq) - 1.0
-        entries.append(LowerBound(value, norm_formula, inputs))
+        entries.append(_entry(extension_ball_bound(norm_sq, ball.radius, n), norm_formula, inputs))
 
         declared = spec.symmetry_center is not None
-        note = ""
         if not declared:
-            note = (
-                "central symmetry not declared; d/2 convention shown "
-                "for comparison with published figures"
-            )
             notes.append(
                 "symmetric-form bound uses d/2 in place of the enclosing radius; "
                 "it competes for best only when a symmetry center is declared"
             )
-        sym_value = symmetric_domain_bound(norm_sq, d, n)
-        inputs = {"n": n, "d": d, "norm_sq": norm_sq}
-        entries.append(LowerBound(sym_value, "symmetric_extension", inputs, declared, note))
+        note = "" if declared else (
+            "central symmetry not declared; d/2 convention shown for comparison with published figures"
+        )
+        value, inputs = symmetric_domain_bound(norm_sq, d, n), {"n": n, "d": d, "norm_sq": norm_sq}
+        entries.append(_entry(value, "symmetric_extension", inputs, declared, note))
 
     convex = bool(spec.convex)
-    pw_note = "" if convex else "convexity not verified; reference only"
     if not convex:
         notes.append("convexity not verified: pi^2/d^2 listed for reference only")
-    pw = payne_weinberger_bound(d)
-    entries.append(LowerBound(pw, "payne_weinberger", {"n": n, "d": d}, convex, pw_note))
+    note = "" if convex else "convexity not verified; reference only"
+    entries.append(_entry(payne_weinberger_bound(d), "payne_weinberger", {"n": n, "d": d}, convex, note))
 
-    claims = [e for e in entries if e.applicable]
-    best = max(claims or entries, key=lambda e: e.value)  # the first of equal values
+    claims = [i for i, e in enumerate(entries) if e["applicable"]]
+    best = max(claims or range(len(entries)), key=lambda i: entries[i]["value"])  # first of ties
     if not claims:
         notes.append("no bound is certified for this domain; best shown is reference only")
-
-    pw_comparison = None if norm_sq is None else improvement_condition(norm_sq, n)
 
     return BoundReport(
         bounds=entries,
         best=best,
-        pw_comparison=pw_comparison,
+        improves_on_payne_weinberger=None if norm_sq is None else improvement_condition(norm_sq, n),
         notes=notes,
         geometry={
             "dim": n,

@@ -283,7 +283,10 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     # _local_blocks has rejected degenerate meshes, so spread > 0
     center = mesh.vertices.mean(axis=0)
     spread = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
-    sigma = -0.2 * (1.8412 / spread) ** 2
+    ratio = 1.8412 / spread  # squared as a product: unlike pow, it scales exactly with the mesh
+    sigma = -0.2 * (ratio * ratio)
+    if sigma == -np.inf:
+        raise NumericalError(f"mu_1 of a mesh of size {spread:.3g} is beyond the float range")
     solves = 0
     if nv <= _DENSE_MAX_DOF:
         try:

@@ -82,7 +82,7 @@ def _bowtie() -> dict:
     d_exact = math.sqrt(10.0) / 2.0
     spec = geometry.named_domain("bowtie", qc_coefficient=k_computed)
     report = bounds.best_bound_report(spec)
-    found = {b.formula: b for b in report.bounds}
+    found = {b["formula"]: b for b in report.bounds}
 
     return {
         "name": "bowtie",
@@ -92,15 +92,15 @@ def _bowtie() -> dict:
         "intermediate": {
             "qc_coefficient": _entry(k_exact, k_computed, 1e-12),
             "diameter": _entry(d_exact, report.geometry["diameter"], 1e-12),
-            "norm_sq": found["quasidisc"].inputs["norm_sq"],
+            "norm_sq": found["quasidisc"]["inputs"]["norm_sq"],
             "enclosing_center": report.geometry["enclosing_center"],
             "enclosing_center_published": [0.0, 2.0 / 3.0],
             "enclosing_radius": _entry(5.0 / 6.0, report.geometry["enclosing_radius"], 1e-9),
         },
         "bounds": {
             # the published "approximately 2/5" rounds the d/2 figure
-            "symmetric_form": _entry(0.4, found["symmetric_extension"].value, 0.02),
-            "enclosing_ball_form": _entry(0.3729, found["quasidisc"].value, 1e-3),
+            "symmetric_form": _entry(0.4, found["symmetric_extension"]["value"], 0.02),
+            "enclosing_ball_form": _entry(0.3729, found["quasidisc"]["value"], 1e-3),
         },
         "discrepancies": [],
     }
@@ -148,7 +148,7 @@ def _tan_star() -> dict:
     spec = geometry.named_domain("tan_disc")
     report = bounds.best_bound_report(spec)
     d_sampled = report.geometry["diameter"]
-    pipeline_bound = next(b.value for b in report.bounds if b.formula == "star_shaped")
+    pipeline_bound = next(b["value"] for b in report.bounds if b["formula"] == "star_shaped")
 
     discrepancies = []
     if not math.isclose(published_product, published_claim, rel_tol=0.25):

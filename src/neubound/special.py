@@ -54,8 +54,11 @@ def bessel_i(nu: float, x: float) -> float:
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), nu >= 0, x > 0."""
     nu, x = check_real("order", nu, 0), check_real("x", x, 0, strict=True)
-    if x - 0.5 * nu * nu / x > 746.0:
-        return 0.0  # K <= sqrt(pi / 2x) exp(nu^2 / 2x - x), below half the least subnormal
+    # K <= sqrt(2 pi / x) exp(nu asinh(nu / x) - hypot(x, nu)), as cosh(nu t) <= exp(nu t) and
+    # -x cosh t + nu t is concave with second derivative <= -x; below half the least subnormal, 0
+    log_bound = 0.5 * math.log(2.0 * math.pi / x) + nu * math.asinh(nu / x) - math.hypot(x, nu)
+    if log_bound < -1075 * math.log(2.0):
+        return 0.0
 
     def log_f(t: float) -> float:  # log of exp(x) times the integrand, its large term nu t added last
         a, s = nu * t, math.sinh(0.5 * t)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neubound import bounds, geometry, qcmaps
+from neubound import NumericalError, bounds, geometry, qcmaps
 from neubound.special import p_zero
 from oracles import quasi_monotonicity_upper, quasidisc_bound
 
@@ -87,21 +87,20 @@ def test_scalar_validation():
 
 def test_bowtie_report():
     report = bounds.best_bound_report(geometry.named_domain("bowtie"))
-    by_formula = {b.formula: b for b in report.bounds}
+    by_formula = {b["formula"]: b for b in report.bounds}
 
-    assert by_formula["quasidisc"].value == pytest.approx(0.3729164046576486, rel=1e-9)
-    assert by_formula["quasidisc"].applicable
+    assert by_formula["quasidisc"]["value"] == pytest.approx(0.3729164046576486, rel=1e-9)
+    assert by_formula["quasidisc"]["applicable"]
 
     sym = by_formula["symmetric_extension"]
-    assert sym.value == pytest.approx(0.4143515607307206, rel=1e-9)
-    assert not sym.applicable  # no symmetry center declared: reference only
+    assert sym["value"] == pytest.approx(0.4143515607307206, rel=1e-9)
+    assert not sym["applicable"]  # no symmetry center declared: reference only
 
     pw = by_formula["payne_weinberger"]
-    assert not pw.applicable
+    assert not pw["applicable"]
 
-    best = report.best
-    assert best is not None and best.formula == "quasidisc"
-    assert report.pw_comparison is False
+    assert report.bounds[report.best]["formula"] == "quasidisc"
+    assert report.improves_on_payne_weinberger is False
 
 
 def test_declared_symmetry_makes_the_symmetric_form_a_claim():
@@ -109,40 +108,40 @@ def test_declared_symmetry_makes_the_symmetric_form_a_claim():
         {"kind": "named", "name": "bowtie", "symmetry_center": [0.0, 0.5]}
     )
     report = bounds.best_bound_report(spec)
-    sym = {b.formula: b for b in report.bounds}["symmetric_extension"]
-    assert sym.applicable and not sym.note
-    assert report.best is sym
+    formulas = [b["formula"] for b in report.bounds]
+    sym = report.bounds[formulas.index("symmetric_extension")]
+    assert sym["applicable"] and "note" not in sym
+    assert report.best == formulas.index("symmetric_extension")
 
 
 def test_unit_disc_report():
     report = bounds.best_bound_report(geometry.named_domain("unit_disc"))
-    by_formula = {b.formula: b for b in report.bounds}
-    assert by_formula["quasidisc"].value == pytest.approx(
+    by_formula = {b["formula"]: b for b in report.bounds}
+    assert by_formula["quasidisc"]["value"] == pytest.approx(
         p_zero(2) ** 2 / 4.0, rel=1e-4
     )
-    best = report.best
-    assert best is not None and best.formula == "payne_weinberger"
-    assert best.value == pytest.approx(math.pi**2 / 4.0, rel=1e-4)
+    best = report.bounds[report.best]
+    assert best["formula"] == "payne_weinberger"
+    assert best["value"] == pytest.approx(math.pi**2 / 4.0, rel=1e-4)
 
 
 def test_half_disc_report():
     report = bounds.best_bound_report(geometry.named_domain("half_disc"))
-    by_formula = {b.formula: b for b in report.bounds}
+    by_formula = {b["formula"]: b for b in report.bounds}
     # mirror reflection norm 2 against the enclosing unit disc
-    assert by_formula["extension_ball"].value == pytest.approx(
+    assert by_formula["extension_ball"]["value"] == pytest.approx(
         p_zero(2) ** 2 / 2.0, rel=1e-4
     )
-    best = report.best
-    assert best is not None and best.formula == "payne_weinberger"
+    assert report.bounds[report.best]["formula"] == "payne_weinberger"
 
 
 def test_tan_disc_report():
     report = bounds.best_bound_report(geometry.named_domain("tan_disc"))
-    best = report.best
-    assert best is not None and best.formula == "star_shaped"
+    best = report.bounds[report.best]
+    assert best["formula"] == "star_shaped"
     # with the analytically known diameter 2 tan(1)
     want = 4.0 * math.sin(math.pi / 8.0) ** 4 * (p_zero(2) / (2.0 * math.tan(1.0))) ** 2
-    assert best.value == pytest.approx(want, rel=1e-3)
+    assert best["value"] == pytest.approx(want, rel=1e-3)
 
 
 # each sampler preset's formulas in report order, and its best formula by
@@ -176,8 +175,9 @@ def test_listed_formulas_do_not_depend_on_the_sample_count(name_dim, samples):
     name, dim = name_dim
     formulas, best_by_dim = _SAMPLER_REPORTS[name]
     report = bounds.best_bound_report(geometry.named_domain(name, samples=samples, dim=dim))
-    assert tuple(b.formula for b in report.bounds) == formulas
-    assert report.best.formula == best_by_dim[dim]
+    assert tuple(b["formula"] for b in report.bounds) == formulas
+    assert type(report.best) is int
+    assert report.bounds[report.best]["formula"] == best_by_dim[dim]
 
 
 def test_ties_for_best_go_to_the_first_entry_listed():
@@ -186,16 +186,16 @@ def test_ties_for_best_go_to_the_first_entry_listed():
     spec = geometry.load_domain_spec({"kind": "named", "name": "unit_disc", "convex": False})
     report = bounds.best_bound_report(spec)
     quasidisc, symmetric = report.bounds[:2]
-    assert (quasidisc.formula, symmetric.formula) == ("quasidisc", "symmetric_extension")
-    assert quasidisc.value == symmetric.value and symmetric.applicable
-    assert report.best is quasidisc
+    assert (quasidisc["formula"], symmetric["formula"]) == ("quasidisc", "symmetric_extension")
+    assert quasidisc["value"] == symmetric["value"] and symmetric["applicable"]
+    assert report.best == 0
 
 
 def test_report_with_explicit_dimension():
     # half-disc metadata reused in ambient dimension 4 (analytic mode)
     report = bounds.best_bound_report(geometry.named_domain("half_disc", dim=4))
-    by_formula = {b.formula: b for b in report.bounds}
-    assert by_formula["extension_ball"].value == pytest.approx(
+    by_formula = {b["formula"]: b for b in report.bounds}
+    assert by_formula["extension_ball"]["value"] == pytest.approx(
         p_zero(4) ** 2 / 2.0, rel=1e-4
     )
 
@@ -211,6 +211,32 @@ def test_report_serializes_to_json():
             "improves_on_payne_weinberger", "notes"} <= set(back)
 
 
+def test_changing_an_as_dict_result_leaves_the_report_unchanged():
+    report = bounds.best_bound_report(geometry.named_domain("bowtie"))
+    before = json.dumps(report.as_dict())
+    payload = report.as_dict()
+    payload["geometry"]["enclosing_center"].append(0.0)
+    payload["geometry"]["diameter"] = 0.0
+    for entry in payload["bounds"]:
+        entry["inputs"]["d"] = -1.0
+        entry["value"] = 0.0
+    payload["bounds"].clear()
+    payload["notes"].append("changed")
+    assert json.dumps(report.as_dict()) == before
+
+
+def test_a_domain_too_small_for_the_float_range_is_a_numerical_error():
+    # mu_1 scales as 1/d^2: pi^2/d^2 at d = 1.41e-155 is beyond 1.8e308
+    def square(side):
+        vertices = [[0, 0], [side, 0], [side, side], [0, side]]
+        return geometry.load_domain_spec({"kind": "polygon", "vertices": vertices, "convex": True})
+
+    with pytest.raises(NumericalError, match="^mu_1 of a domain of size 1.41e-155 is beyond the float range$"):
+        bounds.best_bound_report(square(1e-155))
+    report = bounds.best_bound_report(square(1e-153))
+    assert report.bounds[report.best]["value"] == pytest.approx(math.pi**2 / 2e-306, rel=1e-12)
+
+
 def test_report_without_any_structure():
     # a polygon with no quasidisc/star/norm metadata still reports geometry
     # and the reference-only convex bound
@@ -218,9 +244,9 @@ def test_report_without_any_structure():
         {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "name": "square"}
     )
     report = bounds.best_bound_report(spec)
-    formulas = [b.formula for b in report.bounds]
+    formulas = [b["formula"] for b in report.bounds]
     assert formulas == ["payne_weinberger"]
-    assert report.best is None or not report.best.applicable
+    assert report.best == 0 and not report.bounds[0]["applicable"]
     assert any("no bound is certified" in note for note in report.notes)
 
 
@@ -234,6 +260,6 @@ def test_report_with_declared_convexity():
         }
     )
     report = bounds.best_bound_report(spec)
-    best = report.best
-    assert best is not None and best.formula == "payne_weinberger"
-    assert best.value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
+    best = report.bounds[report.best]
+    assert best["formula"] == "payne_weinberger"
+    assert best["value"] == pytest.approx(math.pi**2 / 2.0, rel=1e-12)

@@ -643,6 +643,15 @@ def test_scaled_squares_have_the_unit_square_spectrum(side):
         assert np.allclose(np.array(got[1:]) * side**2, want[1:], rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("refinement", [1, 3])  # the dense route, then the sparse one
+def test_a_square_too_small_for_the_float_range_is_a_numerical_error(refinement):
+    # the shift sigma = -0.2 (1.8412 / spread)^2 leaves the float range first
+    vertices = (1e-154 * np.array(_SQUARE_SPEC["vertices"])).tolist()
+    mesh = fem.triangulate(geometry.load_domain_spec({"kind": "polygon", "vertices": vertices}), refinement)
+    with pytest.raises(NumericalError, match="^mu_1 of a mesh of size 7.07e-155 is beyond the float range$"):
+        fem.neumann_eigenvalues(mesh)
+
+
 def _spectrum_bits(result):
     return result.eigenvalues, result.residuals, result.solves, result.dof_count, result.mesh_size
 

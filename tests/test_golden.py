@@ -33,6 +33,10 @@ _TRIANGLE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
 _TINY_EDGE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [1e-13, 1], [0, 1]]}
 
 
+def _square(side: float, **flags) -> dict:
+    return {"kind": "polygon", "vertices": [[0, 0], [side, 0], [side, side], [0, side]], **flags}
+
+
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for name in _PRESETS:
@@ -111,6 +115,9 @@ def _cases() -> dict[str, list[str]]:
         "reject-fem-k4-triangle": ["fem", "--domain", json.dumps(_TRIANGLE), "--refinement", "0", "--k", "4"],
         # the fan passes; refinement flattens a child of the sliver at the 1e-13 edge
         "reject-fem-tiny-edge-r1": ["fem", "--domain", json.dumps(_TINY_EDGE), "--refinement", "1"],
+        # mu_1 scales as side^-2 and leaves the float range near side 1e-154
+        "reject-bound-square-1e-155-numerical": ["bound", "--domain", json.dumps(_square(1e-155, convex=True))],
+        "reject-fem-square-1e-154-r1-numerical": ["fem", "--domain", json.dumps(_square(1e-154)), "--refinement", "1"],
     })
     json_rejects = {
         "samples-cap-polygon": {**_SQUARE, "samples": 2**21},

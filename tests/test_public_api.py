@@ -26,7 +26,6 @@ _PUBLIC_NAMES = [
     "BoundReport",
     "DomainSpec",
     "ExtensionNormEstimate",
-    "LowerBound",
     "Mesh",
     "NumericalError",
     "SpectrumResult",

@@ -144,9 +144,19 @@ def test_bessel_at_the_ends_of_the_float_range():
 
 
 def test_bessel_k_past_its_node_budget_is_a_numerical_error():
-    # the rule needs about 7 sqrt(x) nodes across its peak, past the budget here
-    with pytest.raises(NumericalError, match="needs more than 100000 nodes at nu=600000000.0, x=400000000.0"):
-        special.bessel_k(6e8, 4e8)
+    # the rule needs about 7 sqrt(x) nodes across its peak, past the budget
+    # here, where K is about exp(-9) and so not below the float range
+    nu, x = 1e9, 1e9 / 1.5088795615383195
+    with pytest.raises(NumericalError, match=f"needs more than 100000 nodes at nu={nu}, x={x}"):
+        special.bessel_k(nu, x)
+
+
+def test_bessel_k_below_the_float_range_is_zero_without_integrating():
+    # K <= sqrt(2 pi / x) exp(nu asinh(nu / x) - hypot(x, nu)) puts K near
+    # exp(-4.25e6) here, where the rule would need more nodes than its budget
+    assert special.bessel_k(6e8, 4e8) == 0.0
+    # the bound's log is -747.4 at (0, 745), and K rounds to 0.0 there too
+    assert special.bessel_k(0, 745.0) == float(mpmath.besselk(0, 745)) == 0.0
 
 
 def test_half_integer_closed_forms():
