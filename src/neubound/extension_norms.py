@@ -17,6 +17,7 @@ values and estimates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import special
@@ -117,7 +118,10 @@ def mikhlin_star_norm_sq_bound(data: StarShapeData) -> ExtensionNormEstimate:
 def quasidisc_norm_sq(k: float) -> ExtensionNormEstimate:
     """Upper bound (1 + K)^2 for the extension norm of a K-quasidisc."""
     k = check_real("quasiconformality coefficient", k, 1)
-    return ExtensionNormEstimate((1.0 + k) ** 2, "upper_bound", f"quasidisc, K={k}")
+    value_sq = (1.0 + k) * (1.0 + k)  # a product overflows to inf, where pow raises
+    if value_sq == math.inf:
+        raise NumericalError(f"the quasidisc norm (1 + K)^2 for K={k} is beyond the float range")
+    return ExtensionNormEstimate(value_sq, "upper_bound", f"quasidisc, K={k}")
 
 
 def half_ball_reflection_norm_sq() -> ExtensionNormEstimate:

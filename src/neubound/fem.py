@@ -41,6 +41,11 @@ _MAX_EIGS = 10
 # a third more solves for digits no check or output uses.
 _EIGSH_TOL = 1e-10
 _DENSE_MAX_DOF = 128  # the measured in-process crossover: splu + eigsh is faster above it
+# the sparse route's measured fill-order crossover (see _fill_order): from it on, the
+# postordered minimum-degree order factors and solves faster than COLAMD's.  On fans the
+# refinement decides more than the size (r3 stays slower up to 3,601 unknowns, r4 is faster
+# from 817), and 1,500 falls between the verify benchmark's r3 and r4 rungs
+_MMD_MIN_DOF = 1_500
 _MIN_TRIANGLE_DOUBLE_AREA = 2e-14  # relative to the area of the mesh's bounding box
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
 _PATTERN_CAP = 64  # fan patterns memoized, the oldest dropped first; a verify block meshes 42
@@ -240,6 +245,64 @@ def assemble(mesh: Mesh):
     return stiffness, mass
 
 
+def _fill_order(shifted) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse route's fill order of a symmetric matrix, new-to-old, and its inverse.
+
+    SuperLU picks the order, and spilu keeping no fill returns it for less than
+    splu would.  Below _MMD_MIN_DOF unknowns it is COLAMD's, as splu postorders
+    it.  From there on it is the minimum-degree order of A + A^T (George and
+    Liu 1989), postordered by the elimination tree of A in that order.  spilu
+    postorders every order by the column elimination tree, that of A^T A,
+    which splits A's supernodes: without the symmetric postorder, this order
+    took 4.6-7.1 s to factor at 17,953 unknowns, against 0.05 s with it.
+    """
+    import scipy.sparse.linalg
+    symmetric = shifted.shape[0] >= _MMD_MIN_DOF
+    spec = "MMD_AT_PLUS_A" if symmetric else "COLAMD"
+    position = scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c
+    order = np.argsort(position)
+    if symmetric:
+        order = order[_etree_postorder(scipy.sparse.tril(shifted[order][:, order], -1, format="csr"))]
+    return order.astype(position.dtype), np.argsort(order).astype(position.dtype)
+
+
+def _etree_postorder(lower) -> np.ndarray:
+    """A postorder of the elimination tree of the symmetric matrix whose strict
+    lower triangle is the CSR matrix lower: each vertex after its children,
+    taken in increasing order, so every subtree is contiguous.
+
+    The tree is built as in Liu (1990): the parent of i is the least j > i
+    that i reaches through the lower entries of row j, found by climbing from
+    each entry to the root of its subtree, with each climbed path compressed
+    to j.  The postorder is a depth-first walk with an explicit stack.  The
+    tree pass reads the CSR arrays through memoryviews, so that the only
+    Python lists hold n items.
+    """
+    n = lower.shape[0]
+    indptr, indices = memoryview(lower.indptr), memoryview(lower.indices)
+    parent, ancestor = [n] * n, [n] * n  # n: no parent or ancestor yet; the roots' parent at the end
+    for j in range(n):
+        for i in indices[indptr[j] : indptr[j + 1]]:
+            while i < j:
+                up = ancestor[i]
+                ancestor[i] = j
+                if up == n:
+                    parent[i] = j
+                i = up
+    child, sibling = [-1] * (n + 1), [-1] * n  # each vertex's first child not yet walked; the next one
+    for v in range(n - 1, -1, -1):
+        sibling[v], child[parent[v]] = child[parent[v]], v
+    postorder, stack = [], [n]
+    while stack:
+        v = stack[-1]
+        if (c := child[v]) < 0:
+            postorder.append(stack.pop())
+        else:
+            child[v] = sibling[c]
+            stack.append(c)
+    return np.array(postorder[:-1])  # the root n comes last
+
+
 def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     """The k smallest Neumann eigenvalues of a mesh, ascending.
 
@@ -252,11 +315,14 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     Cholesky, eigh of L^-1 M L^-T, and from its k largest theta
     lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos: A,
     symmetric bit for bit on the pattern K and M share (so its CSR arrays
-    are its CSC arrays), is permuted symmetrically to COLAMD's order, which
+    are its CSC arrays), is permuted symmetrically to a fill order that
     depends on the pattern alone, and factored once with splu in it; its
-    solves, permuted back, are eigsh's OPinv.  triangulate's memo keeps the
-    order, and a miss (about +0.7 ms at 1,225 unknowns) computes it first,
-    so both factor alike.  eigsh sees M times a power of four near
+    solves, permuted back, are eigsh's OPinv.  The order is COLAMD's below
+    _MMD_MIN_DOF unknowns and a postordered minimum-degree order from there
+    on (see _fill_order).  triangulate's memo keeps it, and a miss computes
+    it first (about 1.1 ms at 1,225 unknowns, 33 ms at 17,953), so both
+    factor alike.  A non-finite eigenvalue raises the same NumericalError
+    as a shift beyond the float range.  eigsh sees M times a power of four near
     spread^-2; ncv = 2k + 2 (at least 10, at most the DOF count).  The
     fixed start, a smooth quadratic in the centred and scaled vertex
     coordinates plus 0.2 times a seeded normal draw (a component along
@@ -285,8 +351,9 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     spread = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
     ratio = 1.8412 / spread  # squared as a product: unlike pow, it scales exactly with the mesh
     sigma = -0.2 * (ratio * ratio)
+    beyond = f"mu_1 of a mesh of size {spread:.3g} is beyond the float range"
     if sigma == -np.inf:
-        raise NumericalError(f"mu_1 of a mesh of size {spread:.3g} is beyond the float range")
+        raise NumericalError(beyond)
     solves = 0
     if nv <= _DENSE_MAX_DOF:
         try:
@@ -295,7 +362,8 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             raise NumericalError(f"K - sigma M is not positive definite: {exc}") from exc
         inverse = np.linalg.inv(lower)
         theta, y = np.linalg.eigh(inverse @ mass @ inverse.T)  # theta = 1/(lam - sigma), ascending
-        vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
+        with np.errstate(over="ignore"):  # an overflow is caught below as a non-finite value
+            vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
         k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
     else:
         shifted = scipy.sparse.csc_matrix(
@@ -303,9 +371,8 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         )
         found = (p for p in list(_PATTERNS.values()) if p.triangles is mesh.triangles)
         pattern = next(found, _FanPattern((), None, None))  # a throwaway one if not from triangulate
-        if pattern.order is None:  # COLAMD's, postordered as by splu; spilu keeping no fill costs less
-            position = scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0).perm_c.copy()
-            pattern.order = np.argsort(position).astype(position.dtype), position
+        if pattern.order is None:
+            pattern.order = _fill_order(shifted)
         order, position = pattern.order  # new-to-old and old-to-new
         lu = scipy.sparse.linalg.splu(shifted[order][:, order], permc_spec="NATURAL")
 
@@ -335,11 +402,14 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
-        vals = vals * unit
+        with np.errstate(over="ignore"):
+            vals = vals * unit
         # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
         k_norm, m_norm = (
             np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass)
         )
+    if not np.isfinite(vals).all():
+        raise NumericalError(beyond)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 

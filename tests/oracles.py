@@ -27,6 +27,14 @@ triangle as 2-vectors: fem's assemble, neumann_eigenvalues and
 Mesh.mesh_size before they shared one conversion, one factorization and
 per-coordinate gathers.
 
+The elimination-tree oracle eliminates one vertex at a time on sets:
+each vertex's later neighbours become a clique, so its parent is the first
+of them and the rest join that parent's neighbours.  It is the symbolic
+Cholesky factorization itself, not Liu's path-compressed climb that
+fem._etree_postorder uses, and it checks a postorder the scalar way: every
+vertex before its parent, and each subtree a contiguous run that ends at
+its root.
+
 bessel_j is scipy.special.jv behind the package's argument checks, for
 the tests that check p_zero's equation and J's own identities; the package
 itself calls jv only inside p_zero's scan.  quasi_monotonicity_upper is
@@ -306,6 +314,38 @@ def scipy_shift_invert_eigenvalues(mesh, k: int) -> np.ndarray:
         return_eigenvectors=False,
     )
     return np.sort(np.asarray(vals, dtype=float))[:k]
+
+
+def elimination_tree(pattern, order) -> list[int]:
+    """The parent of each vertex, -1 at a root, in the elimination tree of the
+    symmetric sparse pattern renumbered by order (new-to-old)."""
+    position = {int(old): new for new, old in enumerate(order)}
+    rows, cols = pattern.nonzero()
+    later = [set() for _ in order]  # each vertex's neighbours eliminated after it
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        a, b = position[i], position[j]
+        if a < b:
+            later[a].add(b)
+    parent = []
+    for v, up in enumerate(later):
+        parent.append(min(up, default=-1))
+        if up:
+            later[parent[v]] |= up - {parent[v]}
+    return parent
+
+
+def is_postorder(parent: list[int]) -> bool:
+    """Whether each vertex precedes its parent and every subtree is contiguous."""
+    size, first = [1] * len(parent), list(range(len(parent)))
+    for v, p in enumerate(parent):
+        if p == -1:
+            continue
+        if p <= v:
+            return False
+        size[p] += size[v]
+        first[p] = min(first[p], first[v])
+    # the descendants of v all precede it, so v's run is [first[v], v] exactly when it holds size[v] items
+    return all(v - first[v] + 1 == size[v] for v in range(len(parent)))
 
 
 def three_side_mesh_size(mesh) -> float:

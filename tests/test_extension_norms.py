@@ -120,6 +120,14 @@ def test_quasidisc_norm():
         en.quasidisc_norm_sq(0.5)
 
 
+def test_a_quasidisc_norm_beyond_the_float_range_is_a_numerical_error():
+    k = 1.34e154  # just below where (1 + K)^2 overflows
+    assert en.quasidisc_norm_sq(k).value_sq == (1.0 + k) * (1.0 + k) < math.inf
+    message = r"^the quasidisc norm \(1 \+ K\)\^2 for K=1e\+160 is beyond the float range$"
+    with pytest.raises(NumericalError, match=message):
+        en.quasidisc_norm_sq(1e160)
+
+
 def test_half_ball_reflection_norm():
     est = en.half_ball_reflection_norm_sq()
     assert est.kind == "exact"

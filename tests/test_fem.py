@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import scipy.linalg
 from neubound import cli, fem, geometry
 from neubound.errors import NumericalError
 from oracles import (
+    elimination_tree,
+    is_postorder,
     rayleigh_quotient,
     scalar_triangulate,
     scipy_shift_invert_eigenvalues,
@@ -298,7 +301,9 @@ def test_eigenvalues_match_scipy_shift_invert_oracle(name):
     """The factor-once solve with its seeded smooth start and ncv = 2k + 2
     finds the eigenvalues eigsh finds with its own factorization, a random
     start and the default ncv.  eigenvalues[0] is ~0 and carries only
-    roundoff, so only eigenvalues[1:] are compared, relatively."""
+    roundoff, so only eigenvalues[1:] are compared, relatively.  Meshes of
+    at least _MMD_MIN_DOF unknowns (the curved presets at r3 and r4,
+    random_star at r4) take the minimum-degree fill order, the rest COLAMD's."""
     for refinement in range(1, 5):
         mesh = fem.triangulate(_ORACLE_SPECS[name], refinement=refinement)
         for k in (2, 4, 6):
@@ -652,23 +657,42 @@ def test_a_square_too_small_for_the_float_range_is_a_numerical_error(refinement)
         fem.neumann_eigenvalues(mesh)
 
 
+@pytest.mark.parametrize("refinement", [1, 3])  # the dense route, then the sparse one
+def test_an_eigenvalue_beyond_the_float_range_is_a_numerical_error(refinement):
+    # sigma is finite here, but lam = sigma + 1/theta (dense) or the rescaled
+    # lam (sparse) overflows for the upper eigenvalues: caught before the
+    # residual check, and without a NumPy warning
+    vertices = (2.5e-154 * np.array(_SQUARE_SPEC["vertices"])).tolist()
+    mesh = fem.triangulate(geometry.load_domain_spec({"kind": "polygon", "vertices": vertices}), refinement)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^mu_1 of a mesh of size 1.77e-154 is beyond the float range$"):
+            fem.neumann_eigenvalues(mesh)
+
+
 def _spectrum_bits(result):
     return result.eigenvalues, result.residuals, result.solves, result.dof_count, result.mesh_size
 
 
-def _hand_built_mesh():
-    # the memo's arrays, copied: a mesh triangulate did not return
-    mesh = _solver_mesh("bowtie", None, 3)
+# meshes triangulate did not return, each a copy of the memo's arrays for a case
+# below and one above _MMD_MIN_DOF (817 and 1,633 unknowns)
+_HAND_BUILT = {"hand-built": ("bowtie", None, 3), "hand-built-above-crossover": ("unit_disc", 12, 4)}
+
+
+def _hand_built_mesh(case):
+    mesh = _solver_mesh(*_HAND_BUILT[case])
     return fem.Mesh(mesh.vertices.copy(), mesh.triangles.copy(), mesh.boundary.copy())
 
 
-_MEMO_CASES = [("unit_disc", 34, 3), ("unit_disc", 34, 4), ("bowtie", None, 3), "hand-built"]
+_MEMO_CASES = [("unit_disc", 34, 3), ("unit_disc", 34, 4), ("bowtie", None, 3), *_HAND_BUILT]
 
 
 @pytest.mark.parametrize("case", _MEMO_CASES, ids=str)
 def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
+    hand_built = case in _HAND_BUILT
+
     def solve():
-        mesh = _hand_built_mesh() if case == "hand-built" else _solver_mesh(*case)
+        mesh = _hand_built_mesh(case) if hand_built else _solver_mesh(*case)
         assert mesh.dof_count > fem._DENSE_MAX_DOF  # the route that keeps a fill order
         return mesh, fem.neumann_eigenvalues(mesh, k=4)
 
@@ -676,15 +700,15 @@ def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
     cold_mesh, cold = solve()
     warm_mesh, warm = solve()
     entry = [p for p in fem._PATTERNS.values() if p.triangles is warm_mesh.triangles]
-    assert len(entry) == (case != "hand-built") and all(p.order is not None for p in entry)
+    assert len(entry) == (not hand_built) and all(p.order is not None for p in entry)
     for got, want in zip((warm_mesh.vertices, warm_mesh.triangles, warm_mesh.boundary),
                          (cold_mesh.vertices, cold_mesh.triangles, cold_mesh.boundary)):
         assert np.array_equal(got, want) and got.dtype == want.dtype
     assert _spectrum_bits(warm) == _spectrum_bits(cold)
-    if case != "hand-built":
+    if not hand_built:
         assert warm_mesh.triangles is cold_mesh.triangles
     else:  # a miss each time, as bit-identical as a miss and then a hit on the memo's own mesh
-        memo_mesh = _solver_mesh("bowtie", None, 3)
+        memo_mesh = _solver_mesh(*_HAND_BUILT[case])
         for _ in range(2):
             assert _spectrum_bits(fem.neumann_eigenvalues(memo_mesh, k=4)) == _spectrum_bits(cold)
 
@@ -738,3 +762,58 @@ def test_refinement_matches_scalar_oracle_on_a_cold_and_a_warm_memo(name, monkey
     test_refinement_matches_scalar_oracle(name)
     assert fem._PATTERNS  # the levels the cold pass enumerated, read by the warm one
     test_refinement_matches_scalar_oracle(name)
+
+
+@pytest.mark.parametrize("boundary", [12, 34])  # unit_disc r4: 1,633 and 4,625 unknowns
+def test_the_fill_order_above_the_crossover_postorders_its_elimination_tree(boundary, monkeypatch):
+    import scipy.sparse.linalg
+
+    monkeypatch.setattr(fem, "_PATTERNS", {})
+    mesh = _solver_mesh("unit_disc", boundary, 4)
+    assert mesh.dof_count >= fem._MMD_MIN_DOF
+    fem.neumann_eigenvalues(mesh, k=4)
+    (entry,) = (p for p in fem._PATTERNS.values() if p.order is not None)
+    order, position = entry.order
+    assert sorted(order.tolist()) == list(range(mesh.dof_count))
+    assert np.array_equal(position[order], np.arange(mesh.dof_count))
+    mass = fem.assemble(mesh)[1]  # K's pattern, with every entry nonzero
+    assert is_postorder(elimination_tree(mass, order))
+    # the oracle tells them apart: spilu's minimum-degree order itself is not one
+    shifted = mass.tocsc()
+    spilu_order = np.argsort(scipy.sparse.linalg.spilu(shifted, permc_spec="MMD_AT_PLUS_A").perm_c)
+    assert not is_postorder(elimination_tree(mass, spilu_order))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_etree_postorder_renumbers_the_same_tree_on_random_patterns(seed):
+    # random symmetric patterns of 80 vertices, often a forest
+    import scipy.sparse
+
+    rng = np.random.default_rng(seed)
+    pattern = scipy.sparse.random(80, 80, density=0.02 * (seed + 1), random_state=rng)
+    pattern = (pattern + pattern.T + scipy.sparse.eye(80)).tocsr()
+    postorder = fem._etree_postorder(scipy.sparse.tril(pattern, -1, format="csr"))
+    assert sorted(postorder.tolist()) == list(range(80))
+    renumbered = elimination_tree(pattern, postorder)
+    assert is_postorder(renumbered)
+    natural = elimination_tree(pattern, range(80))
+    assert [-1 if p < 0 else int(postorder[p]) for p in renumbered] == [natural[v] for v in postorder]
+
+
+def test_the_minimum_degree_order_fills_less_than_colamd(monkeypatch):
+    import scipy.sparse.linalg
+
+    fills = []
+
+    def counted(a, *args, _original=scipy.sparse.linalg.splu, **kwargs):
+        lu = _original(a, *args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    mesh = _solver_mesh("unit_disc", 34, 4)
+    monkeypatch.setattr(fem, "_PATTERNS", {})  # without its pattern, each solve takes the miss path
+    for crossover in (mesh.dof_count + 1, fem._MMD_MIN_DOF):  # COLAMD's order, then the default
+        monkeypatch.setattr(fem, "_MMD_MIN_DOF", crossover)
+        fem.neumann_eigenvalues(mesh, k=4)
+    assert fills[1] < fills[0] and fills[1] < 206_012  # COLAMD read 206,012, this order 176,226

@@ -118,6 +118,14 @@ def _cases() -> dict[str, list[str]]:
         # mu_1 scales as side^-2 and leaves the float range near side 1e-154
         "reject-bound-square-1e-155-numerical": ["bound", "--domain", json.dumps(_square(1e-155, convex=True))],
         "reject-fem-square-1e-154-r1-numerical": ["fem", "--domain", json.dumps(_square(1e-154)), "--refinement", "1"],
+        # sigma is finite, but the upper eigenvalues are not
+        "reject-fem-square-2.5e-154-r1-numerical": [
+            "fem", "--domain", json.dumps(_square(2.5e-154)), "--refinement", "1"
+        ],
+        # (1 + K)^2 leaves the float range for K above about 1.34e154
+        "reject-bound-bowtie-K1e160-numerical": [
+            "bound", "--domain", json.dumps({"kind": "named", "name": "bowtie", "K": 1e160})
+        ],
     })
     json_rejects = {
         "samples-cap-polygon": {**_SQUARE, "samples": 2**21},
