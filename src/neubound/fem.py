@@ -5,8 +5,8 @@ star-shaped about, then refine uniformly, projecting each new boundary
 vertex onto the exact boundary curve via the parameterization carried by
 the boundary loop.  Refinement is array code: one np.unique over the edge
 keys of a level finds its edge midpoints, numbered by first use; each fan
-pattern (boundary count m, refinement r) keeps its levels, triangles and
-fill-reducing order in a memo that changes no result, only its cost.
+pattern (boundary count m, refinement r) keeps its levels, triangles, edges,
+CSR layout and fill order in a memo that changes no result, only its cost.
 Conforming P1 elements over-approximate the Neumann eigenvalues of the
 mesh polygon.  For a polygon domain that is the domain, so a mesh mu_1 below
 a claimed lower bound is a rigorous violation; for a sampler domain it is a
@@ -16,9 +16,10 @@ That is the check verify_bound runs.
 Assembly uses the classic per-triangle formulas: with edge coefficients
 b_i = y_j - y_k and c_i = x_k - x_j (cyclic), the stiffness block is
 (b b^T + c c^T) / (4 area) and the consistent mass block is (area / 12)
-(1 + delta_ij).  Stiffness rows sum to zero (constants cost no energy)
-and the total mass equals the mesh area.  Meshes of up to 128 unknowns
-are solved densely in NumPy alone; larger ones load scipy.sparse.
+(1 + delta_ij), summed into each entry in triangle order by one bincount per
+matrix.  Stiffness rows sum to zero (constants cost no energy) and the total
+mass equals the mesh area.  Meshes of up to 128 unknowns are solved densely
+in NumPy alone; larger ones load scipy.sparse.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ _MAX_EIGS = 10
 # a third more solves for digits no check or output uses.
 _EIGSH_TOL = 1e-10
 _DENSE_MAX_DOF = 128  # the measured in-process crossover: splu + eigsh is faster above it
-# the sparse route's measured fill-order crossover (see _fill_order): from it on, the
-# postordered minimum-degree order factors and solves faster than COLAMD's.  On fans the
-# refinement decides more than the size (r3 stays slower up to 3,601 unknowns, r4 is faster
-# from 817), and 1,500 falls between the verify benchmark's r3 and r4 rungs
-_MMD_MIN_DOF = 1_500
+# the sparse route's measured fill-order crossover (see _fill_order): fans refined at least
+# this often factor and solve faster in the postordered minimum-degree order than in COLAMD's
+# (r4 from 817 unknowns on), fans refined less slower (r3 up to 3,601 unknowns)
+_MMD_MIN_REFINEMENT = 4
 _MIN_TRIANGLE_DOUBLE_AREA = 2e-14  # relative to the area of the mesh's bounding box
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
 _PATTERN_CAP = 64  # fan patterns memoized, the oldest dropped first; a verify block meshes 42
@@ -70,8 +70,9 @@ class Mesh:
 
     @property
     def mesh_size(self) -> float:
-        x, y = self.vertices[:, 0][self.triangles], self.vertices[:, 1][self.triangles]
-        dx, dy = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y  # edges 01, 12, 20
+        """The longest edge, in one pass over the unique edges of the mesh's pattern."""
+        (x, y), (a, b) = self.vertices.T, _pattern_of(self).edges[:2]
+        dx, dy = x[b] - x[a], y[b] - y[a]
         return float(np.sqrt((dx * dx + dy * dy).max()))
 
 
@@ -161,23 +162,30 @@ def triangulate(
 
 @dataclass(eq=False)
 class _FanPattern:
-    """The connectivity of a fan of m boundary points refined r times."""
-    levels: tuple  # per level (a, b, arc): int32 edge endpoints as first used, the arcs among them
-    triangles: np.ndarray  # read-only, shared by every mesh of the pattern
-    boundary: np.ndarray  # read-only, likewise
-    order: tuple | None = None  # the sparse route's fill order and its inverse, set on first use
+    """A fan of m boundary points refined r times and what assembly keeps for it, read-only."""
+    levels: tuple  # per coarser level (a, b, arc): its edges, the arcs among them, int32
+    triangles: np.ndarray
+    boundary: np.ndarray
+    edges: tuple  # _edges(triangles)
+    order: np.ndarray | None = None  # the sparse route's fill order, new-to-old, set on first use
 
 
-def _edges(triangles: np.ndarray, nv: int):
+def _edges(triangles: np.ndarray, nv: int) -> tuple:
     """Edges numbered by first use (triangle by triangle; 01, 12, 20): the endpoints a, b
-    as first run, and each triangle's three edge numbers, (nt, 3)."""
+    as first run and each triangle's three edge numbers (nt, 3), then where K's and M's
+    CSR entries come from: the place of each in [diagonal; edges a -> b; edges b -> a],
+    and indptr; all int32."""
     starts = triangles.ravel()
     ends = triangles[:, [1, 2, 0]].ravel()
-    keys = np.minimum(starts, ends) * nv + np.maximum(starts, ends)
+    keys = np.minimum(starts, ends).astype(np.int64) * nv + np.maximum(starts, ends)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_use = np.argsort(first, kind="stable")
     rank = np.argsort(by_use)  # the inverse permutation: each edge's place in the order of use
-    return starts[first[by_use]], ends[first[by_use]], rank[inverse].reshape(-1, 3)
+    a, b = starts[first[by_use]], ends[first[by_use]]
+    rows, cols = (np.concatenate([np.arange(nv), p, q]) for p, q in ((a, b), (b, a)))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
+    entries = np.argsort(rows * nv + cols)
+    return tuple(x.astype(np.int32) for x in (a, b, rank[inverse].reshape(-1, 3), entries, indptr))
 
 
 def _fan_pattern(m: int, refinement: int) -> _FanPattern:
@@ -191,23 +199,31 @@ def _fan_pattern(m: int, refinement: int) -> _FanPattern:
     else:
         coarse = _fan_pattern(m, refinement - 1)
         nv = len(coarse.boundary)
-        a, b, edges = _edges(coarse.triangles, nv)
+        a, b, edges = coarse.edges[:3]
         # an edge between boundary vertices is a boundary arc by fan construction
         arc = coarse.boundary[a] & coarse.boundary[b]
         (v0, v1, v2), (m01, m12, m20) = coarse.triangles.T, (nv + edges).T
         triangles = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], 1).reshape(-1, 3)
-        level = (a.astype(np.int32), b.astype(np.int32), np.flatnonzero(arc).astype(np.int32))
-        levels, boundary = coarse.levels + (level,), np.concatenate([coarse.boundary, arc])
-    for array in (triangles, boundary):
+        levels = coarse.levels + ((a, b, np.flatnonzero(arc).astype(np.int32)),)
+        boundary = np.concatenate([coarse.boundary, arc])
+    edges = _edges(triangles, len(boundary))
+    for array in (triangles, boundary, *edges, *(levels[-1] if levels else ())):
         array.flags.writeable = False
-    pattern = _PATTERNS[(m, refinement)] = _FanPattern(levels, triangles, boundary)
+    pattern = _PATTERNS[(m, refinement)] = _FanPattern(levels, triangles, boundary, edges)
     while len(_PATTERNS) > _PATTERN_CAP:
         _PATTERNS.pop(list(_PATTERNS)[0], None)
     return pattern
 
 
-def _local_blocks(mesh: Mesh):
-    """Per-triangle K (real) and M (imaginary) blocks as COO (data, (row, col)), int32 indices."""
+def _pattern_of(mesh: Mesh) -> _FanPattern:
+    """The memo entry of the mesh's triangles, else a throwaway one (triangulate did not make it)."""
+    found = (p for p in list(_PATTERNS.values()) if p.triangles is mesh.triangles)
+    return next(found, None) or _FanPattern((), mesh.triangles, mesh.boundary, _edges(mesh.triangles, mesh.dof_count))
+
+
+def _assembled(mesh: Mesh):
+    """K's and M's CSR indptr, indices and a list of their data: each triangle's diagonal
+    and side values go to its vertices and edges in one bincount per matrix."""
     v, t = mesh.vertices, mesh.triangles
     if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
         raise ValueError("mesh has no triangles")
@@ -219,37 +235,38 @@ def _local_blocks(mesh: Mesh):
     if len(bad):
         raise NumericalError(f"triangle {int(bad[0])} is inverted or degenerate")
 
-    k_local = np.multiply(b[:, :, None], b[:, None, :])
-    k_local += c[:, :, None] * c[:, None, :]
-    k_local /= (2.0 * double_area)[:, None, None]
-    local = np.empty(k_local.shape, dtype=complex)
-    local.real = k_local
-    np.multiply(double_area[:, None, None], (np.ones((3, 3)) + np.eye(3)) / 24.0, out=local.imag)
-    t = t.astype(np.int32)
-    return local.ravel(), (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())
+    nv = len(v)
+    starts, ends, sides, entry, indptr = _pattern_of(mesh).edges
+    at = np.concatenate([t, nv + sides], axis=1).ravel()  # vertices 0, 1, 2; sides 01, 12, 20
+    k = np.concatenate([b * b + c * c, b * b[:, [1, 2, 0]] + c * c[:, [1, 2, 0]]], axis=1) / (2.0 * double_area)[:, None]
+    m = double_area[:, None] * (np.repeat([2.0, 1.0], 3) / 24.0)
+    sums = [np.bincount(at, w.ravel()) for w in (k, m)]
+    indices = np.concatenate([np.arange(nv, dtype=np.int32), ends, starts])[entry]
+    return indptr, indices, [np.concatenate([s, s[nv:]])[entry] for s in sums]
 
 
 def assemble(mesh: Mesh):
-    """Stiffness and consistent mass matrices (CSR) for P1 elements, on one shared pattern.
-
-    x and y are gathered once per triangle, and the blocks go into one complex
-    array, K real and M imaginary, in the formulas' order of operations; one
-    COO -> CSR conversion sums both parts as two real ones would, bit for bit.
-    """
+    """Stiffness and consistent mass matrices (CSR, owning their arrays) for P1 elements, on one
+    shared pattern; each entry sums its triangles' values in triangle order (see _assembled)."""
     import scipy.sparse  # imported here so that commands without a mesh skip it
     nv = mesh.dof_count
-    both = scipy.sparse.coo_matrix(_local_blocks(mesh), shape=(nv, nv)).tocsr()
-    pattern = (both.indices, both.indptr)
-    stiffness = scipy.sparse.csr_matrix((both.data.real.copy(), *pattern), shape=(nv, nv))
-    mass = scipy.sparse.csr_matrix((both.data.imag.copy(), *pattern), shape=(nv, nv))
-    return stiffness, mass
+    indptr, indices, data = _assembled(mesh)
+    return tuple(scipy.sparse.csr_matrix((d, indices, indptr.copy()), shape=(nv, nv)) for d in data)
 
 
-def _fill_order(shifted) -> tuple[np.ndarray, np.ndarray]:
-    """The sparse route's fill order of a symmetric matrix, new-to-old, and its inverse.
+def _dense(mesh: Mesh):
+    """K and M as n x n arrays: assemble's entries, scattered, so both routes see the same bits."""
+    nv, (indptr, indices, data) = mesh.dof_count, _assembled(mesh)
+    at = np.repeat(np.arange(0, nv * nv, nv), np.diff(indptr)) + indices
+    return tuple(np.bincount(at, d, nv * nv).reshape(nv, nv) for d in data)  # one value per place
+
+
+def _fill_order(shifted, refinement: int) -> np.ndarray:
+    """The sparse route's fill order of a symmetric matrix, new-to-old, int32 and read-only.
 
     SuperLU picks the order, and spilu keeping no fill returns it for less than
-    splu would.  Below _MMD_MIN_DOF unknowns it is COLAMD's, as splu postorders
+    splu would.  Below _MMD_MIN_REFINEMENT refinements, and so for a mesh whose
+    pattern the memo lacks (or has dropped), it is COLAMD's, as splu postorders
     it.  From there on it is the minimum-degree order of A + A^T (George and
     Liu 1989), postordered by the elimination tree of A in that order.  spilu
     postorders every order by the column elimination tree, that of A^T A,
@@ -257,13 +274,14 @@ def _fill_order(shifted) -> tuple[np.ndarray, np.ndarray]:
     took 4.6-7.1 s to factor at 17,953 unknowns, against 0.05 s with it.
     """
     import scipy.sparse.linalg
-    symmetric = shifted.shape[0] >= _MMD_MIN_DOF
-    spec = "MMD_AT_PLUS_A" if symmetric else "COLAMD"
-    position = scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c
-    order = np.argsort(position)
-    if symmetric:
+    refined = refinement >= _MMD_MIN_REFINEMENT
+    spec = "MMD_AT_PLUS_A" if refined else "COLAMD"
+    order = np.argsort(scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c)
+    if refined:
         order = order[_etree_postorder(scipy.sparse.tril(shifted[order][:, order], -1, format="csr"))]
-    return order.astype(position.dtype), np.argsort(order).astype(position.dtype)
+    order = order.astype(np.int32)
+    order.flags.writeable = False
+    return order
 
 
 def _etree_postorder(lower) -> np.ndarray:
@@ -308,30 +326,30 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
 
     The first is the constant mode, reported as exactly 0.0 once the solve
     has found it; the second is the mesh's mu_1, an over-approximation of
-    the true mu_1 that decreases under refinement.  Both routes invert
-    about a shift sigma < 0, where A = K - sigma M is positive definite,
-    which keeps lam_0 within about eps |sigma| of 0, not eps lam_max.  Up
-    to _DENSE_MAX_DOF unknowns, NumPy alone: dense K and M, A = L L^T by
+    the true mu_1 that decreases under refinement.  Both routes invert about
+    a shift sigma < 0, where A = K - sigma M is positive definite, which
+    keeps lam_0 within about eps |sigma| of 0, not eps lam_max.  Up to
+    _DENSE_MAX_DOF unknowns, NumPy alone: dense K and M, A = L L^T by
     Cholesky, eigh of L^-1 M L^-T, and from its k largest theta
-    lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos: A,
-    symmetric bit for bit on the pattern K and M share (so its CSR arrays
-    are its CSC arrays), is permuted symmetrically to a fill order that
-    depends on the pattern alone, and factored once with splu in it; its
-    solves, permuted back, are eigsh's OPinv.  The order is COLAMD's below
-    _MMD_MIN_DOF unknowns and a postordered minimum-degree order from there
-    on (see _fill_order).  triangulate's memo keeps it, and a miss computes
-    it first (about 1.1 ms at 1,225 unknowns, 33 ms at 17,953), so both
-    factor alike.  A non-finite eigenvalue raises the same NumericalError
-    as a shift beyond the float range.  eigsh sees M times a power of four near
-    spread^-2; ncv = 2k + 2 (at least 10, at most the DOF count).  The
-    fixed start, a smooth quadratic in the centred and scaled vertex
-    coordinates plus 0.2 times a seeded normal draw (a component along
-    every eigenvector), makes the result deterministic.  eigsh stops at
-    tol = 1e-10: that bounds ARPACK's Ritz estimates relative to their Ritz
-    values, and is not what certifies a pair.  Every returned pair (lam, x)
-    is checked on its own: a backward error ||Kx - lam Mx||_1 /
-    ((||K||_1 + |lam| ||M||_1) ||x||_1), returned as residuals, above 1e-8
-    raises NumericalError.  solves counts the splu solves, 0 when dense.
+    lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos in a
+    fill order that depends on the pattern alone: K, M and A (symmetric bit
+    for bit, so its CSR arrays are its CSC arrays) are gathered into it, A is
+    factored once with splu, and eigsh runs in it with the bare solve as
+    OPinv.  The order is COLAMD's below _MMD_MIN_REFINEMENT refinements and a
+    postordered minimum-degree order from there on (see _fill_order).
+    triangulate's memo keeps it, and a miss computes it first (about 1.1 ms
+    at 1,225 unknowns, 33 ms at 17,953), so both factor alike.  A non-finite
+    eigenvalue raises the same NumericalError as a shift beyond the float
+    range.  eigsh sees M times a power of four near spread^-2; ncv = 2k + 2
+    (at least 10, at most the DOF count).  The fixed start, a smooth
+    quadratic in the centred and scaled vertex coordinates plus 0.2 times a
+    seeded normal draw (a component along every eigenvector), makes the
+    result deterministic.  eigsh stops at tol = 1e-10: that bounds ARPACK's
+    Ritz estimates relative to their Ritz values, and is not what certifies
+    a pair.  Every returned pair (lam, x) is checked on its own: a backward
+    error ||Kx - lam Mx||_1 / ((||K||_1 + |lam| ||M||_1) ||x||_1), returned
+    as residuals, above 1e-8 raises NumericalError.  solves counts the splu
+    solves, 0 when dense.
     """
     if check_int("k", k, 2) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
@@ -339,14 +357,11 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")
     if nv <= _DENSE_MAX_DOF:
-        data, (rows, cols) = _local_blocks(mesh)
-        stiffness, mass = (
-            np.bincount(rows * nv + cols, w, nv**2).reshape(nv, nv) for w in (data.real, data.imag)
-        )
+        stiffness, mass = _dense(mesh)
     else:
         import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
         stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
-    # _local_blocks has rejected degenerate meshes, so spread > 0
+    # _assembled has rejected degenerate meshes, so spread > 0
     center = mesh.vertices.mean(axis=0)
     spread = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
     ratio = 1.8412 / spread  # squared as a product: unlike pow, it scales exactly with the mesh
@@ -366,27 +381,32 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
         k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
     else:
-        shifted = scipy.sparse.csc_matrix(
-            (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv)
-        )
-        found = (p for p in list(_PATTERNS.values()) if p.triangles is mesh.triangles)
-        pattern = next(found, _FanPattern((), None, None))  # a throwaway one if not from triangulate
+        pattern = _pattern_of(mesh)
         if pattern.order is None:
-            pattern.order = _fill_order(shifted)
-        order, position = pattern.order  # new-to-old and old-to-new
-        lu = scipy.sparse.linalg.splu(shifted[order][:, order], permc_spec="NATURAL")
+            shifted = (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr)
+            pattern.order = _fill_order(scipy.sparse.csc_matrix(shifted, shape=(nv, nv)), len(pattern.levels))
+        order, position = pattern.order, np.empty_like(pattern.order)
+        position[order] = np.arange(nv, dtype=np.int32)
+        # the pattern in the fill order, each entry's natural one as data: rows taken in that
+        # order, columns relabelled, sorted by one counting sort (tocsc; the pattern is symmetric)
+        entries = (np.arange(len(stiffness.data), dtype=np.int32), position[stiffness.indices], stiffness.indptr)
+        fill = scipy.sparse.csr_matrix(entries, shape=(nv, nv))[order].tocsc()
+        k_fill, m_fill = stiffness.data[fill.data], mass.data[fill.data]
+        stiffness, mass = (scipy.sparse.csr_matrix((w, fill.indices, fill.indptr), shape=(nv, nv)) for w in (k_fill, m_fill))
+        shifted = scipy.sparse.csc_matrix((k_fill - sigma * m_fill, fill.indices, fill.indptr), shape=(nv, nv))
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL")
 
         def solve(b):
             nonlocal solves
             solves += 1
-            return lu.solve(b[order])[position]
+            return lu.solve(b)
 
         # ARPACK's stopping test floors Ritz values 1 / (lam - sigma), ~spread^2, at eps^(2/3):
         # M times a power of four near spread^-2 keeps them near 1 and scales lam exactly
         unit = 4.0 ** -round(np.log2(spread))
-        x, y = ((mesh.vertices - center) / spread).T
+        x, y = ((mesh.vertices[order] - center) / spread).T  # eigsh runs in the fill order
         v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
-        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)
+        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)[order]
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
                 stiffness,

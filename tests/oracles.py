@@ -19,13 +19,17 @@ The Rayleigh quotient of a nodal P1 function bounds the mesh's mu_1 from
 above once the function is M-orthogonal to constants.
 
 The assembly oracle takes each triangle's double area from the vertex
-differences of signed_double_areas and converts each matrix from COO to
-CSR on its own, the eigensolve oracle lets scipy's eigsh build and factor
-K - sigma M itself and starts it from a standard normal vector with the
-default ncv, and the mesh-size oracle measures the three sides of each
-triangle as 2-vectors: fem's assemble, neumann_eigenvalues and
-Mesh.mesh_size before they shared one conversion, one factorization and
-per-coordinate gathers.
+differences of signed_double_areas, its sparsity pattern from a COO-to-CSR
+conversion, and each of the nine entries of every element block with
+np.add.at, matrix by matrix, so each entry is summed in triangle order.
+fem's assemble sums in that order too, but per vertex and per edge, by one
+bincount per matrix into the pattern its memo keeps; the same bits show
+that the edges, their CSR places and the summation order all agree.  The
+eigensolve oracle lets scipy's eigsh build and factor K - sigma M itself,
+in its own order, and starts it from a standard normal vector with the
+default ncv; fem factors once in a fill order and runs eigsh in it.  The
+mesh-size oracle measures the three sides of each triangle as 2-vectors,
+where Mesh.mesh_size reads each edge of its pattern once.
 
 The elimination-tree oracle eliminates one vertex at a time on sets:
 each vertex's later neighbours become a clique, so its parent is the first
@@ -281,13 +285,16 @@ def two_pass_assemble(mesh):
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
     nv = len(v)
-    stiffness = scipy.sparse.coo_matrix(
-        (k_local.ravel(), (rows, cols)), shape=(nv, nv)
-    ).tocsr()
-    mass = scipy.sparse.coo_matrix(
-        (m_local.ravel(), (rows, cols)), shape=(nv, nv)
-    ).tocsr()
-    return stiffness, mass
+    # the pattern from a COO -> CSR conversion; each entry then summed by np.add.at, in triangle order
+    pattern = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv)).tocsr()
+    keys = np.repeat(np.arange(nv), np.diff(pattern.indptr)) * nv + pattern.indices
+    slots = np.searchsorted(keys, rows * nv + cols)
+    matrices = []
+    for local in (k_local, m_local):
+        data = np.zeros(len(keys))
+        np.add.at(data, slots, local.ravel())
+        matrices.append(scipy.sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(nv, nv)))
+    return tuple(matrices)
 
 
 def scipy_shift_invert_eigenvalues(mesh, k: int) -> np.ndarray:

@@ -136,6 +136,31 @@ def test_dense_and_sparse_solvers_agree():
     assert 121 <= fem._DENSE_MAX_DOF < 141
 
 
+# the dense route's meshes among _SOLVER_MESHES: 7 to 128 unknowns
+_DENSE_MESHES = [("bowtie", None, r) for r in range(3)] + [
+    ("unit_disc", 12, 0), ("unit_disc", 12, 1), ("unit_disc", 12, 2), ("unit_disc", 42, 1),
+    ("unit_disc", fem._DENSE_MAX_DOF - 1, 0),
+]
+
+
+@pytest.mark.parametrize("case", _DENSE_MESHES, ids=lambda c: f"{c[0]}/{c[1]}/r{c[2]}")
+def test_the_dense_route_solves_the_matrices_assemble_makes(case, monkeypatch):
+    # one assembly for both routes: the dense route's K and M are assemble's, densified, bit for bit
+    mesh = _solver_mesh(*case)
+    assert 7 <= mesh.dof_count <= fem._DENSE_MAX_DOF
+    seen = []
+
+    def recorded(mesh, _original=fem._dense):
+        seen.append(_original(mesh))
+        return seen[-1]
+
+    monkeypatch.setattr(fem, "_dense", recorded)
+    fem.neumann_eigenvalues(mesh, k=4)
+    (dense,) = seen
+    for got, want in zip(dense, fem.assemble(mesh)):
+        assert np.array_equal(got, want.toarray())
+
+
 def _both_routes(mesh, monkeypatch, k=4):
     """neumann_eigenvalues with every mesh on the dense route, then on the sparse one."""
     results = []
@@ -284,7 +309,7 @@ _ASSEMBLY_CASES = [
 
 @pytest.mark.parametrize("name, refinement", _ASSEMBLY_CASES)
 def test_assembly_matches_two_pass_oracle(name, refinement):
-    # one complex COO -> CSR conversion gives the same bits as two real ones
+    # one bincount per matrix into the memo's pattern sums as np.add.at does, in triangle order
     name, _, samples = name.partition("/")
     spec = geometry.load_domain_spec(_THIN_FAN) if name == "thin_fan" else geometry.named_domain(name)
     mesh = fem.triangulate(spec, refinement=refinement, samples=int(samples) if samples else None)
@@ -301,9 +326,9 @@ def test_eigenvalues_match_scipy_shift_invert_oracle(name):
     """The factor-once solve with its seeded smooth start and ncv = 2k + 2
     finds the eigenvalues eigsh finds with its own factorization, a random
     start and the default ncv.  eigenvalues[0] is ~0 and carries only
-    roundoff, so only eigenvalues[1:] are compared, relatively.  Meshes of
-    at least _MMD_MIN_DOF unknowns (the curved presets at r3 and r4,
-    random_star at r4) take the minimum-degree fill order, the rest COLAMD's."""
+    roundoff, so only eigenvalues[1:] are compared, relatively.  Fans refined
+    at least _MMD_MIN_REFINEMENT times (r4 here) take the minimum-degree fill
+    order, the rest COLAMD's."""
     for refinement in range(1, 5):
         mesh = fem.triangulate(_ORACLE_SPECS[name], refinement=refinement)
         for k in (2, 4, 6):
@@ -674,8 +699,9 @@ def _spectrum_bits(result):
     return result.eigenvalues, result.residuals, result.solves, result.dof_count, result.mesh_size
 
 
-# meshes triangulate did not return, each a copy of the memo's arrays for a case
-# below and one above _MMD_MIN_DOF (817 and 1,633 unknowns)
+# meshes triangulate did not return, each a copy of the memo's arrays for a fan refined
+# below and one refined at _MMD_MIN_REFINEMENT (817 and 1,633 unknowns); having no
+# refinement levels, a hand-built mesh takes COLAMD's order either way
 _HAND_BUILT = {"hand-built": ("bowtie", None, 3), "hand-built-above-crossover": ("unit_disc", 12, 4)}
 
 
@@ -707,7 +733,16 @@ def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
     assert _spectrum_bits(warm) == _spectrum_bits(cold)
     if not hand_built:
         assert warm_mesh.triangles is cold_mesh.triangles
+        # a copy in fresh arrays has no memo entry, and assembles to the same bits
+        copy = fem.Mesh(warm_mesh.vertices.copy(), warm_mesh.triangles.copy(), warm_mesh.boundary.copy())
+        for got, want in zip(fem.assemble(copy), fem.assemble(warm_mesh)):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+        if case[2] < fem._MMD_MIN_REFINEMENT:  # where both take COLAMD's order
+            assert _spectrum_bits(fem.neumann_eigenvalues(copy, k=4)) == _spectrum_bits(cold)
     else:  # a miss each time, as bit-identical as a miss and then a hit on the memo's own mesh
+        # once that takes COLAMD's order too, as every fan does with the crossover raised
+        monkeypatch.setattr(fem, "_MMD_MIN_REFINEMENT", fem._MAX_REFINEMENT + 1)
         memo_mesh = _solver_mesh(*_HAND_BUILT[case])
         for _ in range(2):
             assert _spectrum_bits(fem.neumann_eigenvalues(memo_mesh, k=4)) == _spectrum_bits(cold)
@@ -731,9 +766,9 @@ def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(monkeypatch):
     assert [record["dof_count"] for record in records] == [1225, 1225]
     assert list(fem._PATTERNS) == [(34, r) for r in range(4)]
     assert calls == [(1225, 1225)]
-    # the order arrays own their memory: a view would pin spilu's factor
+    # the order owns its memory: a view would pin spilu's factor
     (entry,) = (p for p in fem._PATTERNS.values() if p.order is not None)
-    assert all(array.flags.owndata and array.base is None for array in entry.order)
+    assert entry.order.flags.owndata and entry.order.base is None
     disc, rect = (fem.triangulate(spec, 3, samples=34) for spec in (geometry.named_domain("unit_disc"), rectangle))
     assert disc.triangles is rect.triangles and disc.boundary is rect.boundary
 
@@ -754,6 +789,16 @@ def test_the_arrays_of_a_mesh_are_read_only():
     for array in (mesh.vertices, mesh.triangles, mesh.boundary):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
+    # and those its pattern keeps for the solver: an index array sorted in place by a
+    # caller (splu sorts unsorted ones) would corrupt every later mesh of the pattern
+    mesh = fem.triangulate(geometry.named_domain("unit_disc"), refinement=3, samples=12)
+    fem.neumann_eigenvalues(mesh, k=4)  # the sparse route, which sets the fill order
+    (pattern,) = (p for p in fem._PATTERNS.values() if p.triangles is mesh.triangles)
+    levels = [array for level in pattern.levels for array in level]
+    for array in (*pattern.edges, pattern.order, *levels):
+        assert array.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
@@ -770,12 +815,12 @@ def test_the_fill_order_above_the_crossover_postorders_its_elimination_tree(boun
 
     monkeypatch.setattr(fem, "_PATTERNS", {})
     mesh = _solver_mesh("unit_disc", boundary, 4)
-    assert mesh.dof_count >= fem._MMD_MIN_DOF
     fem.neumann_eigenvalues(mesh, k=4)
     (entry,) = (p for p in fem._PATTERNS.values() if p.order is not None)
-    order, position = entry.order
+    assert len(entry.levels) == fem._MMD_MIN_REFINEMENT
+    order = entry.order
     assert sorted(order.tolist()) == list(range(mesh.dof_count))
-    assert np.array_equal(position[order], np.arange(mesh.dof_count))
+    assert order.dtype == np.int32 and not order.flags.writeable
     mass = fem.assemble(mesh)[1]  # K's pattern, with every entry nonzero
     assert is_postorder(elimination_tree(mass, order))
     # the oracle tells them apart: spilu's minimum-degree order itself is not one
@@ -811,9 +856,8 @@ def test_the_minimum_degree_order_fills_less_than_colamd(monkeypatch):
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-    mesh = _solver_mesh("unit_disc", 34, 4)
-    monkeypatch.setattr(fem, "_PATTERNS", {})  # without its pattern, each solve takes the miss path
-    for crossover in (mesh.dof_count + 1, fem._MMD_MIN_DOF):  # COLAMD's order, then the default
-        monkeypatch.setattr(fem, "_MMD_MIN_DOF", crossover)
-        fem.neumann_eigenvalues(mesh, k=4)
+    for crossover in (5, fem._MMD_MIN_REFINEMENT):  # COLAMD's order, then the default
+        monkeypatch.setattr(fem, "_MMD_MIN_REFINEMENT", crossover)
+        monkeypatch.setattr(fem, "_PATTERNS", {})  # a fresh memo entry, which computes its order
+        fem.neumann_eigenvalues(_solver_mesh("unit_disc", 34, 4), k=4)
     assert fills[1] < fills[0] and fills[1] < 206_012  # COLAMD read 206,012, this order 176,226
