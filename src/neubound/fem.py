@@ -4,9 +4,9 @@ Meshing is deliberately simple: fan out from an anchor the domain is
 star-shaped about, then refine uniformly, projecting each new boundary
 vertex onto the exact boundary curve via the parameterization carried by
 the boundary loop.  Refinement is array code: one np.unique over the edge
-keys of a level finds its edge midpoints, numbered by first use; each fan
-pattern (boundary count m, refinement r) keeps its levels, triangles, edges,
-CSR layout and fill order in a memo that changes no result, only its cost.
+keys of a level finds its edge midpoints, numbered by first use; each mesh
+carries its memoized fan pattern (m boundary points, r refinements), with a
+fill order of its structure alone: the memo changes no result, only its cost.
 Conforming P1 elements over-approximate the Neumann eigenvalues of the
 mesh polygon.  For a polygon domain that is the domain, so a mesh mu_1 below
 a claimed lower bound is a rigorous violation; for a sampler domain it is a
@@ -24,7 +24,8 @@ in NumPy alone; larger ones load scipy.sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +49,7 @@ _DENSE_MAX_DOF = 128  # the measured in-process crossover: splu + eigsh is faste
 _MMD_MIN_REFINEMENT = 4
 _MIN_TRIANGLE_DOUBLE_AREA = 2e-14  # relative to the area of the mesh's bounding box
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
-_PATTERN_CAP = 64  # fan patterns memoized, the oldest dropped first; a verify block meshes 42
-# (m, refinement) -> _FanPattern, oldest first; used only through single dict
-# calls (get, pop, list), each atomic, so that threads may share it
-_PATTERNS: dict = {}
+_PATTERN_CAP = 64  # fan patterns memoized, the least recently used dropped first; a verify block meshes 42
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,15 +61,20 @@ class Mesh:
     vertices: np.ndarray  # (nv, 2) float
     triangles: np.ndarray  # (nt, 3) int
     boundary: np.ndarray  # (nv,) bool
+    _pattern: _FanPattern | None = field(default=None, init=False, repr=False)  # set by triangulate
 
     @property
     def dof_count(self) -> int:
         return int(len(self.vertices))
 
     @property
+    def _layout(self) -> _FanPattern:  # triangulate's pattern, else one built for this use alone
+        return self._pattern or _FanPattern((), self.triangles, self.boundary, _edges(self.triangles, self.dof_count))
+
+    @property
     def mesh_size(self) -> float:
         """The longest edge, in one pass over the unique edges of the mesh's pattern."""
-        (x, y), (a, b) = self.vertices.T, _pattern_of(self).edges[:2]
+        (x, y), (a, b) = self.vertices.T, self._layout.edges[:2]
         dx, dy = x[b] - x[a], y[b] - y[a]
         return float(np.sqrt((dx * dx + dy * dy).max()))
 
@@ -120,10 +123,10 @@ def triangulate(
     A refinement above 8, or a mesh with more unknowns than
     neumann_eigenvalues supports, is rejected before any refining: a fan of
     m triangles refined r times has 1 + m 2^(r-1) (2^r + 1) vertices.
-    Each pattern (m, r) is memoized (see _fan_pattern), so a hit only places
-    coordinates; the mesh's arrays are read-only.  Only the fan is checked
-    here, relative to its bounding box's area, so the domain's scale does not
-    decide it; the refined triangles are checked where they are assembled.
+    Each pattern (m, r) is memoized (see _fan_pattern), and the mesh carries
+    it, so a hit only places coordinates; the mesh's arrays are read-only.
+    Only the fan is checked here, against its bounding box's area, so scale
+    does not decide it; the refined triangles are checked when assembled.
     """
     if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
         raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
@@ -157,17 +160,22 @@ def triangulate(
         s_param[nv + arc] = s_mid
         nv += len(a)
     vertices.flags.writeable = False
-    return Mesh(vertices=vertices, triangles=pattern.triangles, boundary=pattern.boundary)
+    mesh = Mesh(vertices=vertices, triangles=pattern.triangles, boundary=pattern.boundary)
+    object.__setattr__(mesh, "_pattern", pattern)
+    return mesh
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _FanPattern:
-    """A fan of m boundary points refined r times and what assembly keeps for it, read-only."""
+    """A fan of m boundary points refined r times and what the solver keeps for it; immutable."""
     levels: tuple  # per coarser level (a, b, arc): its edges, the arcs among them, int32
     triangles: np.ndarray
     boundary: np.ndarray
     edges: tuple  # _edges(triangles)
-    order: np.ndarray | None = None  # the sparse route's fill order, new-to-old, set on first use
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:  # the sparse route's fill order, new-to-old, made on first use
+        return _fill_order(self)
 
 
 def _edges(triangles: np.ndarray, nv: int) -> tuple:
@@ -188,10 +196,9 @@ def _edges(triangles: np.ndarray, nv: int) -> tuple:
     return tuple(x.astype(np.int32) for x in (a, b, rank[inverse].reshape(-1, 3), entries, indptr))
 
 
+@functools.lru_cache(maxsize=_PATTERN_CAP)
 def _fan_pattern(m: int, refinement: int) -> _FanPattern:
     """The memoized pattern (m, refinement); a miss builds it on (m, refinement - 1)'s levels."""
-    if (pattern := _PATTERNS.get((m, refinement))) is not None:
-        return pattern
     if refinement == 0:
         fan = np.arange(1, m + 1, dtype=np.int64)
         triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
@@ -209,16 +216,7 @@ def _fan_pattern(m: int, refinement: int) -> _FanPattern:
     edges = _edges(triangles, len(boundary))
     for array in (triangles, boundary, *edges, *(levels[-1] if levels else ())):
         array.flags.writeable = False
-    pattern = _PATTERNS[(m, refinement)] = _FanPattern(levels, triangles, boundary, edges)
-    while len(_PATTERNS) > _PATTERN_CAP:
-        _PATTERNS.pop(list(_PATTERNS)[0], None)
-    return pattern
-
-
-def _pattern_of(mesh: Mesh) -> _FanPattern:
-    """The memo entry of the mesh's triangles, else a throwaway one (triangulate did not make it)."""
-    found = (p for p in list(_PATTERNS.values()) if p.triangles is mesh.triangles)
-    return next(found, None) or _FanPattern((), mesh.triangles, mesh.boundary, _edges(mesh.triangles, mesh.dof_count))
+    return _FanPattern(levels, triangles, boundary, edges)
 
 
 def _assembled(mesh: Mesh):
@@ -236,7 +234,7 @@ def _assembled(mesh: Mesh):
         raise NumericalError(f"triangle {int(bad[0])} is inverted or degenerate")
 
     nv = len(v)
-    starts, ends, sides, entry, indptr = _pattern_of(mesh).edges
+    starts, ends, sides, entry, indptr = mesh._layout.edges
     at = np.concatenate([t, nv + sides], axis=1).ravel()  # vertices 0, 1, 2; sides 01, 12, 20
     k = np.concatenate([b * b + c * c, b * b[:, [1, 2, 0]] + c * c[:, [1, 2, 0]]], axis=1) / (2.0 * double_area)[:, None]
     m = double_area[:, None] * (np.repeat([2.0, 1.0], 3) / 24.0)
@@ -261,20 +259,26 @@ def _dense(mesh: Mesh):
     return tuple(np.bincount(at, d, nv * nv).reshape(nv, nv) for d in data)  # one value per place
 
 
-def _fill_order(shifted, refinement: int) -> np.ndarray:
-    """The sparse route's fill order of a symmetric matrix, new-to-old, int32 and read-only.
+def _fill_order(pattern: _FanPattern) -> np.ndarray:
+    """The sparse route's fill order for the pattern, new-to-old, int32 and read-only.
 
-    SuperLU picks the order, and spilu keeping no fill returns it for less than
-    splu would.  Below _MMD_MIN_REFINEMENT refinements, and so for a mesh whose
-    pattern the memo lacks (or has dropped), it is COLAMD's, as splu postorders
-    it.  From there on it is the minimum-degree order of A + A^T (George and
-    Liu 1989), postordered by the elimination tree of A in that order.  spilu
-    postorders every order by the column elimination tree, that of A^T A,
-    which splits A's supernodes: without the symmetric postorder, this order
-    took 4.6-7.1 s to factor at 17,953 unknowns, against 0.05 s with it.
+    SuperLU picks it from the sparsity of every K - sigma M, here that of I
+    plus the pattern's graph Laplacian (spilu finds all ones "exactly
+    singular"), and spilu keeping no fill returns it for less than splu would.
+    Below _MMD_MIN_REFINEMENT refinements, and so for a hand-built mesh's
+    pattern, which has no levels, it is COLAMD's, as splu postorders it.  From
+    there on it is the minimum-degree order of A + A^T (George and Liu 1989),
+    postordered by the elimination tree of A in that order.  spilu postorders
+    every order by the column elimination tree, that of A^T A, which splits
+    A's supernodes: without the symmetric postorder, this order took 4.6-7.1 s
+    to factor at 17,953 unknowns, against 0.05 s with it.
     """
     import scipy.sparse.linalg
-    refined = refinement >= _MMD_MIN_REFINEMENT
+    (starts, ends, _, entry, indptr), nv = pattern.edges, len(pattern.boundary)
+    values = np.concatenate([np.diff(indptr), -np.ones(2 * len(starts))])[entry]  # 1 + degree: a row's count
+    indices = np.concatenate([np.arange(nv, dtype=np.int32), ends, starts])[entry]
+    shifted = scipy.sparse.csc_matrix((values, indices, indptr), shape=(nv, nv))  # symmetric: CSR is CSC
+    refined = len(pattern.levels) >= _MMD_MIN_REFINEMENT
     spec = "MMD_AT_PLUS_A" if refined else "COLAMD"
     order = np.argsort(scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c)
     if refined:
@@ -336,9 +340,9 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     for bit, so its CSR arrays are its CSC arrays) are gathered into it, A is
     factored once with splu, and eigsh runs in it with the bare solve as
     OPinv.  The order is COLAMD's below _MMD_MIN_REFINEMENT refinements and a
-    postordered minimum-degree order from there on (see _fill_order).
-    triangulate's memo keeps it, and a miss computes it first (about 1.1 ms
-    at 1,225 unknowns, 33 ms at 17,953), so both factor alike.  A non-finite
+    postordered minimum-degree order from there on (see _fill_order), which
+    the mesh's pattern makes once (1.1 ms at 1,225 unknowns, 33 ms at 17,953;
+    a hand-built mesh's pattern, on every solve).  A non-finite
     eigenvalue raises the same NumericalError as a shift beyond the float
     range.  eigsh sees M times a power of four near spread^-2; ncv = 2k + 2
     (at least 10, at most the DOF count).  The fixed start, a smooth
@@ -381,11 +385,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
         k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
     else:
-        pattern = _pattern_of(mesh)
-        if pattern.order is None:
-            shifted = (stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr)
-            pattern.order = _fill_order(scipy.sparse.csc_matrix(shifted, shape=(nv, nv)), len(pattern.levels))
-        order, position = pattern.order, np.empty_like(pattern.order)
+        order, position = mesh._layout.order, np.empty(nv, dtype=np.int32)
         position[order] = np.arange(nv, dtype=np.int32)
         # the pattern in the fill order, each entry's natural one as data: rows taken in that
         # order, columns relabelled, sorted by one counting sort (tocsc; the pattern is symmetric)

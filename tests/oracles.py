@@ -31,6 +31,11 @@ default ncv; fem factors once in a fill order and runs eigsh in it.  The
 mesh-size oracle measures the three sides of each triangle as 2-vectors,
 where Mesh.mesh_size reads each edge of its pattern once.
 
+The fill-order oracle lets SuperLU pick the sparse route's order on each
+mesh's own K - sigma M, values and all, where fem picks it once per fan
+pattern on I plus the pattern's graph Laplacian; equal orders show that
+the order depends on the sparsity alone.
+
 The elimination-tree oracle eliminates one vertex at a time on sets:
 each vertex's later neighbours become a clique, so its parent is the first
 of them and the rest join that parent's neighbours.  It is the symbolic
@@ -321,6 +326,25 @@ def scipy_shift_invert_eigenvalues(mesh, k: int) -> np.ndarray:
         return_eigenvectors=False,
     )
     return np.sort(np.asarray(vals, dtype=float))[:k]
+
+
+def spilu_fill_order(mesh, refinement: int) -> np.ndarray:
+    """The sparse route's fill order, new-to-old, as SuperLU picks it on the mesh's own
+    K - sigma M: COLAMD's, or from fem._MMD_MIN_REFINEMENT refinements on the minimum-
+    degree order of A + A^T, postordered by fem._etree_postorder."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    stiffness, mass = two_pass_assemble(mesh)  # one pattern: the same indices and indptr
+    spread = float(np.linalg.norm(mesh.vertices - mesh.vertices.mean(axis=0), axis=1).max())
+    sigma = -0.2 * (1.8412 / spread) ** 2
+    shifted = scipy.sparse.csc_matrix((stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr))
+    refined = refinement >= fem._MMD_MIN_REFINEMENT
+    spec = "MMD_AT_PLUS_A" if refined else "COLAMD"
+    order = np.argsort(scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c)
+    if refined:
+        order = order[fem._etree_postorder(scipy.sparse.tril(shifted[order][:, order], -1, format="csr"))]
+    return order
 
 
 def elimination_tree(pattern, order) -> list[int]:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from oracles import (
     rayleigh_quotient,
     scalar_triangulate,
     scipy_shift_invert_eigenvalues,
+    spilu_fill_order,
     three_side_mesh_size,
     two_pass_assemble,
 )
@@ -699,6 +704,15 @@ def _spectrum_bits(result):
     return result.eigenvalues, result.residuals, result.solves, result.dof_count, result.mesh_size
 
 
+@pytest.fixture
+def cold_memo():
+    """An empty pattern memo, emptied again afterwards: a pattern keeps the order it
+    made first, so one made while a test patches the crossover must not outlive it."""
+    fem._fan_pattern.cache_clear()
+    yield
+    fem._fan_pattern.cache_clear()
+
+
 # meshes triangulate did not return, each a copy of the memo's arrays for a fan refined
 # below and one refined at _MMD_MIN_REFINEMENT (817 and 1,633 unknowns); having no
 # refinement levels, a hand-built mesh takes COLAMD's order either way
@@ -714,7 +728,7 @@ _MEMO_CASES = [("unit_disc", 34, 3), ("unit_disc", 34, 4), ("bowtie", None, 3), 
 
 
 @pytest.mark.parametrize("case", _MEMO_CASES, ids=str)
-def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
+def test_a_cold_and_a_warm_memo_give_the_same_bits(case, cold_memo, monkeypatch):
     hand_built = case in _HAND_BUILT
 
     def solve():
@@ -722,18 +736,18 @@ def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
         assert mesh.dof_count > fem._DENSE_MAX_DOF  # the route that keeps a fill order
         return mesh, fem.neumann_eigenvalues(mesh, k=4)
 
-    monkeypatch.setattr(fem, "_PATTERNS", {})
     cold_mesh, cold = solve()
     warm_mesh, warm = solve()
-    entry = [p for p in fem._PATTERNS.values() if p.triangles is warm_mesh.triangles]
-    assert len(entry) == (not hand_built) and all(p.order is not None for p in entry)
+    # a mesh triangulate made carries its pattern, which keeps the order the cold solve made
+    assert (warm_mesh._pattern is None) == hand_built
+    assert hand_built or "order" in vars(warm_mesh._pattern)
     for got, want in zip((warm_mesh.vertices, warm_mesh.triangles, warm_mesh.boundary),
                          (cold_mesh.vertices, cold_mesh.triangles, cold_mesh.boundary)):
         assert np.array_equal(got, want) and got.dtype == want.dtype
     assert _spectrum_bits(warm) == _spectrum_bits(cold)
     if not hand_built:
         assert warm_mesh.triangles is cold_mesh.triangles
-        # a copy in fresh arrays has no memo entry, and assembles to the same bits
+        # a copy in fresh arrays carries no pattern, and assembles to the same bits
         copy = fem.Mesh(warm_mesh.vertices.copy(), warm_mesh.triangles.copy(), warm_mesh.boundary.copy())
         for got, want in zip(fem.assemble(copy), fem.assemble(warm_mesh)):
             for part in ("data", "indices", "indptr"):
@@ -743,13 +757,17 @@ def test_a_cold_and_a_warm_memo_give_the_same_bits(case, monkeypatch):
     else:  # a miss each time, as bit-identical as a miss and then a hit on the memo's own mesh
         # once that takes COLAMD's order too, as every fan does with the crossover raised
         monkeypatch.setattr(fem, "_MMD_MIN_REFINEMENT", fem._MAX_REFINEMENT + 1)
+        fem._fan_pattern.cache_clear()  # a fresh pattern, whose order follows the raised crossover
         memo_mesh = _solver_mesh(*_HAND_BUILT[case])
         for _ in range(2):
             assert _spectrum_bits(fem.neumann_eigenvalues(memo_mesh, k=4)) == _spectrum_bits(cold)
 
 
-def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(monkeypatch):
-    # the sparse route computes a fill order through spilu, only on a miss
+_RECTANGLE = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}
+
+
+def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, monkeypatch):
+    # the sparse route computes a fill order through spilu, once per pattern
     import scipy.sparse.linalg
 
     calls = []
@@ -758,30 +776,42 @@ def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(monkeypatch):
         calls.append(shifted.shape)
         return _original(shifted, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "_PATTERNS", {})
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
-    rectangle = geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]})
+    rectangle = geometry.load_domain_spec(_RECTANGLE)
     records = [fem.verify_bound(spec, refinement=3, fem_samples=34)
                for spec in (geometry.named_domain("unit_disc"), rectangle)]
     assert [record["dof_count"] for record in records] == [1225, 1225]
-    assert list(fem._PATTERNS) == [(34, r) for r in range(4)]
+    info = fem._fan_pattern.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    assert all(fem._fan_pattern(34, r) for r in range(4)) and fem._fan_pattern.cache_info().misses == 4
     assert calls == [(1225, 1225)]
-    # the order owns its memory: a view would pin spilu's factor
-    (entry,) = (p for p in fem._PATTERNS.values() if p.order is not None)
-    assert entry.order.flags.owndata and entry.order.base is None
     disc, rect = (fem.triangulate(spec, 3, samples=34) for spec in (geometry.named_domain("unit_disc"), rectangle))
+    assert disc._pattern is rect._pattern and "order" in vars(disc._pattern)
     assert disc.triangles is rect.triangles and disc.boundary is rect.boundary
+    # the order owns its memory: a view would pin spilu's factor
+    assert disc._pattern.order.flags.owndata and disc._pattern.order.base is None
 
 
-def test_the_memo_keeps_at_most_its_cap_and_drops_the_oldest(monkeypatch):
-    monkeypatch.setattr(fem, "_PATTERNS", {})
-    spec = geometry.named_domain("unit_disc")
-    for m in range(3, fem._PATTERN_CAP + 13):
+def test_the_memo_keeps_at_most_its_cap_and_drops_the_least_recently_used(cold_memo):
+    spec, cap = geometry.named_domain("unit_disc"), fem._PATTERN_CAP
+    for m in range(3, cap + 13):
         fem.triangulate(spec, refinement=1, samples=m)  # two entries each: (m, 0) and (m, 1)
-        assert len(fem._PATTERNS) <= fem._PATTERN_CAP
-    assert len(fem._PATTERNS) == fem._PATTERN_CAP
-    assert list(fem._PATTERNS)[-2:] == [(fem._PATTERN_CAP + 12, 0), (fem._PATTERN_CAP + 12, 1)]
-    assert list(fem._PATTERNS)[0] == (fem._PATTERN_CAP // 2 + 13, 0)  # the last 32 fans
+        assert fem._fan_pattern.cache_info().currsize <= cap
+    info = fem._fan_pattern.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (cap, cap, 2 * (cap + 10))
+
+    def misses(m, refinement):
+        before = fem._fan_pattern.cache_info().misses
+        fem._fan_pattern(m, refinement)
+        return fem._fan_pattern.cache_info().misses - before
+
+    # the last 32 fans are kept, (45, 0) the least recently used
+    assert misses(cap + 12, 1) == 0 and misses(cap // 2 + 13, 0) == 0
+    assert misses(cap // 2 + 12, 1) == 2  # (44, 0) and (44, 1) come back, and two entries go
+    assert misses(cap // 2 + 13, 0) == 0  # not (45, 0), just used, as oldest-first would drop
+    assert misses(cap // 2 + 14, 0) == 1  # but (45, 1) and (46, 0), used least recently
+    assert misses(cap // 2 + 13, 1) == 1
+    assert fem._fan_pattern.cache_info().currsize == cap
 
 
 def test_the_arrays_of_a_mesh_are_read_only():
@@ -792,31 +822,33 @@ def test_the_arrays_of_a_mesh_are_read_only():
     # and those its pattern keeps for the solver: an index array sorted in place by a
     # caller (splu sorts unsorted ones) would corrupt every later mesh of the pattern
     mesh = fem.triangulate(geometry.named_domain("unit_disc"), refinement=3, samples=12)
-    fem.neumann_eigenvalues(mesh, k=4)  # the sparse route, which sets the fill order
-    (pattern,) = (p for p in fem._PATTERNS.values() if p.triangles is mesh.triangles)
+    fem.neumann_eigenvalues(mesh, k=4)  # the sparse route, which makes the fill order
+    pattern = mesh._pattern
     levels = [array for level in pattern.levels for array in level]
     for array in (*pattern.edges, pattern.order, *levels):
         assert array.dtype == np.int32
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):  # nor is the pattern itself reassigned
+        pattern.edges = pattern.edges
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
-def test_refinement_matches_scalar_oracle_on_a_cold_and_a_warm_memo(name, monkeypatch):
-    monkeypatch.setattr(fem, "_PATTERNS", {})
+def test_refinement_matches_scalar_oracle_on_a_cold_and_a_warm_memo(name, cold_memo):
     test_refinement_matches_scalar_oracle(name)
-    assert fem._PATTERNS  # the levels the cold pass enumerated, read by the warm one
+    misses = fem._fan_pattern.cache_info().misses
+    assert misses  # the levels the cold pass enumerated, read by the warm one
     test_refinement_matches_scalar_oracle(name)
+    assert fem._fan_pattern.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("boundary", [12, 34])  # unit_disc r4: 1,633 and 4,625 unknowns
-def test_the_fill_order_above_the_crossover_postorders_its_elimination_tree(boundary, monkeypatch):
+def test_the_fill_order_above_the_crossover_postorders_its_elimination_tree(boundary, cold_memo):
     import scipy.sparse.linalg
 
-    monkeypatch.setattr(fem, "_PATTERNS", {})
     mesh = _solver_mesh("unit_disc", boundary, 4)
     fem.neumann_eigenvalues(mesh, k=4)
-    (entry,) = (p for p in fem._PATTERNS.values() if p.order is not None)
+    entry = mesh._pattern
     assert len(entry.levels) == fem._MMD_MIN_REFINEMENT
     order = entry.order
     assert sorted(order.tolist()) == list(range(mesh.dof_count))
@@ -845,7 +877,7 @@ def test_etree_postorder_renumbers_the_same_tree_on_random_patterns(seed):
     assert [-1 if p < 0 else int(postorder[p]) for p in renumbered] == [natural[v] for v in postorder]
 
 
-def test_the_minimum_degree_order_fills_less_than_colamd(monkeypatch):
+def test_the_minimum_degree_order_fills_less_than_colamd(cold_memo, monkeypatch):
     import scipy.sparse.linalg
 
     fills = []
@@ -858,6 +890,65 @@ def test_the_minimum_degree_order_fills_less_than_colamd(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     for crossover in (5, fem._MMD_MIN_REFINEMENT):  # COLAMD's order, then the default
         monkeypatch.setattr(fem, "_MMD_MIN_REFINEMENT", crossover)
-        monkeypatch.setattr(fem, "_PATTERNS", {})  # a fresh memo entry, which computes its order
+        fem._fan_pattern.cache_clear()  # a fresh pattern, which computes its order
         fem.neumann_eigenvalues(_solver_mesh("unit_disc", 34, 4), k=4)
     assert fills[1] < fills[0] and fills[1] < 206_012  # COLAMD read 206,012, this order 176,226
+
+
+def test_a_mesh_keeps_its_pattern_after_the_memo_drops_it(cold_memo):
+    # the memo once looked a mesh's pattern up again on each solve: after 64 newer fans,
+    # this r4 mesh lost its levels, took COLAMD's order and moved in the last bits
+    mesh = _solver_mesh("unit_disc", 12, 4)
+    assert mesh.dof_count == 1633
+    first = fem.neumann_eigenvalues(mesh, k=4)
+    fem._fan_pattern.cache_clear()
+    for m in range(13, 13 + fem._PATTERN_CAP):
+        _solver_mesh("unit_disc", m, 0)
+    assert _spectrum_bits(fem.neumann_eigenvalues(mesh, k=4)) == _spectrum_bits(first)
+
+
+_ORDER_PATTERNS = [(12, 3), (34, 3), (6, 4), (12, 4), (17, 4)]  # 217 to 1,633 unknowns, both orders
+
+
+@pytest.mark.parametrize("boundary, refinement", _ORDER_PATTERNS)
+def test_the_fill_order_depends_on_the_pattern_alone(boundary, refinement):
+    # the order a pattern takes from I plus its graph Laplacian is the one SuperLU picks on
+    # the real K - sigma M, for a disc and a rectangle alike; a hand-built copy takes COLAMD's
+    for spec in (geometry.named_domain("unit_disc"), geometry.load_domain_spec(_RECTANGLE)):
+        mesh = fem.triangulate(spec, refinement, samples=boundary)
+        assert mesh.dof_count > fem._DENSE_MAX_DOF
+        assert np.array_equal(mesh._pattern.order, spilu_fill_order(mesh, refinement))
+    hand_built = fem.Mesh(mesh.vertices.copy(), mesh.triangles.copy(), mesh.boundary.copy())
+    assert np.array_equal(hand_built._layout.order, spilu_fill_order(hand_built, 0))
+
+
+def test_threads_solving_one_mesh_from_a_cold_memo_agree(cold_memo):
+    start = threading.Barrier(4, timeout=60)
+
+    def solve(_):
+        start.wait()  # all four meet the empty memo and the pattern's first order together
+        return _spectrum_bits(fem.neumann_eigenvalues(_solver_mesh("unit_disc", 12, 4), k=4))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the memo and the order too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(solve, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [results[0]] * 4
+    assert results[0] == _spectrum_bits(fem.neumann_eigenvalues(_solver_mesh("unit_disc", 12, 4), k=4))
+
+
+def test_a_hand_built_mesh_assembles_the_triangles_it_holds_now():
+    # a hand-built mesh caches no layout: its triangles, changed in place, are assembled anew
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    mesh = fem.Mesh(square, np.array([[0, 1, 2], [0, 2, 3]]), np.ones(4, dtype=bool))
+    before = fem.assemble(mesh)
+    mesh.triangles[:] = [[0, 1, 3], [1, 2, 3]]  # the other diagonal
+    after = fem.assemble(mesh)
+    assert before[1][0, 2] > 0.0 and before[1][1, 3] == 0.0  # the mass matrix: K's are 0 on a square
+    for got, want in zip(after, two_pass_assemble(mesh)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert after[1][1, 3] > 0.0 and after[1][0, 2] == 0.0
