@@ -4,14 +4,17 @@ Meshing is deliberately simple: fan out from an anchor the domain is
 star-shaped about, then refine uniformly, projecting each new boundary
 vertex onto the exact boundary curve via the parameterization carried by
 the boundary loop.  Refinement is array code: one np.unique over the edge
-keys of a level finds its edge midpoints, numbered by first use; each mesh
-carries its memoized fan pattern (m boundary points, r refinements), with a
-fill order of its structure alone: the memo changes no result, only its cost.
-Conforming P1 elements over-approximate the Neumann eigenvalues of the
-mesh polygon.  For a polygon domain that is the domain, so a mesh mu_1 below
-a claimed lower bound is a rigorous violation; for a sampler domain it is a
-different domain, and the same finding flags a discrepancy, not a proof.
-That is the check verify_bound runs.
+keys of a level finds its edge midpoints, numbered by first use.  A mesh is
+its vertices placed on a memoized fan pattern (m boundary points, r
+refinements), which holds its triangles, boundary mask, assembly layout and
+fill order: the memo changes no result, only its cost.  Conforming P1
+elements over-approximate the Neumann eigenvalues of the mesh polygon.  For
+a polygon domain that is the domain, so a mesh mu_1 below a claimed lower
+bound disproves it up to the solve's accuracy: mu_1 is a Ritz value whose
+pair passed the 1e-8 backward-error check, and it can differ from the
+discrete eigenvalue by about 1e-13 relative.  For a sampler domain the mesh
+polygon is a different domain, and the same finding flags a discrepancy,
+not a proof.  That is the check verify_bound runs.
 
 Assembly uses the classic per-triangle formulas: with edge coefficients
 b_i = y_j - y_k and c_i = x_k - x_j (cyclic), the stiffness block is
@@ -25,7 +28,7 @@ in NumPy alone; larger ones load scipy.sparse.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +57,30 @@ _PATTERN_CAP = 64  # fan patterns memoized, the least recently used dropped firs
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """A conforming triangle mesh: vertices, positively oriented triangles,
-    and a boundary-vertex mask; assemble and neumann_eigenvalues reject a
-    triangle that is inverted or degenerate for the mesh's bounding box."""
+    """A fan mesh as triangulate makes it: vertices placed on a fan pattern, whose
+    positively oriented triangles and boundary-vertex mask it reads.  Other vertices
+    on the same pattern come from dataclasses.replace(mesh, vertices=...); assemble and
+    neumann_eigenvalues reject a triangle that is inverted or degenerate for the
+    mesh's bounding box."""
 
     vertices: np.ndarray  # (nv, 2) float
-    triangles: np.ndarray  # (nt, 3) int
-    boundary: np.ndarray  # (nv,) bool
-    _pattern: _FanPattern | None = field(default=None, init=False, repr=False)  # set by triangulate
+    _pattern: _FanPattern
+
+    def __post_init__(self):
+        if np.shape(self.vertices) != (len(self.boundary), 2) or not np.isfinite(self.vertices).all():
+            raise ValueError(f"the mesh's pattern places {len(self.boundary)} finite vertices, got shape {np.shape(self.vertices)}")
+
+    triangles = property(lambda self: self._pattern.triangles)  # (nt, 3) int
+    boundary = property(lambda self: self._pattern.boundary)  # (nv,) bool
 
     @property
     def dof_count(self) -> int:
         return int(len(self.vertices))
 
     @property
-    def _layout(self) -> _FanPattern:  # triangulate's pattern, else one built for this use alone
-        return self._pattern or _FanPattern((), self.triangles, self.boundary, _edges(self.triangles, self.dof_count))
-
-    @property
     def mesh_size(self) -> float:
         """The longest edge, in one pass over the unique edges of the mesh's pattern."""
-        (x, y), (a, b) = self.vertices.T, self._layout.edges[:2]
+        (x, y), (a, b) = self.vertices.T, self._pattern.edges[:2]
         dx, dy = x[b] - x[a], y[b] - y[a]
         return float(np.sqrt((dx * dx + dy * dy).max()))
 
@@ -88,12 +94,6 @@ class SpectrumResult:
     dof_count: int
     residuals: tuple[float, ...]  # each pair's backward error, see neumann_eigenvalues
     solves: int  # calls to the sparse route's splu solve; 0 on the dense route
-
-
-def _check_dof(nv: int) -> int:
-    if nv > _MAX_DOF:
-        raise ValueError(f"mesh has {nv} unknowns, above the supported {_MAX_DOF}")
-    return nv
 
 
 def _degenerate(vertices: np.ndarray, double_areas: np.ndarray) -> np.ndarray:
@@ -123,8 +123,9 @@ def triangulate(
     A refinement above 8, or a mesh with more unknowns than
     neumann_eigenvalues supports, is rejected before any refining: a fan of
     m triangles refined r times has 1 + m 2^(r-1) (2^r + 1) vertices.
-    Each pattern (m, r) is memoized (see _fan_pattern), and the mesh carries
-    it, so a hit only places coordinates; the mesh's arrays are read-only.
+    Each pattern (m, r) is memoized (see _fan_pattern), and the mesh is its
+    vertices placed on it, so a hit only places coordinates; the mesh's
+    arrays are read-only.
     Only the fan is checked here, against its bounding box's area, so scale
     does not decide it; the refined triangles are checked when assembled.
     """
@@ -134,7 +135,8 @@ def triangulate(
         samples = min(spec.samples, _SAMPLER_MESH_BOUNDARY)
     points, params, curve = geometry.boundary_loop(spec, samples)
     m = len(points)
-    _check_dof(1 + m * 2**refinement * (2**refinement + 1) // 2)
+    if (dof := 1 + m * 2**refinement * (2**refinement + 1) // 2) > _MAX_DOF:
+        raise ValueError(f"mesh has {dof} unknowns, above the supported {_MAX_DOF}")
 
     anchor = spec.anchor
     if anchor is None:
@@ -160,9 +162,7 @@ def triangulate(
         s_param[nv + arc] = s_mid
         nv += len(a)
     vertices.flags.writeable = False
-    mesh = Mesh(vertices=vertices, triangles=pattern.triangles, boundary=pattern.boundary)
-    object.__setattr__(mesh, "_pattern", pattern)
-    return mesh
+    return Mesh(vertices, pattern)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +223,6 @@ def _assembled(mesh: Mesh):
     """K's and M's CSR indptr, indices and a list of their data: each triangle's diagonal
     and side values go to its vertices and edges in one bincount per matrix."""
     v, t = mesh.vertices, mesh.triangles
-    if t.ndim != 2 or t.shape[1] != 3 or len(t) == 0:
-        raise ValueError("mesh has no triangles")
     x, y = v[:, 0][t], v[:, 1][t]
     b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]  # b_i = y_j - y_k
     c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]  # c_i = x_k - x_j
@@ -234,7 +232,7 @@ def _assembled(mesh: Mesh):
         raise NumericalError(f"triangle {int(bad[0])} is inverted or degenerate")
 
     nv = len(v)
-    starts, ends, sides, entry, indptr = mesh._layout.edges
+    starts, ends, sides, entry, indptr = mesh._pattern.edges
     at = np.concatenate([t, nv + sides], axis=1).ravel()  # vertices 0, 1, 2; sides 01, 12, 20
     k = np.concatenate([b * b + c * c, b * b[:, [1, 2, 0]] + c * c[:, [1, 2, 0]]], axis=1) / (2.0 * double_area)[:, None]
     m = double_area[:, None] * (np.repeat([2.0, 1.0], 3) / 24.0)
@@ -265,9 +263,8 @@ def _fill_order(pattern: _FanPattern) -> np.ndarray:
     SuperLU picks it from the sparsity of every K - sigma M, here that of I
     plus the pattern's graph Laplacian (spilu finds all ones "exactly
     singular"), and spilu keeping no fill returns it for less than splu would.
-    Below _MMD_MIN_REFINEMENT refinements, and so for a hand-built mesh's
-    pattern, which has no levels, it is COLAMD's, as splu postorders it.  From
-    there on it is the minimum-degree order of A + A^T (George and Liu 1989),
+    Below _MMD_MIN_REFINEMENT refinements it is COLAMD's, as splu postorders
+    it.  From there on it is the minimum-degree order of A + A^T (George and Liu 1989),
     postordered by the elimination tree of A in that order.  spilu postorders
     every order by the column elimination tree, that of A^T A, which splits
     A's supernodes: without the symmetric postorder, this order took 4.6-7.1 s
@@ -341,9 +338,8 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     factored once with splu, and eigsh runs in it with the bare solve as
     OPinv.  The order is COLAMD's below _MMD_MIN_REFINEMENT refinements and a
     postordered minimum-degree order from there on (see _fill_order), which
-    the mesh's pattern makes once (1.1 ms at 1,225 unknowns, 33 ms at 17,953;
-    a hand-built mesh's pattern, on every solve).  A non-finite
-    eigenvalue raises the same NumericalError as a shift beyond the float
+    the mesh's pattern makes once (1.1 ms at 1,225 unknowns, 33 ms at 17,953).
+    A non-finite eigenvalue raises the same NumericalError as a shift beyond the float
     range.  eigsh sees M times a power of four near spread^-2; ncv = 2k + 2
     (at least 10, at most the DOF count).  The fixed start, a smooth
     quadratic in the centred and scaled vertex coordinates plus 0.2 times a
@@ -357,7 +353,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     """
     if check_int("k", k, 2) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
-    nv = _check_dof(mesh.dof_count)
+    nv = mesh.dof_count  # at most _MAX_DOF: triangulate rejects larger meshes
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")
     if nv <= _DENSE_MAX_DOF:
@@ -385,7 +381,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
         k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
     else:
-        order, position = mesh._layout.order, np.empty(nv, dtype=np.int32)
+        order, position = mesh._pattern.order, np.empty(nv, dtype=np.int32)
         position[order] = np.arange(nv, dtype=np.int32)
         # the pattern in the fill order, each entry's natural one as data: rows taken in that
         # order, columns relabelled, sorted by one counting sort (tocsc; the pattern is symmetric)
@@ -465,13 +461,16 @@ def verify_bound(
 ) -> dict:
     """Check every applicable lower bound for a domain against the mesh mu_1.
 
-    The mesh mu_1 bounds mu_1 of the mesh polygon from above.  On a polygon
-    spec that is the domain, so an applicable bound at or above it disproves
-    the bound (or the metadata it came from); on a sampler spec it flags a
-    discrepancy with the curved domain, not a proof.  With strict=True such a
-    violation raises NumericalError; the returned record carries per-bound
-    margins either way.  The bounds come from best_bound_report(spec);
-    fem_samples, if given, is the mesh boundary's sample count.
+    The mesh mu_1 is a Ritz value whose pair passed the 1e-8 backward-error
+    check; the discrete eigenvalue, which it can differ from by about 1e-13
+    relative, bounds mu_1 of the mesh polygon from above.  On a polygon spec
+    that is the domain, so an applicable bound at or above the mesh mu_1
+    disproves the bound (or the metadata it came from) up to that accuracy;
+    on a sampler spec it flags a discrepancy with the curved domain, not a
+    proof.  With strict=True such a violation raises NumericalError; the
+    returned record carries per-bound margins either way.  The bounds come
+    from best_bound_report(spec); fem_samples, if given, is the mesh
+    boundary's sample count.
     """
     if spec.dim != 2:
         raise ValueError("finite-element verification is planar: spec.dim must be 2")

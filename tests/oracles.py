@@ -34,7 +34,8 @@ where Mesh.mesh_size reads each edge of its pattern once.
 The fill-order oracle lets SuperLU pick the sparse route's order on each
 mesh's own K - sigma M, values and all, where fem picks it once per fan
 pattern on I plus the pattern's graph Laplacian; equal orders show that
-the order depends on the sparsity alone.
+the order depends on the sparsity alone.  It postorders the minimum-degree
+order from the elimination-tree oracle's tree, not fem's.
 
 The elimination-tree oracle eliminates one vertex at a time on sets:
 each vertex's later neighbours become a clique, so its parent is the first
@@ -42,7 +43,8 @@ of them and the rest join that parent's neighbours.  It is the symbolic
 Cholesky factorization itself, not Liu's path-compressed climb that
 fem._etree_postorder uses, and it checks a postorder the scalar way: every
 vertex before its parent, and each subtree a contiguous run that ends at
-its root.
+its root.  Its postorder walks the tree from the roots with an explicit
+stack of child lists, children in ascending order.
 
 bessel_j is scipy.special.jv behind the package's argument checks, for
 the tests that check p_zero's equation and J's own identities; the package
@@ -331,7 +333,7 @@ def scipy_shift_invert_eigenvalues(mesh, k: int) -> np.ndarray:
 def spilu_fill_order(mesh, refinement: int) -> np.ndarray:
     """The sparse route's fill order, new-to-old, as SuperLU picks it on the mesh's own
     K - sigma M: COLAMD's, or from fem._MMD_MIN_REFINEMENT refinements on the minimum-
-    degree order of A + A^T, postordered by fem._etree_postorder."""
+    degree order of A + A^T, postordered by etree_postorder of elimination_tree."""
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -342,8 +344,8 @@ def spilu_fill_order(mesh, refinement: int) -> np.ndarray:
     refined = refinement >= fem._MMD_MIN_REFINEMENT
     spec = "MMD_AT_PLUS_A" if refined else "COLAMD"
     order = np.argsort(scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c)
-    if refined:
-        order = order[fem._etree_postorder(scipy.sparse.tril(shifted[order][:, order], -1, format="csr"))]
+    if refined:  # the tree of M's pattern, whose entries are all nonzero (K's can be 0)
+        order = order[etree_postorder(elimination_tree(mass, order))]
     return order
 
 
@@ -363,6 +365,23 @@ def elimination_tree(pattern, order) -> list[int]:
         if up:
             later[parent[v]] |= up - {parent[v]}
     return parent
+
+
+def etree_postorder(parent: list[int]) -> list[int]:
+    """A postorder of the forest parent (-1 at a root): each vertex after its
+    children, taken in ascending order from ascending roots."""
+    children = [[] for _ in range(len(parent) + 1)]  # the last list: the roots
+    for v, p in enumerate(parent):
+        children[p].append(v)
+    postorder, stack = [], [(-1, iter(children[-1]))]
+    while stack:
+        v, rest = stack[-1]
+        c = next(rest, None)
+        if c is None:
+            postorder.append(stack.pop()[0])
+        else:
+            stack.append((c, iter(children[c])))
+    return postorder[:-1]  # the virtual root -1 comes last
 
 
 def is_postorder(parent: list[int]) -> bool:

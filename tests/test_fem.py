@@ -10,6 +10,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from neubound import cli, fem, geometry
 from neubound.errors import NumericalError
 from oracles import (
     elimination_tree,
+    etree_postorder,
     is_postorder,
     rayleigh_quotient,
     scalar_triangulate,
@@ -43,12 +45,10 @@ def _square(refinement=0, samples=None):
 
 
 def test_reference_triangle_matrices():
-    mesh = fem.Mesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 1, 2]]),
-        boundary=np.array([True, True, True]),
-    )
-    stiffness, mass = fem.assemble(mesh)
+    # on the assembly oracle, which reads only vertices and triangles; fem's assemble
+    # matches the oracle bit for bit (test_assembly_matches_two_pass_oracle)
+    mesh = SimpleNamespace(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), triangles=np.array([[0, 1, 2]]))
+    stiffness, mass = two_pass_assemble(mesh)
     k_want = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     m_want = (1.0 / 24.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     assert np.allclose(stiffness.toarray(), k_want, atol=1e-14)
@@ -76,11 +76,7 @@ def test_rigid_motion_invariance():
     base = fem.neumann_eigenvalues(mesh, k=4).eigenvalues
     theta = 1.1
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    moved = fem.Mesh(
-        vertices=mesh.vertices @ rot.T + np.array([3.0, -7.0]),
-        triangles=mesh.triangles,
-        boundary=mesh.boundary,
-    )
+    moved = dataclasses.replace(mesh, vertices=mesh.vertices @ rot.T + np.array([3.0, -7.0]))
     shifted = fem.neumann_eigenvalues(moved, k=4).eigenvalues
     assert np.allclose(base, shifted, rtol=1e-9, atol=1e-10)
 
@@ -434,8 +430,7 @@ def test_triangulate_validation():
 def test_refinement_limits_predict_the_unknowns(name, monkeypatch):
     # triangulate predicts the first level above the solver's cap from the
     # fan: its count is the last mesh's V + E, with E = V + T - 1 (Euler for
-    # a disc), and it is rejected before refining, also from verify_bound,
-    # with the message neumann_eigenvalues gives a built mesh
+    # a disc), and it is rejected before refining, also from verify_bound
     spec = geometry.named_domain(name)
     for refinement in range(fem._MAX_REFINEMENT + 1):
         try:
@@ -562,13 +557,11 @@ def test_a_failed_cholesky_factorization_is_a_numerical_error(monkeypatch):
 
 
 def test_degenerate_triangle_is_named():
-    mesh = fem.Mesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 1, 3], [0, 1, 2]]),  # second one is flat
-        boundary=np.array([True, True, True, True]),
-    )
+    # the square's fan with its anchor moved onto the first edge: fan triangle 0 is flat
+    square = _square()
+    mesh = dataclasses.replace(square, vertices=np.vstack([[0.5, 0.0], square.vertices[1:]]))
     for solve in (fem.assemble, lambda m: fem.neumann_eigenvalues(m, k=2)):
-        with pytest.raises(NumericalError, match="^triangle 1 is inverted or degenerate$"):
+        with pytest.raises(NumericalError, match="^triangle 0 is inverted or degenerate$"):
             solve(mesh)
 
 
@@ -581,13 +574,6 @@ def test_a_triangle_flattened_by_refinement_is_named_by_the_solve():
     mesh = fem.triangulate(spec, refinement=1)
     with pytest.raises(NumericalError, match="^triangle 12 is inverted or degenerate$"):
         fem.neumann_eigenvalues(mesh)
-
-
-def test_a_mesh_without_triangles_is_rejected():
-    mesh = fem.Mesh(vertices=np.eye(3), triangles=np.empty((0, 3), dtype=int), boundary=np.ones(3, bool))
-    for solve in (fem.assemble, lambda m: fem.neumann_eigenvalues(m, k=2)):
-        with pytest.raises(ValueError, match="mesh has no triangles"):
-            solve(mesh)
 
 
 def test_arpack_non_convergence_is_a_numerical_error(monkeypatch):
@@ -713,54 +699,22 @@ def cold_memo():
     fem._fan_pattern.cache_clear()
 
 
-# meshes triangulate did not return, each a copy of the memo's arrays for a fan refined
-# below and one refined at _MMD_MIN_REFINEMENT (817 and 1,633 unknowns); having no
-# refinement levels, a hand-built mesh takes COLAMD's order either way
-_HAND_BUILT = {"hand-built": ("bowtie", None, 3), "hand-built-above-crossover": ("unit_disc", 12, 4)}
-
-
-def _hand_built_mesh(case):
-    mesh = _solver_mesh(*_HAND_BUILT[case])
-    return fem.Mesh(mesh.vertices.copy(), mesh.triangles.copy(), mesh.boundary.copy())
-
-
-_MEMO_CASES = [("unit_disc", 34, 3), ("unit_disc", 34, 4), ("bowtie", None, 3), *_HAND_BUILT]
+_MEMO_CASES = [("unit_disc", 34, 3), ("unit_disc", 34, 4), ("bowtie", None, 3)]
 
 
 @pytest.mark.parametrize("case", _MEMO_CASES, ids=str)
-def test_a_cold_and_a_warm_memo_give_the_same_bits(case, cold_memo, monkeypatch):
-    hand_built = case in _HAND_BUILT
-
+def test_a_cold_and_a_warm_memo_give_the_same_bits(case, cold_memo):
     def solve():
-        mesh = _hand_built_mesh(case) if hand_built else _solver_mesh(*case)
+        mesh = _solver_mesh(*case)
         assert mesh.dof_count > fem._DENSE_MAX_DOF  # the route that keeps a fill order
         return mesh, fem.neumann_eigenvalues(mesh, k=4)
 
     cold_mesh, cold = solve()
     warm_mesh, warm = solve()
-    # a mesh triangulate made carries its pattern, which keeps the order the cold solve made
-    assert (warm_mesh._pattern is None) == hand_built
-    assert hand_built or "order" in vars(warm_mesh._pattern)
-    for got, want in zip((warm_mesh.vertices, warm_mesh.triangles, warm_mesh.boundary),
-                         (cold_mesh.vertices, cold_mesh.triangles, cold_mesh.boundary)):
-        assert np.array_equal(got, want) and got.dtype == want.dtype
+    # both meshes sit on one pattern, which keeps the order the cold solve made
+    assert warm_mesh._pattern is cold_mesh._pattern and "order" in vars(warm_mesh._pattern)
+    assert np.array_equal(warm_mesh.vertices, cold_mesh.vertices)
     assert _spectrum_bits(warm) == _spectrum_bits(cold)
-    if not hand_built:
-        assert warm_mesh.triangles is cold_mesh.triangles
-        # a copy in fresh arrays carries no pattern, and assembles to the same bits
-        copy = fem.Mesh(warm_mesh.vertices.copy(), warm_mesh.triangles.copy(), warm_mesh.boundary.copy())
-        for got, want in zip(fem.assemble(copy), fem.assemble(warm_mesh)):
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, part), getattr(want, part))
-        if case[2] < fem._MMD_MIN_REFINEMENT:  # where both take COLAMD's order
-            assert _spectrum_bits(fem.neumann_eigenvalues(copy, k=4)) == _spectrum_bits(cold)
-    else:  # a miss each time, as bit-identical as a miss and then a hit on the memo's own mesh
-        # once that takes COLAMD's order too, as every fan does with the crossover raised
-        monkeypatch.setattr(fem, "_MMD_MIN_REFINEMENT", fem._MAX_REFINEMENT + 1)
-        fem._fan_pattern.cache_clear()  # a fresh pattern, whose order follows the raised crossover
-        memo_mesh = _solver_mesh(*_HAND_BUILT[case])
-        for _ in range(2):
-            assert _spectrum_bits(fem.neumann_eigenvalues(memo_mesh, k=4)) == _spectrum_bits(cold)
 
 
 _RECTANGLE = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}
@@ -875,6 +829,14 @@ def test_etree_postorder_renumbers_the_same_tree_on_random_patterns(seed):
     assert is_postorder(renumbered)
     natural = elimination_tree(pattern, range(80))
     assert [-1 if p < 0 else int(postorder[p]) for p in renumbered] == [natural[v] for v in postorder]
+    assert postorder.tolist() == etree_postorder(natural)  # the fill-order oracle's walk, vertex for vertex
+
+
+def test_the_oracle_postorder_takes_roots_and_children_in_ascending_order():
+    # roots 4 and 5; 5's children 2 and 3; 2's children 0 and 1
+    parent = [2, 2, 5, 5, -1, -1]
+    assert etree_postorder(parent) == [4, 0, 1, 2, 3, 5]
+    assert etree_postorder([-1] * 3) == [0, 1, 2] and etree_postorder([1, 2, -1]) == [0, 1, 2]
 
 
 def test_the_minimum_degree_order_fills_less_than_colamd(cold_memo, monkeypatch):
@@ -907,19 +869,17 @@ def test_a_mesh_keeps_its_pattern_after_the_memo_drops_it(cold_memo):
     assert _spectrum_bits(fem.neumann_eigenvalues(mesh, k=4)) == _spectrum_bits(first)
 
 
-_ORDER_PATTERNS = [(12, 3), (34, 3), (6, 4), (12, 4), (17, 4)]  # 217 to 1,633 unknowns, both orders
+_ORDER_PATTERNS = [(12, 3), (34, 3), (6, 4), (12, 4), (17, 4)]  # 433 to 2,313 unknowns, both orders
 
 
 @pytest.mark.parametrize("boundary, refinement", _ORDER_PATTERNS)
 def test_the_fill_order_depends_on_the_pattern_alone(boundary, refinement):
     # the order a pattern takes from I plus its graph Laplacian is the one SuperLU picks on
-    # the real K - sigma M, for a disc and a rectangle alike; a hand-built copy takes COLAMD's
+    # the real K - sigma M, for a disc and a rectangle alike
     for spec in (geometry.named_domain("unit_disc"), geometry.load_domain_spec(_RECTANGLE)):
         mesh = fem.triangulate(spec, refinement, samples=boundary)
         assert mesh.dof_count > fem._DENSE_MAX_DOF
         assert np.array_equal(mesh._pattern.order, spilu_fill_order(mesh, refinement))
-    hand_built = fem.Mesh(mesh.vertices.copy(), mesh.triangles.copy(), mesh.boundary.copy())
-    assert np.array_equal(hand_built._layout.order, spilu_fill_order(hand_built, 0))
 
 
 def test_threads_solving_one_mesh_from_a_cold_memo_agree(cold_memo):
@@ -940,15 +900,26 @@ def test_threads_solving_one_mesh_from_a_cold_memo_agree(cold_memo):
     assert results[0] == _spectrum_bits(fem.neumann_eigenvalues(_solver_mesh("unit_disc", 12, 4), k=4))
 
 
-def test_a_hand_built_mesh_assembles_the_triangles_it_holds_now():
-    # a hand-built mesh caches no layout: its triangles, changed in place, are assembled anew
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    mesh = fem.Mesh(square, np.array([[0, 1, 2], [0, 2, 3]]), np.ones(4, dtype=bool))
-    before = fem.assemble(mesh)
-    mesh.triangles[:] = [[0, 1, 3], [1, 2, 3]]  # the other diagonal
-    after = fem.assemble(mesh)
-    assert before[1][0, 2] > 0.0 and before[1][1, 3] == 0.0  # the mass matrix: K's are 0 on a square
-    for got, want in zip(after, two_pass_assemble(mesh)):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part))
-    assert after[1][1, 3] > 0.0 and after[1][0, 2] == 0.0
+@pytest.mark.parametrize("boundary, refinement", [(34, 3), (12, 4)])  # 1,225 and 1,633 unknowns: both orders
+def test_a_rigidly_moved_mesh_keeps_its_pattern_and_its_fill_order(boundary, refinement):
+    mesh = _solver_mesh("unit_disc", boundary, refinement)
+    base = fem.neumann_eigenvalues(mesh, k=4)
+    pattern, order = mesh._pattern, mesh._pattern.order
+    theta = 0.7
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    moved = dataclasses.replace(mesh, vertices=mesh.vertices @ rot.T + np.array([5.0, 2.0]))
+    assert moved._pattern is pattern and moved.triangles is mesh.triangles and moved.boundary is mesh.boundary
+    shifted = fem.neumann_eigenvalues(moved, k=4)
+    assert moved._pattern.order is order and shifted.solves > 0
+    assert np.allclose(base.eigenvalues, shifted.eigenvalues, rtol=1e-9, atol=1e-10)
+    assert shifted.mesh_size == pytest.approx(base.mesh_size, rel=1e-12)
+
+
+def test_a_mesh_is_vertices_placed_on_a_fan_pattern():
+    mesh = _square(refinement=1)
+    with pytest.raises(TypeError):
+        fem.Mesh(mesh.vertices, mesh.triangles, mesh.boundary)
+    nan, inf = (np.where(np.arange(13)[:, None] == 5, bad, mesh.vertices) for bad in (np.nan, np.inf))
+    for vertices in (mesh.vertices[1:], mesh.vertices[:, :1], mesh.vertices.ravel(), nan, inf):
+        with pytest.raises(ValueError, match=r"^the mesh's pattern places 13 finite vertices, got shape"):
+            dataclasses.replace(mesh, vertices=vertices)
