@@ -11,8 +11,6 @@ Runs with identical flags are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import gc
 import io
 import json
@@ -20,7 +18,6 @@ import math
 import os
 import sys
 
-from . import reproduce
 from .errors import NumericalError
 
 PRECISION_ENV = "NEUBOUND_PRECISION"
@@ -90,6 +87,8 @@ def _emit(report: dict, output: str) -> None:
     rows = _csv_rows(report)
     if rows is None:
         raise _UsageError("this report has no tabular view; use --output json")
+    import csv
+
     flat = [_flatten(r) for r in rows]
     fields: list[str] = []
     for r in flat:
@@ -177,6 +176,8 @@ def _cmd_qc(args) -> dict:
 
 def _domain(args, **flags):
     """The --domain spec with each flag given set as its spec field, checked like the JSON key."""
+    import dataclasses
+
     from . import geometry
 
     spec = geometry.load_domain_spec(args.domain)
@@ -236,85 +237,98 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_reproduce(args) -> dict:
+    from . import reproduce
+
     report = reproduce.reproduce(args.example)
     _warn(report.get("discrepancies", []))
     return report
 
 
-def _build_parser() -> _Parser:
+_COMMANDS = {  # name: (handler, help)
+    "pzero": (_cmd_pzero, "first zero of the radial Neumann condition"),
+    "mikhlin": (_cmd_mikhlin, "squared two-ball extension norm"),
+    "mikhlin-star": (_cmd_mikhlin_star, "star-shaped extension norm bound"),
+    "qc": (_cmd_qc, "quasiconformality coefficient of a map"),
+    "mecb": (_cmd_mecb, "minimum enclosing ball of a domain's boundary"),
+    "bound": (_cmd_bound, "every applicable eigenvalue lower bound"),
+    "fem": (_cmd_fem, "finite-element Neumann eigenvalues"),
+    "verify": (_cmd_verify, "check all bounds against the mesh eigenvalue"),
+    "reproduce": (_cmd_reproduce, "recompute a worked example"),
+}
+
+
+def _add_arguments(p: _Parser, name: str) -> None:
+    """Command name's own arguments, after the --output every command takes."""
+    p.add_argument(
+        "--output", choices=("json", "csv"), default="json",
+        help="serialization format (csv only for tabular reports)",
+    )
+    if name in ("mecb", "bound", "fem", "verify"):
+        p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
+    if name == "pzero":
+        p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 2")
+        p.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
+    elif name == "mikhlin":
+        p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
+        p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > 1")
+    elif name == "mikhlin-star":
+        p.add_argument("--m1", type=float, required=True, help="lower radial bound")
+        p.add_argument("--m2", type=float, required=True, help="upper radial bound")
+        p.add_argument("--m3", type=float, required=True, help="angular derivative bound")
+        p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
+        p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > m2")
+    elif name == "qc":
+        p.add_argument(
+            "--matrix", type=float, nargs=4, action="append", metavar=("A", "B", "C", "D"),
+            help="row-major 2x2 Jacobian; repeat for piecewise maps",
+        )
+        p.add_argument("--beta", type=float, help="star-shape parameter in [0, 1)")
+        p.add_argument("--gamma", type=float, help="spiral twist, |gamma| < beta*pi/2")
+    elif name == "mecb":
+        p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
+    elif name == "bound":
+        p.add_argument("--n", type=int, help='ambient dimension: the spec\'s "dim"')
+        p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
+    elif name == "fem":
+        p.add_argument("--refinement", type=int, default=3, help="uniform refinement levels")
+        p.add_argument("--samples", type=int, help="mesh boundary sample count")
+        p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
+        p.add_argument(
+            "--table", action="store_true",
+            help="emit a convergence table over refinements 0..R",
+        )
+    elif name == "verify":
+        p.add_argument("--refinement", type=int, default=4, help="uniform refinement levels")
+        p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
+        p.add_argument("--fem-samples", type=int, help="mesh boundary sample count")
+        p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
+        p.add_argument(
+            "--allow-violation", action="store_true",
+            help="report violations instead of failing with exit status 2",
+        )
+    elif name == "reproduce":
+        from . import reproduce
+
+        p.add_argument("example", help=f"one of: {', '.join(reproduce.example_names())}")
+
+
+def _build_parser(names=_COMMANDS) -> _Parser:
+    """The parser with a subparser for each command in names."""
     parser = _Parser(prog="neubound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name in names:
+        handler, help_text = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--output", choices=("json", "csv"), default="json",
-            help="serialization format (csv only for tabular reports)",
-        )
-        return p
-
-    p = add("pzero", _cmd_pzero, "first zero of the radial Neumann condition")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 2")
-    p.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
-
-    p = add("mikhlin", _cmd_mikhlin, "squared two-ball extension norm")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
-    p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > 1")
-
-    p = add("mikhlin-star", _cmd_mikhlin_star, "star-shaped extension norm bound")
-    p.add_argument("--m1", type=float, required=True, help="lower radial bound")
-    p.add_argument("--m2", type=float, required=True, help="upper radial bound")
-    p.add_argument("--m3", type=float, required=True, help="angular derivative bound")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
-    p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > m2")
-
-    p = add("qc", _cmd_qc, "quasiconformality coefficient of a map")
-    p.add_argument(
-        "--matrix", type=float, nargs=4, action="append", metavar=("A", "B", "C", "D"),
-        help="row-major 2x2 Jacobian; repeat for piecewise maps",
-    )
-    p.add_argument("--beta", type=float, help="star-shape parameter in [0, 1)")
-    p.add_argument("--gamma", type=float, help="spiral twist, |gamma| < beta*pi/2")
-
-    p = add("mecb", _cmd_mecb, "minimum enclosing ball of a domain's boundary")
-    p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
-
-    p = add("bound", _cmd_bound, "every applicable eigenvalue lower bound")
-    p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--n", type=int, help='ambient dimension: the spec\'s "dim"')
-    p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
-
-    p = add("fem", _cmd_fem, "finite-element Neumann eigenvalues")
-    p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--refinement", type=int, default=3, help="uniform refinement levels")
-    p.add_argument("--samples", type=int, help="mesh boundary sample count")
-    p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
-    p.add_argument(
-        "--table", action="store_true",
-        help="emit a convergence table over refinements 0..R",
-    )
-
-    p = add("verify", _cmd_verify, "check all bounds against the mesh eigenvalue")
-    p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    p.add_argument("--refinement", type=int, default=4, help="uniform refinement levels")
-    p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
-    p.add_argument("--fem-samples", type=int, help="mesh boundary sample count")
-    p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
-    p.add_argument(
-        "--allow-violation", action="store_true",
-        help="report violations instead of failing with exit status 2",
-    )
-
-    p = add("reproduce", _cmd_reproduce, "recompute a worked example")
-    p.add_argument("example", help=f"one of: {', '.join(reproduce.example_names())}")
-
+        _add_arguments(p, name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a command builds that command's parser alone;
+    # --help, no command or an unknown one build them all, to list them
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         report = args.handler(args)

@@ -322,6 +322,17 @@ def _etree_postorder(lower) -> np.ndarray:
     return np.array(postorder[:-1])  # the root n comes last
 
 
+def _worst_shaped(mesh: Mesh) -> str:
+    """For a failed solve's message: the triangle whose longest edge L is the most times its
+    height 2 area / L.  _assembled has rejected flat triangles, so no area is 0."""
+    corners = mesh.vertices[mesh.triangles]
+    sides = corners[:, [1, 2, 0]] - corners  # 01, 12, 20
+    (x, y), (u, w) = sides[:, 0].T, sides[:, 2].T  # twice the area is |x w - y u|
+    ratio = (sides * sides).sum(axis=2).max(axis=1) / np.abs(x * w - y * u)
+    worst = int(np.argmax(ratio))
+    return f"; triangle {worst} is the worst shaped, its longest edge {ratio[worst]:.3g} times its height"
+
+
 def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     """The k smallest Neumann eigenvalues of a mesh, ascending.
 
@@ -348,8 +359,9 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     Ritz estimates relative to their Ritz values, and is not what certifies
     a pair.  Every returned pair (lam, x) is checked on its own: a backward
     error ||Kx - lam Mx||_1 / ((||K||_1 + |lam| ||M||_1) ||x||_1), returned
-    as residuals, above 1e-8 raises NumericalError.  solves counts the splu
-    solves, 0 when dense.
+    as residuals, above 1e-8 raises NumericalError.  That error and a missing
+    constant mode name the worst-shaped triangle, the usual cause.  solves
+    counts the splu solves, 0 when dense.
     """
     if check_int("k", k, 2) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
@@ -432,7 +444,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     lam0, lam1 = vals[0], vals[1]
     if not (lam1 > 0.0 and abs(lam0) < 1e-8 * lam1):
         raise NumericalError(
-            f"spectrum lacks the constant mode: lambda_0={lam0}, lambda_1={lam1}"
+            f"spectrum lacks the constant mode: lambda_0={lam0}, lambda_1={lam1}{_worst_shaped(mesh)}"
         )
     # constants lie exactly in K's kernel (stiffness rows sum to zero), so
     # lam0 is round-off: report 0.0, and check the pair for that value
@@ -442,7 +454,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     )
     worst = int(np.argmax(residuals))  # the first NaN, if any
     if not residuals[worst] <= 1e-8:
-        raise NumericalError(f"eigenpair {worst} has backward error {residuals[worst]:.3g} > 1e-8")
+        raise NumericalError(f"eigenpair {worst} has backward error {residuals[worst]:.3g} > 1e-8{_worst_shaped(mesh)}")
     return SpectrumResult(
         eigenvalues=tuple(float(x) for x in vals),
         mesh_size=mesh.mesh_size,

@@ -429,18 +429,33 @@ def _welzl_mtf(coords: np.ndarray, end: int, support: list[np.ndarray]) -> Ball 
     return ball
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output for each state in x (Steele, Lea and Flood, OOPSLA 2014): a
+    bijection of uint64, wrapping mod 2^64."""
+    x = x + 0x9E3779B97F4A7C15
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
 def min_enclosing_ball(points: Sequence[Sequence[float]]) -> Ball:
     """Smallest enclosing ball (disc) of a finite planar point cloud.
 
-    Move-to-front Welzl over a fixed shuffle of the input order, each step
-    searching the remaining points for the first one outside the current
-    ball in one array pass; recursion depth is at most 4 regardless of
-    cloud size, and the fixed shuffle makes the run fully reproducible.
-    The returned ball is the exact optimum up to roundoff: at most 3
-    support points determine it.
+    Move-to-front Welzl over a fixed pseudo-random order of the input, each
+    step searching the remaining points for the first one outside the
+    current ball in one array pass; recursion depth is at most 4 regardless
+    of cloud size.  Of m points, place i holds the point whose index is the
+    rank of the key splitmix64(i + splitmix64(m)) among the m keys: the keys
+    are distinct, so this is a permutation, and salted by m, so no index
+    keeps its relative place across cloud sizes.  The order is integer
+    arithmetic alone, which makes the run fully reproducible without a
+    random generator.  The returned ball is the exact optimum up to
+    roundoff: at most 3 support points determine it.
     """
     pts = _point_cloud(points)
-    coords = pts[np.random.default_rng(0).permutation(len(pts))].T.copy()
+    m = np.array([len(pts)], dtype=np.uint64)
+    keys = _splitmix64(np.arange(len(pts), dtype=np.uint64) + _splitmix64(m))
+    coords = pts[np.argsort(np.argsort(keys))].T.copy()
     return _welzl_mtf(coords, len(pts), [])  # a Ball: the cloud is nonempty
 
 

@@ -181,9 +181,13 @@ def test_listed_formulas_do_not_depend_on_the_sample_count(name_dim, samples):
 
 
 def test_ties_for_best_go_to_the_first_entry_listed():
-    # at an even count the unit disc's d is 2R, so the symmetric form
-    # equals the quasidisc entry; both stay listed and the first one wins
-    spec = geometry.load_domain_spec({"kind": "named", "name": "unit_disc", "convex": False})
+    # a parallelogram's enclosing circle has its long diagonal as diameter,
+    # so d = 2R exactly and, at K = 1, the symmetric form equals the
+    # quasidisc entry; both stay listed and the first one wins
+    parallelogram = [[0, 0], [4, 0], [5, 1], [1, 1]]
+    spec = geometry.load_domain_spec(
+        {"kind": "polygon", "vertices": parallelogram, "K": 1.0, "symmetry_center": [2.5, 0.5]}
+    )
     report = bounds.best_bound_report(spec)
     quasidisc, symmetric = report.bounds[:2]
     assert (quasidisc["formula"], symmetric["formula"]) == ("quasidisc", "symmetric_extension")

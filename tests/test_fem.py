@@ -491,7 +491,8 @@ def test_a_large_backward_error_is_a_numerical_error(monkeypatch):
         return vals, vecs + 1e-3 * np.random.default_rng(1).standard_normal(vecs.shape)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spoiled)
-    with pytest.raises(NumericalError, match="backward error"):
+    # the message names the worst-shaped triangle; the square's are all half squares
+    with pytest.raises(NumericalError, match=r"backward error .*; triangle 0 is the worst shaped, its longest edge 2 times"):
         fem.neumann_eigenvalues(_square(refinement=3), k=4)
     _fem_cli_exits_2(3, "backward error")
 

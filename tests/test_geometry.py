@@ -390,6 +390,15 @@ def test_min_enclosing_ball_matches_oracle(points):
     assert np.all(dist <= ball.radius * (1.0 + 1e-10) + 1e-12)
 
 
+def _sampler_loop(name: str, m: int):
+    return pytest.param(lambda: geometry.boundary_loop(geometry.named_domain(name), m)[0], id=f"{name}_{m}")
+
+
+def _ellipse_in_angular_order(m: int) -> np.ndarray:
+    t = np.arange(m) * (2.0 * math.pi / m)
+    return np.stack([3.0 * np.cos(t), np.sin(t)], axis=1)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -397,11 +406,19 @@ def test_min_enclosing_ball_matches_oracle(points):
         pytest.param(
             lambda: geometry.boundary_loop(geometry.named_domain("tan_disc"), 4096)[0], id="tan_disc"
         ),
+        *(_sampler_loop(name, m) for name in ("unit_disc", "tan_disc", "half_disc") for m in (1024, 16384)),
+        pytest.param(lambda: _ellipse_in_angular_order(400), id="ellipse_400_in_angular_order"),
     ],
 )
-def test_min_enclosing_ball_large_cloud(make):
+def test_min_enclosing_ball_large_cloud(make, monkeypatch):
     pts = make()
+    calls = []
+    support = geometry._ball_of_support
+    monkeypatch.setattr(geometry, "_ball_of_support", lambda points: calls.append(1) or support(points))
     ball = geometry.min_enclosing_ball(pts)
+    # the fixed order keeps Welzl's expected-linear run: 8-124 support balls on
+    # these clouds, against 601-30,034 with the points taken in their given order
+    assert len(calls) <= 400
     dist = np.linalg.norm(pts - ball.center, axis=1)
     assert np.all(dist <= ball.radius * (1.0 + 1e-10))
     # minimal: the points on the rim leave no angular gap wider than pi,

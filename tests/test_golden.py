@@ -31,6 +31,7 @@ _PRESETS = ("bowtie", "half_disc", "tan_disc", "unit_disc")
 _SQUARE = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 2], [0, 2]], "convex": True}
 _TRIANGLE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
 _TINY_EDGE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [1e-13, 1], [0, 1]]}
+_SLIVERS = {"kind": "polygon", "vertices": [[0, 0], [1, 2e-12], [2, 0], [3, 1e-12], [4, 0], [2, 1e-3]]}
 
 
 def _square(side: float, **flags) -> dict:
@@ -115,6 +116,8 @@ def _cases() -> dict[str, list[str]]:
         "reject-fem-k4-triangle": ["fem", "--domain", json.dumps(_TRIANGLE), "--refinement", "0", "--k", "4"],
         # the fan passes; refinement flattens a child of the sliver at the 1e-13 edge
         "reject-fem-tiny-edge-r1": ["fem", "--domain", json.dumps(_TINY_EDGE), "--refinement", "1"],
+        # every triangle passes the area check, but slivers spoil the spectrum; the message names the worst
+        "reject-fem-slivers-r1": ["fem", "--domain", json.dumps(_SLIVERS), "--refinement", "1"],
         # mu_1 scales as side^-2 and leaves the float range near side 1e-154
         "reject-bound-square-1e-155-numerical": ["bound", "--domain", json.dumps(_square(1e-155, convex=True))],
         "reject-fem-square-1e-154-r1-numerical": ["fem", "--domain", json.dumps(_square(1e-154)), "--refinement", "1"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -138,21 +139,41 @@ def test_readme_library_examples_run(capsys):
     assert float(out[1]) > float(value)  # the FEM mu_1 sits above the bound
 
 
-def _loaded_by_fresh_import(module: str, argv: tuple[str, ...] = ()) -> bool:
-    """Whether a fresh process loads module: `import neubound`, or the CLI on argv."""
+# runs the CLI on argv, or only `import neubound` when argv is empty, then
+# writes the names of the loaded modules as stdout's last line
+_LIST_LOADED_MODULES = """
+import sys
+if sys.argv[1:]:
+    from neubound import cli
+    status = cli.main(sys.argv[1:])
+else:
+    import neubound
+    status = 0
+sys.stdout.write("\\n" + " ".join(sys.modules) + "\\n")
+sys.exit(status)
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _modules_after_fresh_run(argv: tuple[str, ...]) -> frozenset[str]:
+    """The modules a fresh process holds after `import neubound`, or after the CLI on argv."""
     src = str(Path(neubound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = ["-m", "neubound.cli", *argv] if argv else ["-c", "import neubound"]
-    # -X importtime writes one "import time: self | cumulative | name" line
-    # to stderr for each module the process imports
-    err = subprocess.run(
-        [sys.executable, "-X", "importtime", *run],
+    # sys.modules, not -X importtime: that logs import statements only, and
+    # misses the submodules the package loads through importlib
+    out = subprocess.run(
+        [sys.executable, "-c", _LIST_LOADED_MODULES, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
-    ).stderr
-    names = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+    ).stdout
+    names = frozenset(out.splitlines()[-1].split())
     assert "neubound" in names
-    return module in names
+    return names
+
+
+def _loaded_by_fresh_import(module: str, argv: tuple[str, ...] = ()) -> bool:
+    """Whether a fresh process loads module: `import neubound`, or the CLI on argv."""
+    return module in _modules_after_fresh_run(tuple(argv))
 
 
 def test_import_does_not_load_numpy():
@@ -206,6 +227,18 @@ def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
         # off the table p_zero falls back to the scan over scipy.special.jv
         (("pzero", "--n", "9"), "scipy.special", True),
         (("pzero", "--n", "5", "--tol", "1e-6"), "scipy.special", True),
+        # the enclosing ball's fixed order is integer arithmetic, so only
+        # the sparse route, through SciPy, loads numpy.random
+        (("bound", "--domain", "bowtie"), "numpy.random", False),
+        (("mecb", "--domain", "unit_disc"), "numpy.random", False),
+        (("verify", "--domain", "bowtie", "--refinement", "2"), "numpy.random", False),
+        (("reproduce", "bowtie"), "numpy.random", False),
+        (("verify", "--domain", "unit_disc", "--refinement", "2"), "numpy.random", True),
+        # reproduce loads with its command, csv with --output csv
+        (("pzero", "--n", "5"), "neubound.reproduce", False),
+        (("pzero", "--n", "5"), "csv", False),
+        (("qc", "--beta", "0.5"), "neubound.reproduce", False),
+        (("qc", "--beta", "0.5"), "csv", False),
     ],
     ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, tuple) else None,
 )
