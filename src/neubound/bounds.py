@@ -146,7 +146,7 @@ def best_bound_report(spec: geometry.DomainSpec) -> BoundReport:
     if norm_sq is not None:
         inputs = {"n": n, "R": ball.radius, "norm_sq": norm_sq}
         if norm_formula == "quasidisc":
-            inputs["K"] = math.sqrt(norm_sq) - 1.0
+            inputs["K"] = qc
         entries.append(_entry(extension_ball_bound(norm_sq, ball.radius, n), norm_formula, inputs))
 
         declared = spec.symmetry_center is not None

@@ -347,11 +347,16 @@ def main(argv=None) -> int:
 def run() -> None:
     """The `neubound` script: main() on sys.argv, then exit with its status.
 
-    The interpreter's last garbage collection would walk every object NumPy
-    and SciPy made; gc.freeze() moves them out of its reach.  atexit
-    handlers and stream flushing still run.  Not part of main(), which
-    tests call many times in one process.
+    A command is one short run, so the cyclic collector is off while it
+    runs: its passes over the objects imports make cost more than the
+    little cyclic garbage a run leaves (medians of 30 fresh processes on a
+    2-vCPU host: verify 324 -> 309 ms, bound 117 -> 114 ms; peak memory up
+    by under 0.5 MB).  The interpreter's last collection, which runs even
+    so, would walk every object NumPy and SciPy made; gc.freeze() moves
+    them out of its reach.  atexit handlers and stream flushing still run.
+    Not part of main(), which tests call many times in one process.
     """
+    gc.disable()
     status = main()
     gc.freeze()
     sys.exit(status)

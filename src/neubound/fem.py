@@ -7,14 +7,15 @@ the boundary loop.  Refinement is array code: one np.unique over the edge
 keys of a level finds its edge midpoints, numbered by first use.  A mesh is
 its vertices placed on a memoized fan pattern (m boundary points, r
 refinements), which holds its triangles, boundary mask, assembly layout and
-fill order: the memo changes no result, only its cost.  Conforming P1
-elements over-approximate the Neumann eigenvalues of the mesh polygon.  For
-a polygon domain that is the domain, so a mesh mu_1 below a claimed lower
-bound disproves it up to the solve's accuracy: mu_1 is a Ritz value whose
-pair passed the 1e-8 backward-error check, and it can differ from the
-discrete eigenvalue by about 1e-13 relative.  For a sampler domain the mesh
-polygon is a different domain, and the same finding flags a discrepancy,
-not a proof.  That is the check verify_bound runs.
+numbering: above 128 unknowns its fill order, so the sparse solver factors
+assemble's matrices as they come.  The memo changes no result, only its
+cost.  Conforming P1 elements over-approximate the Neumann eigenvalues of
+the mesh polygon.  For a polygon domain that is the domain, so a mesh mu_1
+below a claimed lower bound disproves it up to the solve's accuracy: mu_1
+is a Ritz value whose pair passed the 1e-8 backward-error check, and it can
+differ from the discrete eigenvalue by about 1e-13 relative.  For a sampler
+domain the mesh polygon is a different domain, and the same finding flags
+a discrepancy, not a proof.  That is the check verify_bound runs.
 
 Assembly uses the classic per-triangle formulas: with edge coefficients
 b_i = y_j - y_k and c_i = x_k - x_j (cyclic), the stiffness block is
@@ -73,9 +74,7 @@ class Mesh:
     triangles = property(lambda self: self._pattern.triangles)  # (nt, 3) int
     boundary = property(lambda self: self._pattern.boundary)  # (nv,) bool
 
-    @property
-    def dof_count(self) -> int:
-        return int(len(self.vertices))
+    dof_count = property(lambda self: len(self.vertices))
 
     @property
     def mesh_size(self) -> float:
@@ -115,9 +114,10 @@ def triangulate(
     boundary index.  Each refinement splits every triangle in four; new
     vertices on boundary edges are placed on the exact boundary curve at
     the parameter midpoint, so curved domains are tracked and straight
-    edges are simply halved.  New vertices are numbered in the order their
-    edges are first met, triangle by triangle and edges 01, 12, 20 within
-    a triangle; children come four per parent, in parent order.  The
+    edges are simply halved.  Construction numbers new vertices in the order
+    their edges are first met, triangle by triangle and edges 01, 12, 20
+    within a triangle, and children four per parent, in parent order; above
+    128 unknowns the vertices then take their pattern's fill order.  The
     initial boundary is boundary_loop(spec, samples); samples defaults to
     min(spec.samples, 96) for a sampler and to the vertices for a polygon.
     A refinement above 8, or a mesh with more unknowns than
@@ -125,9 +125,8 @@ def triangulate(
     m triangles refined r times has 1 + m 2^(r-1) (2^r + 1) vertices.
     Each pattern (m, r) is memoized (see _fan_pattern), and the mesh is its
     vertices placed on it, so a hit only places coordinates; the mesh's
-    arrays are read-only.
-    Only the fan is checked here, against its bounding box's area, so scale
-    does not decide it; the refined triangles are checked when assembled.
+    arrays are read-only.  Only the fan is checked here, against its
+    bounding box's area; the refined triangles are checked when assembled.
     """
     if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
         raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
@@ -161,6 +160,7 @@ def triangulate(
         vertices[nv + arc] = curve(s_mid)
         s_param[nv + arc] = s_mid
         nv += len(a)
+    vertices = vertices[pattern.order]  # into the pattern's numbering
     vertices.flags.writeable = False
     return Mesh(vertices, pattern)
 
@@ -168,55 +168,64 @@ def triangulate(
 @dataclass(frozen=True, eq=False)
 class _FanPattern:
     """A fan of m boundary points refined r times and what the solver keeps for it; immutable."""
-    levels: tuple  # per coarser level (a, b, arc): its edges, the arcs among them, int32
+    levels: tuple  # per coarser level (a, b, arc): its edges, the arcs among them, construction-numbered
     triangles: np.ndarray
     boundary: np.ndarray
     edges: tuple  # _edges(triangles)
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:  # the sparse route's fill order, new-to-old, made on first use
-        return _fill_order(self)
+    order: np.ndarray  # each vertex's construction number: above _DENSE_MAX_DOF, the fill order, else 0, 1, ...
 
 
 def _edges(triangles: np.ndarray, nv: int) -> tuple:
     """Edges numbered by first use (triangle by triangle; 01, 12, 20): the endpoints a, b
-    as first run and each triangle's three edge numbers (nt, 3), then where K's and M's
-    CSR entries come from: the place of each in [diagonal; edges a -> b; edges b -> a],
-    and indptr; all int32."""
+    as first run and each triangle's three edge numbers (nt, 3), then _layout's; all int32."""
     starts = triangles.ravel()
     ends = triangles[:, [1, 2, 0]].ravel()
     keys = np.minimum(starts, ends).astype(np.int64) * nv + np.maximum(starts, ends)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_use = np.argsort(first, kind="stable")
     rank = np.argsort(by_use)  # the inverse permutation: each edge's place in the order of use
-    a, b = starts[first[by_use]], ends[first[by_use]]
+    return _layout(starts[first[by_use]], ends[first[by_use]], rank[inverse].reshape(-1, 3), nv)
+
+
+def _layout(a: np.ndarray, b: np.ndarray, sides: np.ndarray, nv: int) -> tuple:
+    """a, b and sides, then where K's and M's CSR entries come from: the place of each in
+    [diagonal; edges a -> b; edges b -> a], and indptr; all int32."""
     rows, cols = (np.concatenate([np.arange(nv), p, q]) for p, q in ((a, b), (b, a)))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
     entries = np.argsort(rows * nv + cols)
-    return tuple(x.astype(np.int32) for x in (a, b, rank[inverse].reshape(-1, 3), entries, indptr))
+    return tuple(x.astype(np.int32, copy=False) for x in (a, b, sides, entries, indptr))
 
 
 @functools.lru_cache(maxsize=_PATTERN_CAP)
 def _fan_pattern(m: int, refinement: int) -> _FanPattern:
-    """The memoized pattern (m, refinement); a miss builds it on (m, refinement - 1)'s levels."""
+    """The memoized pattern (m, refinement); a miss builds it in construction numbering on
+    (m, refinement - 1), read in that numbering through its order, and numbers it in its
+    fill order if it has more than _DENSE_MAX_DOF vertices."""
     if refinement == 0:
-        fan = np.arange(1, m + 1, dtype=np.int64)
+        fan = np.arange(1, m + 1, dtype=np.int32)
         triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
         levels, boundary = (), np.arange(m + 1) > 0
     else:
         coarse = _fan_pattern(m, refinement - 1)
-        nv = len(coarse.boundary)
-        a, b, edges = coarse.edges[:3]
+        order, nv = coarse.order, len(coarse.order)
+        boundary = coarse.boundary[np.argsort(order)]
+        a, b = order[coarse.edges[0]], order[coarse.edges[1]]
         # an edge between boundary vertices is a boundary arc by fan construction
-        arc = coarse.boundary[a] & coarse.boundary[b]
-        (v0, v1, v2), (m01, m12, m20) = coarse.triangles.T, (nv + edges).T
+        arc = boundary[a] & boundary[b]
+        (v0, v1, v2), (m01, m12, m20) = order[coarse.triangles].T, (nv + coarse.edges[2]).T
         triangles = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], 1).reshape(-1, 3)
         levels = coarse.levels + ((a, b, np.flatnonzero(arc).astype(np.int32)),)
-        boundary = np.concatenate([coarse.boundary, arc])
-    edges = _edges(triangles, len(boundary))
-    for array in (triangles, boundary, *edges, *(levels[-1] if levels else ())):
+        boundary = np.concatenate([boundary, arc])
+    nv = len(boundary)
+    edges, order = _edges(triangles, nv), np.arange(nv, dtype=np.int32)
+    if nv > _DENSE_MAX_DOF:
+        order = _fill_order(edges, nv, len(levels) >= _MMD_MIN_REFINEMENT)
+        position = np.argsort(order).astype(np.int32)
+        triangles, boundary = position[triangles], boundary[order]
+        edges = _layout(position[edges[0]], position[edges[1]], edges[2], nv)
+    for array in (triangles, boundary, *edges, order, *(levels[-1] if levels else ())):
         array.flags.writeable = False
-    return _FanPattern(levels, triangles, boundary, edges)
+    return _FanPattern(levels, triangles, boundary, edges, order)
 
 
 def _assembled(mesh: Mesh):
@@ -257,32 +266,29 @@ def _dense(mesh: Mesh):
     return tuple(np.bincount(at, d, nv * nv).reshape(nv, nv) for d in data)  # one value per place
 
 
-def _fill_order(pattern: _FanPattern) -> np.ndarray:
-    """The sparse route's fill order for the pattern, new-to-old, int32 and read-only.
+def _fill_order(edges: tuple, nv: int, refined: bool) -> np.ndarray:
+    """The sparse route's fill order from a pattern's construction-numbered _edges, new-to-old.
 
     SuperLU picks it from the sparsity of every K - sigma M, here that of I
     plus the pattern's graph Laplacian (spilu finds all ones "exactly
     singular"), and spilu keeping no fill returns it for less than splu would.
     Below _MMD_MIN_REFINEMENT refinements it is COLAMD's, as splu postorders
-    it.  From there on it is the minimum-degree order of A + A^T (George and Liu 1989),
-    postordered by the elimination tree of A in that order.  spilu postorders
+    it.  From there on (refined) it is the minimum-degree order of A + A^T (George
+    and Liu 1989), postordered by the elimination tree of A in that order.  spilu postorders
     every order by the column elimination tree, that of A^T A, which splits
     A's supernodes: without the symmetric postorder, this order took 4.6-7.1 s
     to factor at 17,953 unknowns, against 0.05 s with it.
     """
     import scipy.sparse.linalg
-    (starts, ends, _, entry, indptr), nv = pattern.edges, len(pattern.boundary)
+    starts, ends, _, entry, indptr = edges
     values = np.concatenate([np.diff(indptr), -np.ones(2 * len(starts))])[entry]  # 1 + degree: a row's count
     indices = np.concatenate([np.arange(nv, dtype=np.int32), ends, starts])[entry]
     shifted = scipy.sparse.csc_matrix((values, indices, indptr), shape=(nv, nv))  # symmetric: CSR is CSC
-    refined = len(pattern.levels) >= _MMD_MIN_REFINEMENT
     spec = "MMD_AT_PLUS_A" if refined else "COLAMD"
     order = np.argsort(scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c)
     if refined:
         order = order[_etree_postorder(scipy.sparse.tril(shifted[order][:, order], -1, format="csr"))]
-    order = order.astype(np.int32)
-    order.flags.writeable = False
-    return order
+    return order.astype(np.int32)
 
 
 def _etree_postorder(lower) -> np.ndarray:
@@ -343,23 +349,22 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     keeps lam_0 within about eps |sigma| of 0, not eps lam_max.  Up to
     _DENSE_MAX_DOF unknowns, NumPy alone: dense K and M, A = L L^T by
     Cholesky, eigh of L^-1 M L^-T, and from its k largest theta
-    lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos in a
-    fill order that depends on the pattern alone: K, M and A (symmetric bit
-    for bit, so its CSR arrays are its CSC arrays) are gathered into it, A is
-    factored once with splu, and eigsh runs in it with the bare solve as
-    OPinv.  The order is COLAMD's below _MMD_MIN_REFINEMENT refinements and a
-    postordered minimum-degree order from there on (see _fill_order), which
-    the mesh's pattern makes once (1.1 ms at 1,225 unknowns, 33 ms at 17,953).
-    A non-finite eigenvalue raises the same NumericalError as a shift beyond the float
-    range.  eigsh sees M times a power of four near spread^-2; ncv = 2k + 2
-    (at least 10, at most the DOF count).  The fixed start, a smooth
-    quadratic in the centred and scaled vertex coordinates plus 0.2 times a
-    seeded normal draw (a component along every eigenvector), makes the
-    result deterministic.  eigsh stops at tol = 1e-10: that bounds ARPACK's
-    Ritz estimates relative to their Ritz values, and is not what certifies
-    a pair.  Every returned pair (lam, x) is checked on its own: a backward
-    error ||Kx - lam Mx||_1 / ((||K||_1 + |lam| ||M||_1) ||x||_1), returned
-    as residuals, above 1e-8 raises NumericalError.  That error and a missing
+    lam = sigma + 1/theta, x = L^-T y.  Above it, shift-invert Lanczos on
+    assemble's K and M, numbered in the pattern's fill order (see _fill_order:
+    COLAMD's below _MMD_MIN_REFINEMENT refinements, then a postordered
+    minimum-degree order): A is factored once with splu as it comes, and
+    eigsh runs with the bare solve as OPinv.  A non-finite eigenvalue raises
+    the same NumericalError as a shift beyond the float range.  eigsh sees M
+    times a power of four near spread^-2; ncv = 2k + 2 (at least 10, at most
+    the DOF count).  The fixed start, a smooth quadratic in the centred and
+    scaled vertex coordinates (centred on their mean in construction order)
+    plus 0.2 times a normal draw seeded per construction number (a component
+    along every eigenvector), makes the result deterministic.  eigsh stops at
+    tol = 1e-10: that bounds ARPACK's Ritz estimates relative to their Ritz
+    values, and is not what certifies a pair.  Every returned pair (lam, x)
+    is checked on its own: a backward error
+    ||Kx - lam Mx||_1 / ((||K||_1 + |lam| ||M||_1) ||x||_1), returned as
+    residuals, above 1e-8 raises NumericalError.  That error and a missing
     constant mode name the worst-shaped triangle, the usual cause.  solves
     counts the splu solves, 0 when dense.
     """
@@ -374,7 +379,9 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
         stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
     # _assembled has rejected degenerate meshes, so spread > 0
-    center = mesh.vertices.mean(axis=0)
+    order, natural = mesh._pattern.order, np.empty_like(mesh.vertices)
+    natural[order] = mesh.vertices  # the mean sums in construction order, whatever the numbering
+    center = natural.mean(axis=0)
     spread = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
     ratio = 1.8412 / spread  # squared as a product: unlike pow, it scales exactly with the mesh
     sigma = -0.2 * (ratio * ratio)
@@ -393,15 +400,9 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             vals, vecs = sigma + 1.0 / theta[::-1][:k], inverse.T @ y[:, ::-1][:, :k]
         k_norm, m_norm = (np.abs(a).sum(axis=0).max() for a in (stiffness, mass))
     else:
-        order, position = mesh._pattern.order, np.empty(nv, dtype=np.int32)
-        position[order] = np.arange(nv, dtype=np.int32)
-        # the pattern in the fill order, each entry's natural one as data: rows taken in that
-        # order, columns relabelled, sorted by one counting sort (tocsc; the pattern is symmetric)
-        entries = (np.arange(len(stiffness.data), dtype=np.int32), position[stiffness.indices], stiffness.indptr)
-        fill = scipy.sparse.csr_matrix(entries, shape=(nv, nv))[order].tocsc()
-        k_fill, m_fill = stiffness.data[fill.data], mass.data[fill.data]
-        stiffness, mass = (scipy.sparse.csr_matrix((w, fill.indices, fill.indptr), shape=(nv, nv)) for w in (k_fill, m_fill))
-        shifted = scipy.sparse.csc_matrix((k_fill - sigma * m_fill, fill.indices, fill.indptr), shape=(nv, nv))
+        # A = K - sigma M in the pattern's numbering, its fill order: symmetric bit for bit,
+        # so its CSR arrays are its CSC arrays
+        shifted = scipy.sparse.csc_matrix((stiffness.data - sigma * mass.data, stiffness.indices, stiffness.indptr), shape=(nv, nv))
         lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL")
 
         def solve(b):
@@ -412,14 +413,15 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         # ARPACK's stopping test floors Ritz values 1 / (lam - sigma), ~spread^2, at eps^(2/3):
         # M times a power of four near spread^-2 keeps them near 1 and scales lam exactly
         unit = 4.0 ** -round(np.log2(spread))
-        x, y = ((mesh.vertices[order] - center) / spread).T  # eigsh runs in the fill order
+        x, y = ((mesh.vertices - center) / spread).T
         v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
-        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)[order]
+        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)[order]  # drawn in construction order
+        mass.data *= unit  # exact, and undone below for the residuals
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
                 stiffness,
                 k=k,
-                M=mass * unit,
+                M=mass,
                 sigma=sigma / unit,
                 which="LM",
                 v0=v0,
@@ -430,6 +432,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
+        mass.data /= unit
         with np.errstate(over="ignore"):
             vals = vals * unit
         # 1-norms as column sums of |a| straight from the CSR arrays, no sparse copy
@@ -495,8 +498,7 @@ def verify_bound(
     violations = []
     for entry in summary["bounds"]:
         if entry["applicable"]:
-            margin = fem_mu1 - entry["value"]
-            entry["margin"] = margin
+            margin = entry["margin"] = fem_mu1 - entry["value"]
             entry["satisfied"] = bool(margin > 0.0)
             if margin <= 0.0:
                 violations.append(f"{entry['formula']}={entry['value']:.6g} vs fem mu1={fem_mu1:.6g}")
@@ -511,7 +513,5 @@ def verify_bound(
         "all_satisfied": not violations,
     }
     if strict and violations:
-        raise NumericalError(
-            "lower bound exceeds the finite-element eigenvalue: " + "; ".join(violations)
-        )
+        raise NumericalError("lower bound exceeds the finite-element eigenvalue: " + "; ".join(violations))
     return record

@@ -28,11 +28,16 @@ that the edges, their CSR places and the summation order all agree.  The
 eigensolve oracle lets scipy's eigsh build and factor K - sigma M itself,
 in its own order, and starts it from a standard normal vector with the
 default ncv; fem factors once in a fill order and runs eigsh in it.  The
-mesh-size oracle measures the three sides of each triangle as 2-vectors,
+relabelling eigensolve is fem's sparse route as it ran while every mesh
+kept construction numbering: K and M assembled in that numbering, then
+gathered into the fill order on each solve, by a row gather, a column
+relabelling and a counting sort (tocsc), before the same factor-once solve.
+fem numbers a sparse-size mesh in its fill order once per pattern instead,
+and its spectra must not move by a bit.  The mesh-size oracle measures the three sides of each triangle as 2-vectors,
 where Mesh.mesh_size reads each edge of its pattern once.
 
 The fill-order oracle lets SuperLU pick the sparse route's order on each
-mesh's own K - sigma M, values and all, where fem picks it once per fan
+construction-numbered mesh's own K - sigma M, values and all, where fem picks it once per fan
 pattern on I plus the pattern's graph Laplacian; equal orders show that
 the order depends on the sparsity alone.  It postorders the minimum-degree
 order from the elimination-tree oracle's tree, not fem's.
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -261,6 +267,71 @@ def _refine_once(vertices, triangles, boundary, s_param, curve):
     )
 
 
+def construction_numbered(mesh):
+    """The mesh in the numbering scalar_triangulate makes: vertices, triangles, boundary
+    mask and dof_count.  A mesh of more than fem._DENSE_MAX_DOF unknowns numbers its
+    vertices in its pattern's fill order, whose order lists each one's construction number."""
+    order = mesh._pattern.order
+    vertices, boundary = np.empty_like(mesh.vertices), np.empty_like(mesh.boundary)
+    vertices[order], boundary[order] = mesh.vertices, mesh.boundary
+    return SimpleNamespace(
+        vertices=vertices, triangles=order[mesh.triangles], boundary=boundary, dof_count=len(vertices)
+    )
+
+
+def relabelling_eigensolve(mesh, k: int) -> tuple:
+    """fem.neumann_eigenvalues' sparse route with the relabelling redone on each solve:
+    (eigenvalues, residuals, solves, dof_count, mesh_size) for a mesh of more than
+    fem._DENSE_MAX_DOF unknowns, the order of fem's SpectrumResult fields."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    natural, order = construction_numbered(mesh), mesh._pattern.order
+    nv = natural.dof_count
+    stiffness, mass = two_pass_assemble(natural)
+    center = natural.vertices.mean(axis=0)
+    spread = float(np.linalg.norm(natural.vertices - center, axis=1).max())
+    ratio = 1.8412 / spread
+    sigma = -0.2 * (ratio * ratio)
+    position = np.empty(nv, dtype=np.int32)
+    position[order] = np.arange(nv, dtype=np.int32)
+    # the pattern in the fill order, each entry's natural one as data: rows taken in that
+    # order, columns relabelled, sorted by one counting sort (tocsc; the pattern is symmetric)
+    entries = (np.arange(len(stiffness.data), dtype=np.int32), position[stiffness.indices], stiffness.indptr)
+    fill = scipy.sparse.csr_matrix(entries, shape=(nv, nv))[order].tocsc()
+    k_fill, m_fill = stiffness.data[fill.data], mass.data[fill.data]
+    stiffness, mass = (scipy.sparse.csr_matrix((w, fill.indices, fill.indptr), shape=(nv, nv)) for w in (k_fill, m_fill))
+    shifted = scipy.sparse.csc_matrix((k_fill - sigma * m_fill, fill.indices, fill.indptr), shape=(nv, nv))
+    lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL")
+    solves = []
+
+    def solve(b):
+        solves.append(1)
+        return lu.solve(b)
+
+    unit = 4.0 ** -round(np.log2(spread))
+    x, y = ((natural.vertices[order] - center) / spread).T
+    v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
+    v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)[order]
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        stiffness, k=k, M=mass * unit, sigma=sigma / unit, which="LM", v0=v0,
+        ncv=min(nv, max(2 * k + 2, 10)), maxiter=2000, tol=fem._EIGSH_TOL,
+        OPinv=scipy.sparse.linalg.LinearOperator((nv, nv), matvec=solve, dtype=float),
+    )
+    vals = vals * unit
+    k_norm, m_norm = (np.bincount(a.indices, weights=np.abs(a.data), minlength=nv).max() for a in (stiffness, mass))
+    ascending = np.argsort(vals)
+    vals, vecs = vals[ascending], vecs[:, ascending]
+    vals[0] = 0.0
+    residuals = np.abs(stiffness @ vecs - (mass @ vecs) * vals).sum(axis=0) / (
+        (k_norm + np.abs(vals) * m_norm) * np.abs(vecs).sum(axis=0)
+    )
+    return (
+        tuple(float(v) for v in vals), tuple(float(r) for r in residuals), len(solves), nv,
+        three_side_mesh_size(natural),
+    )
+
+
 def signed_double_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p0 = vertices[triangles[:, 0]]
     u = vertices[triangles[:, 1]] - p0
@@ -331,9 +402,10 @@ def scipy_shift_invert_eigenvalues(mesh, k: int) -> np.ndarray:
 
 
 def spilu_fill_order(mesh, refinement: int) -> np.ndarray:
-    """The sparse route's fill order, new-to-old, as SuperLU picks it on the mesh's own
-    K - sigma M: COLAMD's, or from fem._MMD_MIN_REFINEMENT refinements on the minimum-
-    degree order of A + A^T, postordered by etree_postorder of elimination_tree."""
+    """The sparse route's fill order, new-to-old, as SuperLU picks it on a construction-
+    numbered mesh's own K - sigma M (see construction_numbered): COLAMD's, or from
+    fem._MMD_MIN_REFINEMENT refinements on the minimum-degree order of A + A^T,
+    postordered by etree_postorder of elimination_tree."""
     import scipy.sparse
     import scipy.sparse.linalg
 

@@ -103,6 +103,21 @@ def test_bowtie_report():
     assert report.improves_on_payne_weinberger is False
 
 
+def test_the_quasidisc_entry_reports_the_k_its_bound_used():
+    # sqrt((1 + K)^2) - 1 is one ulp off K for about one K in nine: for beta = 0.1 it read
+    # 1.3708887064659212 where K is 1.3708887064659214
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    rng = np.random.default_rng(20171016)
+    requests = [{"beta": 0.1}] + [{"K": float(k)} for k in rng.uniform(1.0, 11.0, 200)]
+    for meta in requests:
+        report = bounds.best_bound_report(geometry.load_domain_spec({"kind": "polygon", "vertices": square, **meta}))
+        (entry,) = (b for b in report.bounds if b["formula"] == "quasidisc")
+        k = meta.get("K", qcmaps.star_shaped_K(meta.get("beta", 0.0)))
+        assert entry["inputs"]["K"] == k
+        assert (1.0 + k) ** 2 == entry["inputs"]["norm_sq"]
+    assert qcmaps.star_shaped_K(0.1) == 1.3708887064659214
+
+
 def test_declared_symmetry_makes_the_symmetric_form_a_claim():
     spec = geometry.load_domain_spec(
         {"kind": "named", "name": "bowtie", "symmetry_center": [0.0, 0.5]}

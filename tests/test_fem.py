@@ -19,10 +19,12 @@ import scipy.linalg
 from neubound import cli, fem, geometry
 from neubound.errors import NumericalError
 from oracles import (
+    construction_numbered,
     elimination_tree,
     etree_postorder,
     is_postorder,
     rayleigh_quotient,
+    relabelling_eigensolve,
     scalar_triangulate,
     scipy_shift_invert_eigenvalues,
     spilu_fill_order,
@@ -279,7 +281,9 @@ def test_refinement_matches_scalar_oracle(name):
 
     Same fan, then r = 0..5 levels while the mesh stays within the solver's
     DOF cap: vertices, triangles (midpoints numbered by first use) and the
-    boundary mask must be equal, not close.  The last boundary arc of every
+    boundary mask, read in construction numbering, must be equal, not close.
+    A mesh keeps that numbering up to _DENSE_MAX_DOF unknowns and takes its
+    pattern's fill order above.  The last boundary arc of every
     loop crosses the parameter seam (s = (m-1)/m -> 0), so the wrap-around
     of the arc midpoint is covered.  The oracle's swap branch (a parameter
     gap above 1/2) is never taken: children keep their parent's edge
@@ -294,10 +298,13 @@ def test_refinement_matches_scalar_oracle(name):
             assert "unknowns" in str(exc) and refinement >= 4  # every spec is checked on refined meshes
             break
         vertices, triangles, boundary = scalar_triangulate(spec, refinement)
-        assert np.array_equal(mesh.vertices, vertices)
-        assert np.array_equal(mesh.triangles, triangles)
-        assert mesh.triangles.dtype == triangles.dtype
-        assert np.array_equal(mesh.boundary, boundary)
+        natural = construction_numbered(mesh)
+        assert np.array_equal(natural.vertices, vertices)
+        assert np.array_equal(natural.triangles, triangles)
+        assert mesh.triangles.dtype == np.int32
+        assert np.array_equal(natural.boundary, boundary)
+        identity = np.array_equal(mesh._pattern.order, np.arange(mesh.dof_count))
+        assert identity == (mesh.dof_count <= fem._DENSE_MAX_DOF)
 
 
 _ASSEMBLY_CASES = [
@@ -712,8 +719,8 @@ def test_a_cold_and_a_warm_memo_give_the_same_bits(case, cold_memo):
 
     cold_mesh, cold = solve()
     warm_mesh, warm = solve()
-    # both meshes sit on one pattern, which keeps the order the cold solve made
-    assert warm_mesh._pattern is cold_mesh._pattern and "order" in vars(warm_mesh._pattern)
+    # both meshes sit on one pattern, numbered in the fill order the cold miss made
+    assert warm_mesh._pattern is cold_mesh._pattern
     assert np.array_equal(warm_mesh.vertices, cold_mesh.vertices)
     assert _spectrum_bits(warm) == _spectrum_bits(cold)
 
@@ -722,7 +729,8 @@ _RECTANGLE = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}
 
 
 def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, monkeypatch):
-    # the sparse route computes a fill order through spilu, once per pattern
+    # a pattern of more than _DENSE_MAX_DOF vertices computes its fill order through spilu
+    # when the memo misses it: (34, 2) with 341 and (34, 3) with 1,225
     import scipy.sparse.linalg
 
     calls = []
@@ -739,9 +747,9 @@ def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, monkey
     info = fem._fan_pattern.cache_info()
     assert (info.misses, info.currsize) == (4, 4)
     assert all(fem._fan_pattern(34, r) for r in range(4)) and fem._fan_pattern.cache_info().misses == 4
-    assert calls == [(1225, 1225)]
+    assert calls == [(341, 341), (1225, 1225)]
     disc, rect = (fem.triangulate(spec, 3, samples=34) for spec in (geometry.named_domain("unit_disc"), rectangle))
-    assert disc._pattern is rect._pattern and "order" in vars(disc._pattern)
+    assert disc._pattern is rect._pattern
     assert disc.triangles is rect.triangles and disc.boundary is rect.boundary
     # the order owns its memory: a view would pin spilu's factor
     assert disc._pattern.order.flags.owndata and disc._pattern.order.base is None
@@ -776,16 +784,58 @@ def test_the_arrays_of_a_mesh_are_read_only():
             array[0] = array[1]
     # and those its pattern keeps for the solver: an index array sorted in place by a
     # caller (splu sorts unsorted ones) would corrupt every later mesh of the pattern
-    mesh = fem.triangulate(geometry.named_domain("unit_disc"), refinement=3, samples=12)
-    fem.neumann_eigenvalues(mesh, k=4)  # the sparse route, which makes the fill order
-    pattern = mesh._pattern
+    pattern = fem.triangulate(geometry.named_domain("unit_disc"), refinement=3, samples=12)._pattern
     levels = [array for level in pattern.levels for array in level]
     for array in (*pattern.edges, pattern.order, *levels):
-        assert array.dtype == np.int32
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
     with pytest.raises(dataclasses.FrozenInstanceError):  # nor is the pattern itself reassigned
         pattern.edges = pattern.edges
+
+
+def _pattern_arrays(pattern):
+    """Every array a fan pattern holds, its levels' included."""
+    fields = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)]
+    flat = [x for value in fields for x in (value if isinstance(value, tuple) else (value,))]
+    return [array for x in flat for array in (x if isinstance(x, tuple) else (x,))]
+
+
+@pytest.mark.parametrize("boundary, refinement", [(12, 1), (34, 3), (34, 5)])  # 37 to 17,953 unknowns
+def test_every_index_array_of_a_fan_pattern_is_int32(boundary, refinement):
+    pattern = _solver_mesh("unit_disc", boundary, refinement)._pattern
+    arrays = _pattern_arrays(pattern)
+    assert len(arrays) == 3 + 5 + 3 * refinement  # triangles, boundary, order; edges; levels
+    for array in arrays:
+        assert array.dtype == (bool if array is pattern.boundary else np.int32)
+
+
+def test_a_fan_pattern_holds_at_most_115_bytes_per_unknown():
+    # 138.1 with int64 triangles; levels and order count although coarser patterns share
+    # some of them, since the memo may have dropped those patterns
+    mesh = _solver_mesh("unit_disc", 34, 5)
+    assert mesh.dof_count == 17_953
+    assert sum(array.nbytes for array in _pattern_arrays(mesh._pattern)) / mesh.dof_count <= 115.0
+
+
+# unit_disc r2-r5/34 (341 to 17,953 unknowns, both fill orders), then one mesh per domain kind
+_RELABELLING_MESHES = [
+    *(("unit_disc", 34, r) for r in range(2, 6)),
+    ("bowtie", None, 3),
+    ("tan_disc", 17, 4),
+    ("half_disc", 10, 4),
+    ("rectangle", None, 4),
+]
+
+
+@pytest.mark.parametrize("case", _RELABELLING_MESHES, ids=lambda c: f"{c[0]}/{c[1]}/r{c[2]}")
+def test_the_sparse_route_matches_the_relabelling_oracle_bit_for_bit(case):
+    # numbering a sparse-size pattern in its fill order once moves no bit of any spectrum
+    # against gathering construction-numbered matrices into that order on each solve
+    name, samples, refinement = case
+    spec = geometry.load_domain_spec(_RECTANGLE) if name == "rectangle" else geometry.named_domain(name)
+    mesh = fem.triangulate(spec, refinement, samples=samples)
+    assert mesh.dof_count > fem._DENSE_MAX_DOF
+    assert _spectrum_bits(fem.neumann_eigenvalues(mesh, k=4)) == relabelling_eigensolve(mesh, 4)
 
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
@@ -802,17 +852,17 @@ def test_the_fill_order_above_the_crossover_postorders_its_elimination_tree(boun
     import scipy.sparse.linalg
 
     mesh = _solver_mesh("unit_disc", boundary, 4)
-    fem.neumann_eigenvalues(mesh, k=4)
     entry = mesh._pattern
     assert len(entry.levels) == fem._MMD_MIN_REFINEMENT
     order = entry.order
     assert sorted(order.tolist()) == list(range(mesh.dof_count))
     assert order.dtype == np.int32 and not order.flags.writeable
-    mass = fem.assemble(mesh)[1]  # K's pattern, with every entry nonzero
+    # M has K's pattern, with every entry nonzero: the mesh's own, numbered in the order
+    assert is_postorder(elimination_tree(fem.assemble(mesh)[1], range(mesh.dof_count)))
+    mass = two_pass_assemble(construction_numbered(mesh))[1]
     assert is_postorder(elimination_tree(mass, order))
     # the oracle tells them apart: spilu's minimum-degree order itself is not one
-    shifted = mass.tocsc()
-    spilu_order = np.argsort(scipy.sparse.linalg.spilu(shifted, permc_spec="MMD_AT_PLUS_A").perm_c)
+    spilu_order = np.argsort(scipy.sparse.linalg.spilu(mass.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
     assert not is_postorder(elimination_tree(mass, spilu_order))
 
 
@@ -880,7 +930,7 @@ def test_the_fill_order_depends_on_the_pattern_alone(boundary, refinement):
     for spec in (geometry.named_domain("unit_disc"), geometry.load_domain_spec(_RECTANGLE)):
         mesh = fem.triangulate(spec, refinement, samples=boundary)
         assert mesh.dof_count > fem._DENSE_MAX_DOF
-        assert np.array_equal(mesh._pattern.order, spilu_fill_order(mesh, refinement))
+        assert np.array_equal(mesh._pattern.order, spilu_fill_order(construction_numbered(mesh), refinement))
 
 
 def test_threads_solving_one_mesh_from_a_cold_memo_agree(cold_memo):
