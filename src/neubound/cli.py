@@ -154,6 +154,8 @@ def _cmd_qc(args) -> dict:
     from . import qcmaps
 
     if args.matrix:
+        if args.beta is not None or args.gamma is not None:
+            raise _UsageError("qc takes either --matrix or --beta (with --gamma), not both")
         matrices = [[row[:2], row[2:]] for row in args.matrix]
         if len(matrices) == 1:
             return {"kind": "affine", "K": qcmaps.affine_qc_coefficient(matrices[0])}
@@ -280,7 +282,7 @@ def _add_arguments(p: _Parser, name: str) -> None:
     elif name == "qc":
         p.add_argument(
             "--matrix", type=float, nargs=4, action="append", metavar=("A", "B", "C", "D"),
-            help="row-major 2x2 Jacobian; repeat for piecewise maps",
+            help="row-major 2x2 Jacobian; repeat for piecewise maps; not with --beta or --gamma",
         )
         p.add_argument("--beta", type=float, help="star-shape parameter in [0, 1)")
         p.add_argument("--gamma", type=float, help="spiral twist, |gamma| < beta*pi/2")

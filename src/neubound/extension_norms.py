@@ -71,8 +71,7 @@ def mikhlin_ball_norm_sq(n: int, big_r: float) -> ExtensionNormEstimate:
     The inner ball has radius 1, the outer radius R > 1.  Diverges as
     R -> 1+ and decreases toward a finite limit as R -> inf.
     """
-    check_int("dimension", n, 3)
-    big_r = check_real("outer radius", big_r, 1, strict=True)
+    n, big_r = check_int("dimension", n, 3), check_real("outer radius", big_r, 1, strict=True)
     alpha = 0.5 * (n - 2)
     i_a1 = special.bessel_i(alpha, 1.0)
     i_b1 = special.bessel_i(alpha + 1.0, 1.0)

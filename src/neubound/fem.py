@@ -53,7 +53,7 @@ _DENSE_MAX_DOF = 128  # the measured in-process crossover: splu + eigsh is faste
 _MMD_MIN_REFINEMENT = 4
 _MIN_TRIANGLE_DOUBLE_AREA = 2e-14  # relative to the area of the mesh's bounding box
 _SAMPLER_MESH_BOUNDARY = 96  # refinement doubles boundary resolution per level
-_PATTERN_CAP = 64  # fan patterns memoized, the least recently used dropped first; a verify block meshes 42
+_PATTERN_CAP = 64  # fan patterns memoized, the least recently used dropped first; a verify block meshes 35
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +128,7 @@ def triangulate(
     arrays are read-only.  Only the fan is checked here, against its
     bounding box's area; the refined triangles are checked when assembled.
     """
-    if check_int("refinement", refinement, 0) > _MAX_REFINEMENT:
+    if (refinement := check_int("refinement", refinement, 0)) > _MAX_REFINEMENT:
         raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
     if samples is None and spec.samples is not None:
         samples = min(spec.samples, _SAMPLER_MESH_BOUNDARY)
@@ -140,8 +140,8 @@ def triangulate(
     anchor = spec.anchor
     if anchor is None:
         anchor = points.mean(axis=0) if spec.kind == "polygon" else np.zeros(2)
-    u, w = points - anchor, np.roll(points, -1, axis=0) - anchor  # fan triangle i: anchor, i, i + 1
-    bad = _degenerate(np.vstack([anchor, points]), u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    double_areas = geometry._orient(anchor[None], points, np.roll(points, -1, axis=0))  # fan triangle i: anchor, i, i + 1
+    bad = _degenerate(np.vstack([anchor, points]), double_areas)
     if len(bad):
         raise NumericalError(
             f"fan triangle at boundary index {int(bad[0])} is inverted or degenerate: "
@@ -168,64 +168,57 @@ def triangulate(
 @dataclass(frozen=True, eq=False)
 class _FanPattern:
     """A fan of m boundary points refined r times and what the solver keeps for it; immutable."""
-    levels: tuple  # per coarser level (a, b, arc): its edges, the arcs among them, construction-numbered
+    levels: tuple  # per level refined, (a, b, arc): its edges, the arcs among them, construction-numbered
     triangles: np.ndarray
     boundary: np.ndarray
-    edges: tuple  # _edges(triangles)
+    edges: tuple  # a, b and sides as _edges lists them, then _layout's; in the pattern's numbering
     order: np.ndarray  # each vertex's construction number: above _DENSE_MAX_DOF, the fill order, else 0, 1, ...
 
 
 def _edges(triangles: np.ndarray, nv: int) -> tuple:
     """Edges numbered by first use (triangle by triangle; 01, 12, 20): the endpoints a, b
-    as first run and each triangle's three edge numbers (nt, 3), then _layout's; all int32."""
+    as first run and each triangle's three edge numbers (nt, 3); all int32."""
     starts = triangles.ravel()
     ends = triangles[:, [1, 2, 0]].ravel()
     keys = np.minimum(starts, ends).astype(np.int64) * nv + np.maximum(starts, ends)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_use = np.argsort(first, kind="stable")
     rank = np.argsort(by_use)  # the inverse permutation: each edge's place in the order of use
-    return _layout(starts[first[by_use]], ends[first[by_use]], rank[inverse].reshape(-1, 3), nv)
+    return starts[first[by_use]], ends[first[by_use]], rank[inverse].reshape(-1, 3).astype(np.int32)
 
 
-def _layout(a: np.ndarray, b: np.ndarray, sides: np.ndarray, nv: int) -> tuple:
-    """a, b and sides, then where K's and M's CSR entries come from: the place of each in
-    [diagonal; edges a -> b; edges b -> a], and indptr; all int32."""
+def _layout(a: np.ndarray, b: np.ndarray, nv: int) -> tuple:
+    """Where K's and M's CSR entries come from: the place of each in [diagonal; edges a -> b;
+    edges b -> a], and indptr; both int32."""
     rows, cols = (np.concatenate([np.arange(nv), p, q]) for p, q in ((a, b), (b, a)))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
-    entries = np.argsort(rows * nv + cols)
-    return tuple(x.astype(np.int32, copy=False) for x in (a, b, sides, entries, indptr))
+    return np.argsort(rows * nv + cols).astype(np.int32), indptr.astype(np.int32)
 
 
 @functools.lru_cache(maxsize=_PATTERN_CAP)
 def _fan_pattern(m: int, refinement: int) -> _FanPattern:
-    """The memoized pattern (m, refinement); a miss builds it in construction numbering on
-    (m, refinement - 1), read in that numbering through its order, and numbers it in its
-    fill order if it has more than _DENSE_MAX_DOF vertices."""
-    if refinement == 0:
-        fan = np.arange(1, m + 1, dtype=np.int32)
-        triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
-        levels, boundary = (), np.arange(m + 1) > 0
-    else:
-        coarse = _fan_pattern(m, refinement - 1)
-        order, nv = coarse.order, len(coarse.order)
-        boundary = coarse.boundary[np.argsort(order)]
-        a, b = order[coarse.edges[0]], order[coarse.edges[1]]
-        # an edge between boundary vertices is a boundary arc by fan construction
-        arc = boundary[a] & boundary[b]
-        (v0, v1, v2), (m01, m12, m20) = order[coarse.triangles].T, (nv + coarse.edges[2]).T
+    """The memoized pattern (m, refinement); a miss builds it from the fan in construction
+    numbering and, if it has more than _DENSE_MAX_DOF vertices, numbers it in its fill order."""
+    fan = np.arange(1, m + 1, dtype=np.int32)
+    triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
+    levels, boundary = [], np.arange(m + 1) > 0
+    for _ in range(refinement):
+        a, b, sides = _edges(triangles, nv := len(boundary))
+        arc = boundary[a] & boundary[b]  # an edge between boundary vertices is a boundary arc by fan construction
+        (v0, v1, v2), (m01, m12, m20) = triangles.T, (nv + sides).T
         triangles = np.stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20], 1).reshape(-1, 3)
-        levels = coarse.levels + ((a, b, np.flatnonzero(arc).astype(np.int32)),)
+        levels.append((a, b, np.flatnonzero(arc).astype(np.int32)))
         boundary = np.concatenate([boundary, arc])
-    nv = len(boundary)
-    edges, order = _edges(triangles, nv), np.arange(nv, dtype=np.int32)
+    a, b, sides = _edges(triangles, nv := len(boundary))
+    order = np.arange(nv, dtype=np.int32)
     if nv > _DENSE_MAX_DOF:
-        order = _fill_order(edges, nv, len(levels) >= _MMD_MIN_REFINEMENT)
+        order = _fill_order(a, b, nv, refinement >= _MMD_MIN_REFINEMENT)
         position = np.argsort(order).astype(np.int32)
-        triangles, boundary = position[triangles], boundary[order]
-        edges = _layout(position[edges[0]], position[edges[1]], edges[2], nv)
-    for array in (triangles, boundary, *edges, order, *(levels[-1] if levels else ())):
+        triangles, boundary, a, b = position[triangles], boundary[order], position[a], position[b]
+    edges = (a, b, sides, *_layout(a, b, nv))
+    for array in (triangles, boundary, *edges, order, *(x for level in levels for x in level)):
         array.flags.writeable = False
-    return _FanPattern(levels, triangles, boundary, edges, order)
+    return _FanPattern(tuple(levels), triangles, boundary, edges, order)
 
 
 def _assembled(mesh: Mesh):
@@ -266,8 +259,8 @@ def _dense(mesh: Mesh):
     return tuple(np.bincount(at, d, nv * nv).reshape(nv, nv) for d in data)  # one value per place
 
 
-def _fill_order(edges: tuple, nv: int, refined: bool) -> np.ndarray:
-    """The sparse route's fill order from a pattern's construction-numbered _edges, new-to-old.
+def _fill_order(a: np.ndarray, b: np.ndarray, nv: int, refined: bool) -> np.ndarray:
+    """The sparse route's fill order from a pattern's construction-numbered edges a -> b, new-to-old.
 
     SuperLU picks it from the sparsity of every K - sigma M, here that of I
     plus the pattern's graph Laplacian (spilu finds all ones "exactly
@@ -280,10 +273,9 @@ def _fill_order(edges: tuple, nv: int, refined: bool) -> np.ndarray:
     to factor at 17,953 unknowns, against 0.05 s with it.
     """
     import scipy.sparse.linalg
-    starts, ends, _, entry, indptr = edges
-    values = np.concatenate([np.diff(indptr), -np.ones(2 * len(starts))])[entry]  # 1 + degree: a row's count
-    indices = np.concatenate([np.arange(nv, dtype=np.int32), ends, starts])[entry]
-    shifted = scipy.sparse.csc_matrix((values, indices, indptr), shape=(nv, nv))  # symmetric: CSR is CSC
+    rows, cols = (np.concatenate([np.arange(nv), p, q]) for p, q in ((a, b), (b, a)))
+    values = np.concatenate([np.bincount(rows, minlength=nv), -np.ones(2 * len(a))])  # 1 + degree: a row's count
+    shifted = scipy.sparse.csc_matrix((values, (rows, cols)), shape=(nv, nv))
     spec = "MMD_AT_PLUS_A" if refined else "COLAMD"
     order = np.argsort(scipy.sparse.linalg.spilu(shifted, drop_tol=1.0, fill_factor=1.0, permc_spec=spec).perm_c)
     if refined:
@@ -333,8 +325,7 @@ def _worst_shaped(mesh: Mesh) -> str:
     height 2 area / L.  _assembled has rejected flat triangles, so no area is 0."""
     corners = mesh.vertices[mesh.triangles]
     sides = corners[:, [1, 2, 0]] - corners  # 01, 12, 20
-    (x, y), (u, w) = sides[:, 0].T, sides[:, 2].T  # twice the area is |x w - y u|
-    ratio = (sides * sides).sum(axis=2).max(axis=1) / np.abs(x * w - y * u)
+    ratio = (sides * sides).sum(axis=2).max(axis=1) / np.abs(geometry._orient(*corners.transpose(1, 0, 2)))
     worst = int(np.argmax(ratio))
     return f"; triangle {worst} is the worst shaped, its longest edge {ratio[worst]:.3g} times its height"
 
@@ -368,7 +359,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     constant mode name the worst-shaped triangle, the usual cause.  solves
     counts the splu solves, 0 when dense.
     """
-    if check_int("k", k, 2) > _MAX_EIGS:
+    if (k := check_int("k", k, 2)) > _MAX_EIGS:
         raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
     nv = mesh.dof_count  # at most _MAX_DOF: triangulate rejects larger meshes
     if k >= nv:
@@ -508,7 +499,7 @@ def verify_bound(
         "eigenvalues": list(spectrum.eigenvalues),
         "dof_count": spectrum.dof_count,
         "mesh_size": spectrum.mesh_size,
-        "refinement": refinement,
+        "refinement": int(refinement),  # triangulate has checked it
         **summary,
         "all_satisfied": not violations,
     }

@@ -85,7 +85,7 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("polygon", "sampler"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        check_int("dim", self.dim, 2)
+        object.__setattr__(self, "dim", check_int("dim", self.dim, 2))
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         if not (self.convex is None or isinstance(self.convex, bool)):
@@ -117,10 +117,8 @@ class DomainSpec:
         elif self.name not in _SAMPLER_FAMILIES:
             known = ", ".join(sorted(_SAMPLER_FAMILIES))
             raise ValueError(f"unknown sampler {self.name!r}; known: {known}")
-        elif self.samples is None:
-            object.__setattr__(self, "samples", 256)
         else:
-            _check_samples(self.samples)
+            object.__setattr__(self, "samples", 256 if self.samples is None else _check_samples(self.samples))
         for attr in ("symmetry_center", "anchor"):
             value = getattr(self, attr)
             if value is not None:
@@ -143,7 +141,7 @@ class DomainSpec:
 
 
 def _check_samples(m: int) -> int:  # the one check on a boundary sample count
-    if check_int("samples", m, 3) > _MAX_SAMPLES:
+    if (m := check_int("samples", m, 3)) > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
     return m
 

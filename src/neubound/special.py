@@ -106,8 +106,7 @@ def p_zero(n: int, tol: float = 1e-10) -> float:
     The value is the lower end of a bracket of width tol around the zero,
     so it never exceeds the root and bounds built on it stay lower bounds.
     """
-    check_int("dimension", n, 2)
-    tol = check_real("tol", tol, 0, strict=True)
+    n, tol = check_int("dimension", n, 2), check_real("tol", tol, 0, strict=True)
     if tol == 1e-10 and n in _P_ZERO_TABLE:
         return _P_ZERO_TABLE[n]
     return _scan_p_zero(n, tol)

@@ -82,6 +82,14 @@ def test_qc_piecewise(capsys):
     assert payload["K"] == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("flag", [["--beta", "0.5"], ["--gamma", "0.1"], ["--beta", "0.5", "--gamma", "0.1"]])
+def test_qc_rejects_a_matrix_with_beta_or_gamma(capsys, flag):
+    # each flag was once dropped without a word: the affine K printed, exit 0
+    code, out, err = _run(capsys, "qc", "--matrix", "2", "0", "0", "1", *flag)
+    assert (code, out) == (1, "")
+    assert err == "error: qc takes either --matrix or --beta (with --gamma), not both\n"
+
+
 def test_mecb_bowtie(capsys):
     code, out, _ = _run(capsys, "mecb", "--domain", "bowtie")
     assert code == 0

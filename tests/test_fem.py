@@ -700,8 +700,9 @@ def _spectrum_bits(result):
 
 @pytest.fixture
 def cold_memo():
-    """An empty pattern memo, emptied again afterwards: a pattern keeps the order it
-    made first, so one made while a test patches the crossover must not outlive it."""
+    """An empty pattern memo, emptied again afterwards: each pattern is built on its own
+    and keeps the order it was built with, so one built while a test patches the
+    crossover must not outlive it."""
     fem._fan_pattern.cache_clear()
     yield
     fem._fan_pattern.cache_clear()
@@ -728,9 +729,10 @@ def test_a_cold_and_a_warm_memo_give_the_same_bits(case, cold_memo):
 _RECTANGLE = {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}
 
 
-def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, monkeypatch):
-    # a pattern of more than _DENSE_MAX_DOF vertices computes its fill order through spilu
-    # when the memo misses it: (34, 2) with 341 and (34, 3) with 1,225
+@pytest.fixture
+def spilu_calls(monkeypatch):
+    """The shapes spilu is called on: a pattern of more than _DENSE_MAX_DOF vertices
+    computes its fill order through it when the memo misses that pattern."""
     import scipy.sparse.linalg
 
     calls = []
@@ -740,14 +742,20 @@ def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, monkey
         return _original(shifted, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
+    return calls
+
+
+def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, spilu_calls):
     rectangle = geometry.load_domain_spec(_RECTANGLE)
     records = [fem.verify_bound(spec, refinement=3, fem_samples=34)
                for spec in (geometry.named_domain("unit_disc"), rectangle)]
     assert [record["dof_count"] for record in records] == [1225, 1225]
     info = fem._fan_pattern.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
+    assert (info.misses, info.currsize) == (1, 1)
+    assert spilu_calls == [(1225, 1225)]
+    # each coarser pattern is built on its own, and only (34, 2) of 341 unknowns is sparse-size
     assert all(fem._fan_pattern(34, r) for r in range(4)) and fem._fan_pattern.cache_info().misses == 4
-    assert calls == [(341, 341), (1225, 1225)]
+    assert spilu_calls == [(1225, 1225), (341, 341)]
     disc, rect = (fem.triangulate(spec, 3, samples=34) for spec in (geometry.named_domain("unit_disc"), rectangle))
     assert disc._pattern is rect._pattern
     assert disc.triangles is rect.triangles and disc.boundary is rect.boundary
@@ -755,25 +763,34 @@ def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, monkey
     assert disc._pattern.order.flags.owndata and disc._pattern.order.base is None
 
 
+def test_a_cold_verify_builds_and_orders_only_the_pattern_it_solves(cold_memo, spilu_calls):
+    # a finer pattern once read the coarser one from the memo: unit_disc at the default r4 on
+    # 96 boundary points built five patterns and ordered those of 289, 961, 3,457 and 13,057 unknowns
+    assert fem.verify_bound(geometry.named_domain("unit_disc"))["dof_count"] == 13_057
+    info = fem._fan_pattern.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert spilu_calls == [(13_057, 13_057)]
+
+
 def test_the_memo_keeps_at_most_its_cap_and_drops_the_least_recently_used(cold_memo):
     spec, cap = geometry.named_domain("unit_disc"), fem._PATTERN_CAP
     for m in range(3, cap + 13):
-        fem.triangulate(spec, refinement=1, samples=m)  # two entries each: (m, 0) and (m, 1)
+        fem.triangulate(spec, refinement=1, samples=m)  # one entry each: (m, 1), its fan built in it
         assert fem._fan_pattern.cache_info().currsize <= cap
     info = fem._fan_pattern.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (cap, cap, 2 * (cap + 10))
+    assert (info.maxsize, info.currsize, info.misses) == (cap, cap, cap + 10)
 
     def misses(m, refinement):
         before = fem._fan_pattern.cache_info().misses
         fem._fan_pattern(m, refinement)
         return fem._fan_pattern.cache_info().misses - before
 
-    # the last 32 fans are kept, (45, 0) the least recently used
-    assert misses(cap + 12, 1) == 0 and misses(cap // 2 + 13, 0) == 0
-    assert misses(cap // 2 + 12, 1) == 2  # (44, 0) and (44, 1) come back, and two entries go
-    assert misses(cap // 2 + 13, 0) == 0  # not (45, 0), just used, as oldest-first would drop
-    assert misses(cap // 2 + 14, 0) == 1  # but (45, 1) and (46, 0), used least recently
-    assert misses(cap // 2 + 13, 1) == 1
+    # the last 64 patterns are kept, m = 13 to cap + 12, (13, 1) the least recently used
+    assert misses(cap + 12, 1) == 0 and misses(13, 1) == 0
+    assert misses(12, 1) == 1  # (12, 1) comes back, and one entry goes
+    assert misses(13, 1) == 0  # not (13, 1), just used, as oldest-first would drop
+    assert misses(14, 1) == 1  # but (14, 1), used least recently
+    assert misses(15, 1) == 1 and misses(cap + 12, 0) == 1  # (15, 1) went for (14, 1); no fan was kept
     assert fem._fan_pattern.cache_info().currsize == cap
 
 
@@ -810,8 +827,7 @@ def test_every_index_array_of_a_fan_pattern_is_int32(boundary, refinement):
 
 
 def test_a_fan_pattern_holds_at_most_115_bytes_per_unknown():
-    # 138.1 with int64 triangles; levels and order count although coarser patterns share
-    # some of them, since the memo may have dropped those patterns
+    # 138.1 with int64 triangles; levels and order count, as each pattern owns them
     mesh = _solver_mesh("unit_disc", 34, 5)
     assert mesh.dof_count == 17_953
     assert sum(array.nbytes for array in _pattern_arrays(mesh._pattern)) / mesh.dof_count <= 115.0

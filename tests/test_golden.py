@@ -107,6 +107,7 @@ def _cases() -> dict[str, list[str]]:
         "reject-pzero-missing-n": ["pzero"],
         "reject-pzero-n1": ["pzero", "--n", "1"],
         "reject-qc-nothing": ["qc"],
+        "reject-qc-matrix-and-beta": ["qc", "--matrix", "2", "0", "0", "1", "--beta", "0.5"],
         "reject-mikhlin-R-below-1": ["mikhlin", "--n", "3", "--R", "0.5"],
         "reject-mikhlin-R800-numerical": ["mikhlin", "--n", "3", "--R", "800"],
         # I_150 and K_150 one ulp above R = 1 round to their values at 1: the denominator is 0.0
