@@ -40,7 +40,7 @@ class ExtensionNormEstimate:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "upper_bound"):
             raise ValueError(f'kind must be "exact" or "upper_bound", got {self.kind!r}')
-        check_real("squared operator norm", self.value_sq, 1)
+        object.__setattr__(self, "value_sq", check_real("squared operator norm", self.value_sq, 1))
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,11 @@ class StarShapeData:
     big_r: float
 
     def __post_init__(self) -> None:
-        check_real("m2", self.m2, check_real("m1", self.m1, 0, strict=True))  # m2 >= m1 > 0
-        check_real("m3", self.m3, 0)
-        check_int("dimension", self.n, 3)
-        check_real("outer radius", self.big_r, 1, strict=True)
+        object.__setattr__(self, "m1", check_real("m1", self.m1, 0, strict=True))
+        object.__setattr__(self, "m2", check_real("m2", self.m2, self.m1))  # m2 >= m1 > 0
+        object.__setattr__(self, "m3", check_real("m3", self.m3, 0))
+        object.__setattr__(self, "n", check_int("dimension", self.n, 3))
+        object.__setattr__(self, "big_r", check_real("outer radius", self.big_r, 1, strict=True))
 
 
 def mikhlin_ball_norm_sq(n: int, big_r: float) -> ExtensionNormEstimate:

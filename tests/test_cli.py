@@ -84,7 +84,7 @@ def test_qc_piecewise(capsys):
 
 @pytest.mark.parametrize("flag", [["--beta", "0.5"], ["--gamma", "0.1"], ["--beta", "0.5", "--gamma", "0.1"]])
 def test_qc_rejects_a_matrix_with_beta_or_gamma(capsys, flag):
-    # each flag was once dropped without a word: the affine K printed, exit 0
+    # no flag is dropped: the command fails and prints no K
     code, out, err = _run(capsys, "qc", "--matrix", "2", "0", "0", "1", *flag)
     assert (code, out) == (1, "")
     assert err == "error: qc takes either --matrix or --beta (with --gamma), not both\n"

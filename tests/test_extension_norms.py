@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -108,6 +109,19 @@ def test_star_data_validation():
         en.StarShapeData(1.0, 1.0, 0.0, 2, 2.0)  # n must exceed 2
     with pytest.raises(ValueError):
         en.StarShapeData(1.0, 1.0, 0.0, 3, 1.0)  # outer radius too small
+
+
+def test_star_data_keeps_its_checked_numbers():
+    # NumPy scalars are stored as Python numbers, so the bound is computed in float64, not float32
+    narrow = en.StarShapeData(np.float32(1.1), np.float32(1.7), np.float32(0.3), np.int64(4), np.float32(2.3))
+    wide = en.StarShapeData(*(float(np.float32(x)) for x in (1.1, 1.7, 0.3)), 4, float(np.float32(2.3)))
+    fields = ("m1", "m2", "m3", "n", "big_r")
+    assert [type(getattr(narrow, f)) for f in fields] == [float, float, float, int, float]
+    assert [getattr(narrow, f) for f in fields] == [getattr(wide, f) for f in fields]
+    got, want = (en.mikhlin_star_norm_sq_bound(data).value_sq for data in (narrow, wide))
+    assert type(got) is float and got.hex() == want.hex()
+    estimate = en.ExtensionNormEstimate(np.float32(2.5), "exact", "test")
+    assert type(estimate.value_sq) is float and json.dumps(estimate.value_sq) == "2.5"
 
 
 def test_quasidisc_norm():

@@ -764,8 +764,8 @@ def test_meshes_of_one_fan_pattern_share_an_entry_and_an_order(cold_memo, spilu_
 
 
 def test_a_cold_verify_builds_and_orders_only_the_pattern_it_solves(cold_memo, spilu_calls):
-    # a finer pattern once read the coarser one from the memo: unit_disc at the default r4 on
-    # 96 boundary points built five patterns and ordered those of 289, 961, 3,457 and 13,057 unknowns
+    # unit_disc at the default r4 on 96 boundary points: one pattern, built and ordered once,
+    # and none of the coarser levels it is refined through
     assert fem.verify_bound(geometry.named_domain("unit_disc"))["dof_count"] == 13_057
     info = fem._fan_pattern.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
