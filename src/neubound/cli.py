@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import NumericalError
@@ -29,6 +30,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # subparsers are made with this class too
+        # argparse's negative-number pattern, ^-\d+$|^-\d*\.\d+$, with an exponent allowed:
+        # without one, "--gamma -9.3e-05" takes -9.3e-05 for an option and fails, "expected one argument"
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
     def error(self, message):  # route argparse failures to exit status 1
         raise _UsageError(message)
 

@@ -82,6 +82,30 @@ def test_qc_piecewise(capsys):
     assert payload["K"] == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["qc", "--beta", "0.096966", "--gamma", "-9.3e-05"],
+    ["qc", "--beta", "0.5", "--gamma", "-1E-2"],
+    ["qc", "--matrix", "1", "-2e-3", "0.5", "2"],
+    ["qc", "--matrix", "-1.", "-.5e+1", "3", "-2"],
+])
+def test_a_negative_value_in_exponent_notation_is_a_value(capsys, argv):
+    # each reads as it does glued to its flag by "=", or as a decimal
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if "--gamma" in argv:
+        same = [*argv[:-2], f"--gamma={argv[-1]}"]
+    else:
+        same = [*argv[:2], *(repr(float(a)) for a in argv[2:])]
+    assert _run(capsys, *same) == (0, out, "")
+
+
+@pytest.mark.parametrize("value", ["-e5", "-1e", "-1e+"])  # -x is a golden case
+def test_a_non_numeric_negative_value_is_still_an_option(capsys, value):
+    code, out, err = _run(capsys, "qc", "--beta", "0.5", "--gamma", value)
+    assert (code, out) == (1, "")
+    assert err == "error: argument --gamma: expected one argument\n"
+
+
 @pytest.mark.parametrize("flag", [["--beta", "0.5"], ["--gamma", "0.1"], ["--beta", "0.5", "--gamma", "0.1"]])
 def test_qc_rejects_a_matrix_with_beta_or_gamma(capsys, flag):
     # no flag is dropped: the command fails and prints no K

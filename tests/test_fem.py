@@ -854,6 +854,42 @@ def test_the_sparse_route_matches_the_relabelling_oracle_bit_for_bit(case):
     assert _spectrum_bits(fem.neumann_eigenvalues(mesh, k=4)) == relabelling_eigensolve(mesh, 4)
 
 
+@pytest.mark.parametrize("case", [("unit_disc", 20, 3), ("unit_disc", 34, 4)], ids=str)
+def test_eigsh_calls_the_bare_mass_product_and_solve(case, monkeypatch):
+    # M and OPinv reach eigsh as their bare callables: no product or solve passes through
+    # LinearOperator.matvec's checks or MatrixLinearOperator's dispatch, and solves counts OPinv
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    entered = []
+    wrapping = type(scipy.sparse.linalg.aslinearoperator(scipy.sparse.eye(2, format="csr")))
+    for cls, name in ((scipy.sparse.linalg.LinearOperator, "matvec"), (wrapping, "_matvec")):
+        def counted(self, x, _original=getattr(cls, name), _label=f"{cls.__name__}.{name}"):
+            entered.append(_label)
+            return _original(self, x)
+
+        monkeypatch.setattr(cls, name, counted)
+    opinv_calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def recorded(*args, OPinv, **kwargs):
+        solve = OPinv.matvec
+
+        def counted(b):
+            opinv_calls.append(len(b))
+            return solve(b)
+
+        OPinv.matvec = counted
+        return eigsh(*args, OPinv=OPinv, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    mesh = _solver_mesh(*case)
+    result = fem.neumann_eigenvalues(mesh, k=4)
+    assert entered == []
+    assert result.solves == len(opinv_calls) > 0
+    assert set(opinv_calls) == {mesh.dof_count}
+
+
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
 def test_refinement_matches_scalar_oracle_on_a_cold_and_a_warm_memo(name, cold_memo):
     test_refinement_matches_scalar_oracle(name)

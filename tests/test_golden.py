@@ -69,6 +69,9 @@ def _cases() -> dict[str, list[str]]:
         "qc-spiral": ["qc", "--beta", "0.5", "--gamma", "0.3"],
         "qc-affine": ["qc", "--matrix", "1", "0", "1", "1"],
         "qc-piecewise": ["qc", "--matrix", "1", "0", "0", "1", "--matrix", "1", "0", "1", "1"],
+        # a negative value in exponent notation is a value, not an option
+        "qc-spiral-negative-exponent": ["qc", "--beta", "0.096966", "--gamma", "-9.3e-05"],
+        "qc-affine-negative-exponent": ["qc", "--matrix", "1", "-2e-3", "0.5", "2"],
         "bound-square-json": ["bound", "--domain", json.dumps(_SQUARE)],
         "reproduce-pzero_table-csv": ["reproduce", "pzero_table", "--output", "csv"],
         # the sample count and the dimension, as flags; a polygon rejects a sample count
@@ -108,6 +111,7 @@ def _cases() -> dict[str, list[str]]:
         "reject-pzero-n1": ["pzero", "--n", "1"],
         "reject-qc-nothing": ["qc"],
         "reject-qc-matrix-and-beta": ["qc", "--matrix", "2", "0", "0", "1", "--beta", "0.5"],
+        "reject-qc-gamma-non-numeric": ["qc", "--beta", "0.5", "--gamma", "-x"],
         "reject-mikhlin-R-below-1": ["mikhlin", "--n", "3", "--R", "0.5"],
         "reject-mikhlin-R800-numerical": ["mikhlin", "--n", "3", "--R", "800"],
         # I_150 and K_150 one ulp above R = 1 round to their values at 1: the denominator is 0.0
