@@ -22,7 +22,7 @@ import numpy as np
 from .errors import check_int, check_real
 
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
-_PAIR_BLOCK = 1 << 18  # edge pairs per broadcast block in the simplicity check
+_PAIR_BLOCK = 1 << 18  # candidate edge pairs per block in the simplicity check
 _MAX_SAMPLES = 2**20  # boundary samples per loop
 _MAX_COORD = 1e150  # squared distances between such points stay finite
 _NUMBER_TYPES = (int, float, np.integer, np.floating)  # bool is an int; np.bool_ is neither
@@ -176,10 +176,8 @@ def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _touches(a: np.ndarray, b: np.ndarray, c: np.ndarray, side: np.ndarray) -> np.ndarray:
-    # c on the line through a, b, inside their bounding box, but not at a or b
-    inside = np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=1)
-    at_end = np.all(c == a, axis=1) | np.all(c == b, axis=1)
-    return (side == 0) & inside & ~at_end
+    # c on the line through a, b and inside their bounding box, an end included
+    return (side == 0) & np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=1)
 
 
 def _polygon_is_simple(verts: np.ndarray) -> bool:
@@ -187,23 +185,29 @@ def _polygon_is_simple(verts: np.ndarray) -> bool:
 
     Edge pq meets edge rs when each separates the other's endpoints (with
     r and s strictly off the line pq), or when an endpoint of one lies on
-    the other without being one of its endpoints (collinear overlap, T).
-    Pairs are tested in row blocks of at most _PAIR_BLOCK pairs, and only
-    when their bounding boxes overlap, as the boxes of edges that meet do.
+    the other (collinear overlap, T, or a vertex repeated).  Sweep and
+    prune (Shamos and Hoey, FOCS 1976): with the edges sorted by the left
+    end of their bounding boxes, an edge's candidates are the later edges
+    that start before it ends, and of those only non-adjacent pairs whose
+    boxes overlap in y are tested, as the boxes of edges that meet do.
+    Candidate pairs are taken in blocks of at most _PAIR_BLOCK.
     """
     m = len(verts)
     ends = np.roll(verts, -1, axis=0)
     lo, hi = np.minimum(verts, ends), np.maximum(verts, ends)
-    j = np.arange(m)
-    rows = max(1, _PAIR_BLOCK // m)
-    for i0 in range(0, m, rows):
-        i = np.arange(i0, min(i0 + rows, m))[:, None]
+    order = np.argsort(lo[:, 0])
+    # sorted edge k's candidates: the count[k] sorted edges after it, which start before it ends
+    count = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, m + 1)
+    last = np.cumsum(count)  # candidate pairs up to and including sorted edge k
+    for t0 in range(0, last[-1], _PAIR_BLOCK):
+        t = np.arange(t0, min(t0 + _PAIR_BLOCK, last[-1]))
+        k = np.searchsorted(last, t, side="right")
+        a, b = order[k], order[k + 1 + t - (last[k] - count[k])]
+        i, j = np.minimum(a, b), np.maximum(a, b)  # pq is the lower-numbered edge: the test is not symmetric
         # adjacent edges share an endpoint by design: i, i + 1 and 0, m - 1
-        pair = (j > i + 1) & ((i > 0) | (j < m - 1))
-        for axis in (0, 1):
-            pair &= (lo[i, axis] <= hi[j, axis]) & (lo[j, axis] <= hi[i, axis])
-        ii, jj = np.nonzero(pair)
-        p, q, r, s = verts[i0 + ii], ends[i0 + ii], verts[jj], ends[jj]
+        keep = (j - i != 1) & (j - i != m - 1) & (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+        i, j = i[keep], j[keep]
+        p, q, r, s = verts[i], ends[i], verts[j], ends[j]
         d1, d2 = _orient(p, q, r), _orient(p, q, s)
         d3, d4 = _orient(r, s, p), _orient(r, s, q)
         cross = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0)
@@ -326,7 +330,8 @@ def _caliper_diameter_sq(hull: np.ndarray) -> float:
     that edge's direction + pi among the unwrapped edge directions.  The
     diameter is attained at such an antipodal pair; both ends of every edge
     are paired with the opposite vertex and its two neighbours, which
-    covers ties (parallel edges) and rounding in the directions.
+    covers ties (parallel edges) and rounding in the directions.  Each
+    pair's dx * dx + dy * dy is formed from x and y gathered per column.
     """
     n = len(hull)
     edges = np.roll(hull, -1, axis=0) - hull
@@ -336,8 +341,9 @@ def _caliper_diameter_sq(hull: np.ndarray) -> float:
     ends = np.arange(n)
     a = np.concatenate((ends, (ends + 1) % n))[:, None]
     b = (np.concatenate((opposite, opposite))[:, None] + np.arange(-1, 2)) % n
-    diff = hull[a] - hull[b]
-    return float(np.einsum("...k,...k->...", diff, diff).max())
+    x, y = hull.T
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    return float((dx * dx + dy * dy).max())
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -347,7 +353,9 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     points without repeats, split into a lower and an upper chain by the
     line through the first and last.  One array pass drops each chain point
     that does not turn left between its neighbours, as no hull vertex does;
-    a stack scan finishes the chain.  Collinear clouds give two vertices.
+    a stack scan finishes the chain.  A chain whose every point turns left
+    is kept as it is: the scan, which evaluates the same float expression,
+    would keep all of it.  Collinear clouds give two vertices.
     """
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     pts = pts[np.append(True, np.any(pts[1:] != pts[:-1], axis=1))]
@@ -356,7 +364,11 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     hull = []
     for chain in ((first, pts[side < 0], last), (last, pts[side > 0][::-1], first)):
         chain = np.concatenate(chain)
-        chain = chain[np.concatenate(([True], _orient(chain[:-2], chain[1:-1], chain[2:]) > 0, [True]))]
+        left = _orient(chain[:-2], chain[1:-1], chain[2:]) > 0
+        if left.all():
+            hull.append(chain[:-1])
+            continue
+        chain = chain[np.concatenate(([True], left, [True]))]
         xs, ys = chain.T.tolist()
         stack = [0]
         for i in range(1, len(xs)):

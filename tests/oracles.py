@@ -2,7 +2,10 @@
 
 The polygon simplicity oracle tests one pair of non-adjacent edges at a
 time with the orientation-based predicate that geometry._polygon_is_simple
-applies to whole blocks of pairs.
+applies to whole blocks of pairs.  The hull oracle is the textbook monotone
+chain, one stack scan per chain over all the sorted points, with neither
+the split by the line through the ends nor the array pass of
+geometry._convex_hull.
 
 The enclosing-ball oracle enumerates every candidate center instead of
 recursing: the optimal center is the circumcenter of its support set, and
@@ -117,14 +120,13 @@ def segments_properly_cross(p, q, r, s) -> bool:
     d3, d4 = orient(r, s, p), orient(r, s, q)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0:
         return True
-    # collinear overlap counts as a crossing too
+    # collinear overlap, a T and a shared endpoint count as a crossing too
     for a, b, c, dd in ((p, q, r, d1), (p, q, s, d2), (r, s, p, d3), (r, s, q, d4)):
         if dd == 0:
             lo = min(a[0], b[0]), min(a[1], b[1])
             hi = max(a[0], b[0]), max(a[1], b[1])
             if lo[0] <= c[0] <= hi[0] and lo[1] <= c[1] <= hi[1]:
-                if not (np.array_equal(c, a) or np.array_equal(c, b)):
-                    return True
+                return True
     return False
 
 
@@ -141,6 +143,31 @@ def polygon_is_simple(verts) -> bool:
             if segments_properly_cross(a, b, c, d):
                 return False
     return True
+
+
+def monotone_chain_hull(points) -> np.ndarray:
+    """Counterclockwise convex hull vertices by Andrew's monotone chain.
+
+    The textbook scan over all the sorted distinct points, lower chain
+    then upper, popping each point that does not turn left; the turn is
+    the orientation expression geometry._orient evaluates, as Python floats.
+    """
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    if len(pts) < 2:
+        return np.array(pts)
+
+    def turns_left(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0.0
+
+    hull = []
+    for run in (pts, pts[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) > 1 and not turns_left(chain[-2], chain[-1], p):
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return np.array(hull)
 
 
 def brute_force_diameter(points) -> float:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from neubound import geometry
-from oracles import brute_force_diameter, brute_force_mecb, polygon_is_simple
+from oracles import brute_force_diameter, brute_force_mecb, monotone_chain_hull, polygon_is_simple
 
 _SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -42,6 +42,11 @@ def test_bad_polygons_rejected():
         )
     with pytest.raises(ValueError):  # too few vertices
         geometry.load_domain_spec({"kind": "polygon", "vertices": [[0, 0], [1, 0]]})
+    # two triangles that meet only at (1, 1), a vertex repeated apart
+    pinched = [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1]]
+    assert not polygon_is_simple(pinched)
+    with pytest.raises(ValueError, match="self-intersecting"):
+        geometry.load_domain_spec({"kind": "polygon", "vertices": pinched})
 
 
 def test_declared_convexity_is_a_bool_or_absent():
@@ -91,13 +96,14 @@ def test_polygon_simplicity_matches_scalar_oracle_on_floats(verts):
 
 
 def test_polygon_simplicity_large_polygon_in_blocks():
-    # more edge pairs than one block holds, simple and then with a crossing
-    theta = np.linspace(0.0, 2.0 * math.pi, 1200, endpoint=False)
-    radius = 1.0 + 0.3 * np.cos(7.0 * theta)
-    verts = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
-    assert 1200 * 1200 // 2 > geometry._PAIR_BLOCK
+    # a closed zigzag band: up x = 0, 1, 0, ... and back down half a unit
+    # to the right, so every edge's box meets every other's in x, and the
+    # candidate pairs fill more than one block; simple, then with a crossing
+    up = np.column_stack((np.arange(600) % 2, np.arange(600))).astype(float)
+    verts = np.concatenate((up, up[::-1] + [0.5, 0.0]))
+    assert len(verts) * (len(verts) - 1) // 2 > geometry._PAIR_BLOCK
     assert geometry._polygon_is_simple(verts)
-    verts[[100, 900]] = verts[[900, 100]]
+    verts[301, 0] = 2.0  # past the band's right side
     assert not geometry._polygon_is_simple(verts)
 
 
@@ -350,6 +356,36 @@ def test_diameter_large_cloud_matches_brute_force(make):
     pts = make()
     assert len(pts) > 512  # long chains for the hull's stack scan
     assert geometry.diameter(pts) == pytest.approx(brute_force_diameter(pts), rel=1e-12)
+
+
+def _cocircular_cloud(rng) -> np.ndarray:
+    theta = rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 600)))
+    return rng.uniform(0.1, 50.0) * np.column_stack((np.cos(theta), np.sin(theta))) + rng.normal(size=2)
+
+
+_HULL_CLOUDS = {
+    "normal": lambda rng: rng.standard_normal((int(rng.integers(3, 2000)), 2)) * rng.uniform(0.01, 100.0),
+    # repeated points and collinear runs
+    "integer_grid": lambda rng: rng.integers(-4, 5, (int(rng.integers(3, 300)), 2)).astype(float),
+    "cocircular": _cocircular_cloud,
+    # every sample turns left: the hull skips its stack scan
+    "unit_disc": lambda rng: geometry.boundary_loop(geometry.named_domain("unit_disc"), int(rng.integers(3, 9000)))[0],
+    # not convex: the stack scan drops points
+    "tan_disc": lambda rng: geometry.boundary_loop(geometry.named_domain("tan_disc"), int(rng.integers(64, 17000)))[0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HULL_CLOUDS))
+def test_convex_hull_matches_monotone_chain_oracle(kind):
+    rng = np.random.default_rng(sorted(_HULL_CLOUDS).index(kind))
+    for _ in range(3 if kind == "tan_disc" else 20):
+        pts = _HULL_CLOUDS[kind](rng)
+        hull = geometry._convex_hull(pts)
+        assert hull.tobytes() == monotone_chain_hull(pts).tobytes()
+        if kind == "unit_disc":
+            assert len(hull) == len(pts)
+        if kind == "tan_disc":
+            assert len(hull) < len(pts)
 
 
 def test_min_enclosing_ball_bowtie_exact():

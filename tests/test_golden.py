@@ -147,6 +147,8 @@ def _cases() -> dict[str, list[str]]:
         "vertices-huge": {"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
         "K-huge-int": {"kind": "named", "name": "bowtie", "K": 10**400},
         "self-intersecting": {"kind": "polygon", "vertices": [[0, 0], [2, 2], [2, 0], [0, 1]]},
+        # two triangles that meet only at a repeated vertex: the interior is disconnected
+        "pinched": {"kind": "polygon", "vertices": [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [1, 1]], "K": 2},
         "unknown-sampler": {"kind": "sampler", "name": "blob"},
         "named-without-name": {"kind": "named"},
     }
