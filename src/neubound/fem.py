@@ -141,7 +141,7 @@ def triangulate(
     anchor = spec.anchor
     if anchor is None:
         anchor = points.mean(axis=0) if spec.kind == "polygon" else np.zeros(2)
-    double_areas = geometry._orient(anchor[None], points, np.roll(points, -1, axis=0))  # fan triangle i: anchor, i, i + 1
+    double_areas = geometry._orient(anchor[None], points, geometry._next(points))  # fan triangle i: anchor, i, i + 1
     bad = _degenerate(np.vstack([anchor, points]), double_areas)
     if len(bad):
         raise NumericalError(
@@ -201,7 +201,7 @@ def _fan_pattern(m: int, refinement: int) -> _FanPattern:
     """The memoized pattern (m, refinement); a miss builds it from the fan in construction
     numbering and, if it has more than _DENSE_MAX_DOF vertices, numbers it in its fill order."""
     fan = np.arange(1, m + 1, dtype=np.int32)
-    triangles = np.stack([np.zeros_like(fan), fan, np.roll(fan, -1)], axis=1)
+    triangles = np.stack([np.zeros_like(fan), fan, geometry._next(fan)], axis=1)
     levels, boundary = [], np.arange(m + 1) > 0
     for _ in range(refinement):
         a, b, sides = _edges(triangles, nv := len(boundary))

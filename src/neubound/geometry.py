@@ -38,14 +38,11 @@ class Ball:
     def _outside(self, coords: np.ndarray) -> np.ndarray:
         """Mask of the points outside the ball widened by _CONTAIN_SLACK.
 
-        coords holds one row per axis and one column per point, so each
-        axis is a contiguous run.
+        coords holds the x row and the y row of the points, each a
+        contiguous run; the squared distance is dx * dx + dy * dy.
         """
-        d2 = np.zeros(coords.shape[1])
-        for x, c in zip(coords, self.center):
-            diff = x - c
-            d2 += diff * diff
-        return d2 > self.radius * self.radius * (1.0 + _CONTAIN_SLACK)
+        dx, dy = coords[0] - self.center[0], coords[1] - self.center[1]
+        return dx * dx + dy * dy > self.radius * self.radius * (1.0 + _CONTAIN_SLACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,17 +95,18 @@ class DomainSpec:
             verts = _coords("vertices", self.vertices)
             if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
                 raise ValueError("vertices must be an (m, 2) array with m >= 3")
-            if np.any(np.all(verts == np.roll(verts, -1, axis=0), axis=1)):
+            if len(verts) > _MAX_SAMPLES:
+                raise ValueError(f"at most {_MAX_SAMPLES} polygon vertices, got {len(verts)}")
+            if np.any(np.all(verts == _next(verts), axis=1)):
                 raise ValueError("polygon has a repeated consecutive vertex")
-            area, (width, height) = _shoelace(verts), np.ptp(verts, axis=0)
-            if abs(area) <= 1e-14 * width * height:  # relative to the bounding box, so scale-free
+            area, (x, y) = _shoelace(verts), verts.T  # the bounding box per column, as in fem._degenerate
+            if abs(area) <= 1e-14 * (x.max() - x.min()) * (y.max() - y.min()):  # relative to it, so scale-free
                 raise ValueError("polygon has zero area")
             if area < 0.0:
                 verts = verts[::-1].copy()  # normalize to counterclockwise
             if not _polygon_is_simple(verts):
                 raise ValueError("polygon boundary is self-intersecting")
-            prev, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
-            if self.convex and np.any(_orient(prev, verts, nxt) < 0.0):  # a clockwise turn
+            if self.convex and np.any(_orient(verts, _next(verts), _next(_next(verts))) < 0.0):  # a clockwise turn
                 raise ValueError("polygon declared convex has a reflex vertex")
             verts.flags.writeable = False
             object.__setattr__(self, "vertices", verts)
@@ -166,9 +164,14 @@ def _coords(name: str, value) -> np.ndarray:
     return value.astype(float)
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Each row's successor around the loop: np.roll(a, -1, axis=0) without its fixed cost."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _shoelace(verts: np.ndarray) -> float:
     x, y = (verts - verts[0]).T  # about a vertex: about the origin, a far-off polygon's terms cancel
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -186,18 +189,27 @@ def _polygon_is_simple(verts: np.ndarray) -> bool:
     Edge pq meets edge rs when each separates the other's endpoints (with
     r and s strictly off the line pq), or when an endpoint of one lies on
     the other (collinear overlap, T, or a vertex repeated).  Sweep and
-    prune (Shamos and Hoey, FOCS 1976): with the edges sorted by the left
-    end of their bounding boxes, an edge's candidates are the later edges
-    that start before it ends, and of those only non-adjacent pairs whose
-    boxes overlap in y are tested, as the boxes of edges that meet do.
+    prune (Shamos and Hoey, FOCS 1976) along x or y: with the edges sorted
+    by the low end of their bounding boxes on that axis, an edge's
+    candidates are the later edges that start before it ends, and of those
+    only non-adjacent pairs whose boxes overlap on the other axis are
+    tested, as the boxes of edges that meet do.  Either axis tests the same
+    pairs; the sweep takes the one with fewer candidates, counted with one
+    argsort and one searchsorted each, so a band of edges that all span
+    one x-range is swept along y.  A band on a diagonal stays quadratic.
     Candidate pairs are taken in blocks of at most _PAIR_BLOCK.
     """
     m = len(verts)
-    ends = np.roll(verts, -1, axis=0)
+    ends = _next(verts)
     lo, hi = np.minimum(verts, ends), np.maximum(verts, ends)
-    order = np.argsort(lo[:, 0])
-    # sorted edge k's candidates: the count[k] sorted edges after it, which start before it ends
-    count = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, m + 1)
+    sweeps = []
+    for axis in (0, 1):
+        order = np.argsort(lo[:, axis])
+        # sorted edge k's candidates: the count[k] sorted edges after it, which start before it ends
+        count = np.searchsorted(lo[order, axis], hi[order, axis], side="right") - np.arange(1, m + 1)
+        sweeps.append((int(count.sum()), axis, order, count))
+    _, axis, order, count = min(sweeps)
+    other = 1 - axis
     last = np.cumsum(count)  # candidate pairs up to and including sorted edge k
     for t0 in range(0, last[-1], _PAIR_BLOCK):
         t = np.arange(t0, min(t0 + _PAIR_BLOCK, last[-1]))
@@ -205,7 +217,7 @@ def _polygon_is_simple(verts: np.ndarray) -> bool:
         a, b = order[k], order[k + 1 + t - (last[k] - count[k])]
         i, j = np.minimum(a, b), np.maximum(a, b)  # pq is the lower-numbered edge: the test is not symmetric
         # adjacent edges share an endpoint by design: i, i + 1 and 0, m - 1
-        keep = (j - i != 1) & (j - i != m - 1) & (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+        keep = (j - i != 1) & (j - i != m - 1) & (lo[i, other] <= hi[j, other]) & (lo[j, other] <= hi[i, other])
         i, j = i[keep], j[keep]
         p, q, r, s = verts[i], ends[i], verts[j], ends[j]
         d1, d2 = _orient(p, q, r), _orient(p, q, s)
@@ -267,7 +279,7 @@ def _family(spec: DomainSpec):
     if spec.kind == "sampler":
         return _SAMPLER_FAMILIES[spec.name]
     verts = spec.vertices
-    edges = np.roll(verts, -1, axis=0) - verts
+    edges = _next(verts) - verts
     lengths = np.linalg.norm(edges, axis=1)
     total = float(lengths.sum())
     starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1])) / total
@@ -334,7 +346,7 @@ def _caliper_diameter_sq(hull: np.ndarray) -> float:
     pair's dx * dx + dy * dy is formed from x and y gathered per column.
     """
     n = len(hull)
-    edges = np.roll(hull, -1, axis=0) - hull
+    edges = _next(hull) - hull
     theta = np.unwrap(np.arctan2(edges[:, 1], edges[:, 0]))
     directions = np.maximum.accumulate(np.concatenate((theta, theta + 2.0 * math.pi)))
     opposite = np.searchsorted(directions, theta + math.pi)
@@ -397,12 +409,14 @@ def diameter(points: Sequence[Sequence[float]]) -> float:
 
 
 def _ball_of_support(support: list[np.ndarray]) -> Ball | None:
-    """Smallest ball with the given affinely independent points on its surface."""
-    if not support:
-        return None
+    """Smallest ball with the given affinely independent points on its surface.
+
+    One point is its own ball; for more, the radius is math.sqrt(d.dot(d)) of the
+    center's offset d from the first point, as np.linalg.norm computes it for d.
+    """
+    if len(support) < 2:
+        return Ball(support[0].copy(), 0.0) if support else None
     q = np.array(support)
-    if len(support) == 1:
-        return Ball(q[0].copy(), 0.0)
     u = q[1:] - q[0]
     gram = u @ u.T
     b = 0.5 * np.einsum("ij,ij->i", u, u)
@@ -411,8 +425,8 @@ def _ball_of_support(support: list[np.ndarray]) -> Ball | None:
     except np.linalg.LinAlgError:
         coef = np.linalg.lstsq(gram, b, rcond=None)[0]
     center = q[0] + coef @ u
-    radius = float(np.linalg.norm(center - q[0]))
-    return Ball(center, radius)
+    d = center - q[0]
+    return Ball(center, math.sqrt(d.dot(d)))
 
 
 def _welzl_mtf(coords: np.ndarray, end: int, support: list[np.ndarray]) -> Ball | None:
@@ -427,7 +441,7 @@ def _welzl_mtf(coords: np.ndarray, end: int, support: list[np.ndarray]) -> Ball 
     while i < end:
         if ball is not None:
             outside = ball._outside(coords[:, i:end])
-            first = int(np.argmax(outside))
+            first = int(outside.argmax())
             if not outside[first]:
                 break
             i += first
@@ -455,17 +469,20 @@ def min_enclosing_ball(points: Sequence[Sequence[float]]) -> Ball:
     step searching the remaining points for the first one outside the
     current ball in one array pass; recursion depth is at most 4 regardless
     of cloud size.  Of m points, place i holds the point whose index is the
-    rank of the key splitmix64(i + splitmix64(m)) among the m keys: the keys
-    are distinct, so this is a permutation, and salted by m, so no index
-    keeps its relative place across cloud sizes.  The order is integer
-    arithmetic alone, which makes the run fully reproducible without a
-    random generator.  The returned ball is the exact optimum up to
+    rank of the key splitmix64(i + splitmix64(m)) among the m keys, that is
+    pts[argsort(argsort(keys))]: the keys are distinct, so this is a
+    permutation, and salted by m, so no index keeps its relative place
+    across cloud sizes.  It is built with one argsort, as point j goes to
+    place argsort(keys)[j], the inverse permutation's scatter.  The order is
+    integer arithmetic alone, which makes the run fully reproducible without
+    a random generator.  The returned ball is the exact optimum up to
     roundoff: at most 3 support points determine it.
     """
     pts = _point_cloud(points)
     m = np.array([len(pts)], dtype=np.uint64)
     keys = _splitmix64(np.arange(len(pts), dtype=np.uint64) + _splitmix64(m))
-    coords = pts[np.argsort(np.argsort(keys))].T.copy()
+    coords = np.empty((2, len(pts)))
+    coords[:, np.argsort(keys)] = pts.T
     return _welzl_mtf(coords, len(pts), [])  # a Ball: the cloud is nonempty
 
 

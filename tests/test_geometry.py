@@ -95,16 +95,55 @@ def test_polygon_simplicity_matches_scalar_oracle_on_floats(verts):
     assert geometry._polygon_is_simple(verts) == polygon_is_simple(verts)
 
 
-def test_polygon_simplicity_large_polygon_in_blocks():
-    # a closed zigzag band: up x = 0, 1, 0, ... and back down half a unit
-    # to the right, so every edge's box meets every other's in x, and the
-    # candidate pairs fill more than one block; simple, then with a crossing
-    up = np.column_stack((np.arange(600) % 2, np.arange(600))).astype(float)
-    verts = np.concatenate((up, up[::-1] + [0.5, 0.0]))
-    assert len(verts) * (len(verts) - 1) // 2 > geometry._PAIR_BLOCK
+def _zigzag_band(m: int) -> np.ndarray:
+    # a closed zigzag band of m vertices: up x = 0, 1, 0, ... and back down
+    # half a unit to the right, so every edge's box meets every other's in x
+    up = np.column_stack((np.arange(m // 2) % 2, np.arange(m // 2))).astype(float)
+    return np.concatenate((up, up[::-1] + [0.5, 0.0]))
+
+
+def _count_orient(monkeypatch) -> list[None]:
+    # one entry per _orient call
+    calls, orient = [], geometry._orient
+
+    def counted(a, b, c):
+        calls.append(None)
+        return orient(a, b, c)
+
+    monkeypatch.setattr(geometry, "_orient", counted)
+    return calls
+
+
+def test_polygon_simplicity_large_polygon_in_blocks(monkeypatch):
+    # the band sweeps along y in about 3,000 candidate pairs; small blocks
+    # take them in many, and the crossing is found in a later one
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 64)
+    calls = _count_orient(monkeypatch)  # four per block
+    verts = _zigzag_band(1200)
     assert geometry._polygon_is_simple(verts)
+    assert len(calls) > 4 * 40
     verts[301, 0] = 2.0  # past the band's right side
+    calls.clear()
     assert not geometry._polygon_is_simple(verts)
+    assert len(calls) > 4
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["band", "transposed"])
+def test_polygon_simplicity_sweeps_along_the_axis_with_fewer_pairs(transpose, monkeypatch):
+    # swept along x, the band's m^2 / 2 candidate pairs take about 500 blocks
+    # of 4 m; along y, its edges meet few others, and one block holds them
+    verts = _zigzag_band(4000)
+    verts = verts[:, ::-1].copy() if transpose else verts
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 4 * len(verts))
+    calls = _count_orient(monkeypatch)
+    assert geometry._polygon_is_simple(verts)
+    assert len(calls) <= 16
+
+
+def test_polygons_above_the_sample_cap_are_rejected():
+    # checked before the simplicity test, whatever the vertices
+    with pytest.raises(ValueError, match=f"^at most {2**20} polygon vertices, got {2**20 + 1}$"):
+        geometry.DomainSpec(kind="polygon", vertices=np.zeros((2**20 + 1, 2)))
 
 
 def _rotated_notched_rectangle() -> np.ndarray:
@@ -467,6 +506,105 @@ def test_min_enclosing_ball_large_cloud(make, monkeypatch):
     hull = geometry.min_enclosing_ball(pts[ConvexHull(pts).vertices])
     assert ball.radius == pytest.approx(hull.radius, rel=1e-12)
     assert np.allclose(ball.center, hull.center, rtol=0.0, atol=1e-12 * hull.radius)
+
+
+def _rational_loop(seed: int, m: int, star: bool) -> np.ndarray:
+    # m points at ascending angles on the rational parametrization of the
+    # circle, ((1 - t^2), 2 t) / (1 + t^2): IEEE arithmetic alone, no sin or cos.
+    # A star takes a radius per point, a convex loop the axes of an ellipse
+    rng = np.random.default_rng(seed)
+    u = np.sort(rng.uniform(0.01, 0.99, m))
+    t = (u - 0.5) / (u * (1.0 - u))  # increasing from about -50 to 50
+    loop = np.column_stack((1.0 - t * t, 2.0 * t)) / (1.0 + t * t)[:, None]
+    loop *= rng.uniform(0.55, 1.0, (m, 1)) if star else rng.uniform(0.5, 2.0, 2)
+    return rng.uniform(0.5, 2.0) * loop + rng.uniform(-2.0, 2.0, 2)
+
+
+def _pinned_measurement(case: str):
+    kind, _, arg = case.partition(":")
+    if kind in ("unit_disc", "half_disc", "tan_disc", "bowtie"):
+        spec = geometry.named_domain(kind, **({"samples": int(arg)} if arg else {}))
+    elif kind in ("star", "convex"):
+        seed, m = map(int, arg.split("/"))
+        spec = geometry.DomainSpec(
+            kind="polygon", vertices=_rational_loop(seed, m, kind == "star"), convex=kind == "convex"
+        )
+    else:
+        pts = {
+            "collinear": np.arange(-7.0, 13.0)[:, None] / 3.0 * [0.6, -0.8] + [1e3, 2e-3],
+            "repeated_pair": np.array([[1.5, -2.0]] * 5 + [[0.25, 3.0]] * 4),
+            "repeated_grid": np.random.default_rng(5).integers(-3, 4, (60, 2)).astype(float),
+        }[kind]
+        ball = geometry.min_enclosing_ball(pts)
+        return geometry.diameter(pts), ball.radius, *ball.center.tolist()
+    _, d, ball = spec.measurement
+    return d, ball.radius, *ball.center.tolist()
+
+
+# d, R and the center's x and y as float.hex: a change to the Welzl steps,
+# the place order or the hull that claims to keep the measurement keeps
+# these.  The polygons and clouds rest on IEEE arithmetic alone, the
+# samplers also on the platform's float64 sin, cos, tan and exp (taken with
+# NumPy 2.4 on x86-64 Linux).  Computing R on the hull will move these on purpose
+_MEASUREMENT_BITS = {
+    "bowtie": ["0x1.94c583ada5b53p+0", "0x1.aaaaaaaaaaaabp-1", "0x0.0p+0", "0x1.5555555555556p-1"],
+    "unit_disc:7": ["0x1.f329c0558e96ap+0", "0x1.0000000000001p+0", "0x1.c000000000000p-53", "0x1.0000000000000p-53"],
+    "unit_disc:256": ["0x1.0000000000000p+1", "0x1.fffffffffffffp-1", "-0x1.4000000000000p-52", "0x1.0000000000000p-52"],
+    "unit_disc:8192": ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "-0x1.0000000000000p-55", "-0x1.0000000000000p-53"],
+    "half_disc:2048": ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+    "tan_disc:4096": ["0x1.8eb245cbee3a5p+1", "0x1.8eb245cbee3a5p+0", "0x0.0p+0", "0x1.e3a80a9aa5f66p-53"],
+    "tan_disc:16384": ["0x1.8eb245cbee3a5p+1", "0x1.8eb245cbee3a5p+0", "0x0.0p+0", "0x1.e3a80a9aa5f66p-53"],
+    "star:1/8": ["0x1.41012d49a0699p+0", "0x1.41012d49a0699p-1", "-0x1.6e1e844cc02f5p-2", "-0x1.25eadebd42866p+0"],
+    "star:2/13": ["0x1.29eb4bfb300f5p+1", "0x1.2b0c8fbdc66d7p+0", "0x1.852667a1bc466p-1", "-0x1.95ef512d0ac76p+0"],
+    "star:3/20": ["0x1.b278129b5b5a5p+1", "0x1.b34b7c8d0f2d7p+0", "0x1.24fc58294fdcap-1", "0x1.95d4d1a2b9038p-1"],
+    "star:4/40": ["0x1.37388346c78d8p+0", "0x1.3bb0c57853f73p-1", "0x1.2cd0774837335p-1", "-0x1.0a76a22d8ef1dp-1"],
+    "star:5/75": ["0x1.3c2207525b2f9p+1", "0x1.3c332c973f7b5p+0", "0x1.c50e791959b14p-1", "0x1.00f45a130aecbp-3"],
+    "star:6/130": ["0x1.b3b084364557bp+1", "0x1.b6877b6485f53p+0", "0x1.d89019cf084f2p-1", "-0x1.c68af9de4ef36p+0"],
+    "star:7/240": ["0x1.daceab91877d8p+0", "0x1.dcfe512262c0bp-1", "-0x1.a5b642cddec54p-1", "-0x1.246726841cf20p-2"],
+    "star:8/400": ["0x1.6d71982697cb4p+1", "0x1.6ed1b6ff4c624p+0", "-0x1.7ac247f5ae698p-2", "-0x1.b0f2552587a8ap+0"],
+    "convex:11/3": ["0x1.2d81dc841d3d2p+1", "0x1.2d81dc841d3d2p+0", "-0x1.c598d4b1cd750p+0", "-0x1.65b1eea19f4c0p+0"],
+    "convex:12/17": ["0x1.74d51d4032dbdp+1", "0x1.74d95db1258aap+0", "0x1.5253b7dc12788p-1", "0x1.b251456c26341p+0"],
+    "convex:13/60": ["0x1.18c9f511d8ed4p+2", "0x1.18e2e109807e3p+1", "-0x1.c8289758f7bb4p+0", "0x1.b682675a5d379p+0"],
+    "convex:14/200": ["0x1.178c49512e482p+2", "0x1.179396b5bbb6cp+1", "0x1.20c38ab1e7c38p+0", "-0x1.05fc5d2901ea2p+0"],
+    "collinear": ["0x1.9555555555537p+2", "0x1.9555555555537p+1", "0x1.f440000000000p+9", "-0x1.544f3078263acp-1"],
+    "repeated_pair": ["0x1.49d93405be849p+2", "0x1.49d93405be849p+1", "0x1.c000000000000p-1", "0x1.0000000000000p-1"],
+    "repeated_grid": ["0x1.0f876ccdf6cd9p+3", "0x1.0f876ccdf6cd9p+2", "0x0.0p+0", "0x0.0p+0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEASUREMENT_BITS))
+def test_the_measurement_keeps_its_bits(case):
+    assert [x.hex() for x in _pinned_measurement(case)] == _MEASUREMENT_BITS[case]
+
+
+def _splitmix64_int(x: int) -> int:
+    mask = 2**64 - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40, 1000])
+def test_min_enclosing_ball_takes_the_points_in_the_documented_order(m, monkeypatch):
+    # place i holds pts[argsort(argsort(keys))][i], keys[i] = splitmix64(i + splitmix64(m)) mod 2^64
+    pts = np.random.default_rng(m).standard_normal((m, 2))
+    seen = []
+    welzl = geometry._welzl_mtf
+
+    def spy(coords, end, support):
+        if not support:  # the outer call; the recursion always passes a support point
+            seen.append((coords.copy(), coords.flags.c_contiguous, end))
+        return welzl(coords, end, support)
+
+    monkeypatch.setattr(geometry, "_welzl_mtf", spy)
+    geometry.min_enclosing_ball(pts)
+    salt = _splitmix64_int(m)
+    keys = np.array([_splitmix64_int((i + salt) % 2**64) for i in range(m)], dtype=np.uint64)
+    assert len(seen) == 1
+    coords, contiguous, end = seen[0]
+    assert contiguous and end == m  # one row per axis, each a contiguous run
+    assert np.array_equal(coords, pts[np.argsort(np.argsort(keys))].T)
 
 
 def test_min_enclosing_ball_order_invariant():
