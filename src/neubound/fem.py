@@ -375,7 +375,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     the same NumericalError as a shift beyond the float range.  eigsh sees M
     times a power of four near spread^-2; ncv = 2k + 2 (at least 10, at most
     the DOF count).  The fixed start, a smooth quadratic in the centred and
-    scaled vertex coordinates (centred on their mean in construction order)
+    scaled vertex coordinates (centred on their mean in the pattern's numbering)
     plus 0.2 times a normal draw seeded per construction number (a component
     along every eigenvector), makes the result deterministic.  eigsh stops at
     tol = 1e-10: that bounds ARPACK's Ritz estimates relative to their Ritz
@@ -397,9 +397,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         import scipy.sparse.linalg  # lazy like scipy.sparse in assemble: ~0.1 s
         stiffness, mass = assemble(mesh)  # the module attribute, which tracers wrap
     # _assembled has rejected degenerate meshes, so spread > 0
-    order, natural = mesh._pattern.order, np.empty_like(mesh.vertices)
-    natural[order] = mesh.vertices  # the mean sums in construction order, whatever the numbering
-    center = natural.mean(axis=0)
+    center = np.array([column.mean() for column in mesh.vertices.T])  # pairwise sums, per column
     offsets = mesh.vertices - center
     x, y = offsets.T
     spread = float(np.sqrt((x * x + y * y).max()))  # the largest distance: sqrt is monotone
@@ -435,7 +433,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
         unit = 4.0 ** -round(np.log2(spread))
         x, y = (offsets / spread).T
         v0 = 1.0 + x + 0.7 * y + 0.3 * x * x - 0.2 * x * y + 0.5 * y * y
-        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)[order]  # drawn in construction order
+        v0 += 0.2 * np.random.default_rng(0).standard_normal(nv)[mesh._pattern.order]  # drawn in construction order
         mass.data *= unit  # exact, and undone below for the residuals
         bare = _bare_operator()
         try:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import check_int, check_real
 
 _CONTAIN_SLACK = 1e-11  # multiplicative slack for enclosing-ball membership
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53  # Shewchuk's relative error bound on _orient's sign
 _PAIR_BLOCK = 1 << 18  # candidate edge pairs per block in the simplicity check
 _MAX_SAMPLES = 2**20  # boundary samples per loop
 _MAX_COORD = 1e150  # squared distances between such points stay finite
@@ -131,7 +132,7 @@ class DomainSpec:
 
     @functools.cached_property
     def measurement(self) -> tuple[int, float, Ball]:
-        """boundary_loop(self)'s point count, diameter and smallest enclosing Ball."""
+        """boundary_loop(self)'s point count, and its convex hull's diameter and smallest enclosing Ball."""
         points = boundary_loop(self)[0]
         d, ball = diameter(points), min_enclosing_ball(points)
         ball.center.flags.writeable = False
@@ -364,10 +365,11 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     Andrew's monotone chain (Inf. Process. Lett. 9, 1979) on the sorted
     points without repeats, split into a lower and an upper chain by the
     line through the first and last.  One array pass drops each chain point
-    that does not turn left between its neighbours, as no hull vertex does;
-    a stack scan finishes the chain.  A chain whose every point turns left
-    is kept as it is: the scan, which evaluates the same float expression,
-    would keep all of it.  Collinear clouds give two vertices.
+    whose right turn between its neighbours is certain, beyond the bound of
+    Shewchuk's static filter (Discrete Comput. Geom. 18, 1997), as no hull
+    vertex turns right; a stack scan finishes the chain.  A chain whose
+    every point turns left is kept as it is: the scan, which evaluates the
+    same float expression, would keep all of it.  Collinear clouds give two.
     """
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     pts = pts[np.append(True, np.any(pts[1:] != pts[:-1], axis=1))]
@@ -376,11 +378,13 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     hull = []
     for chain in ((first, pts[side < 0], last), (last, pts[side > 0][::-1], first)):
         chain = np.concatenate(chain)
-        left = _orient(chain[:-2], chain[1:-1], chain[2:]) > 0
-        if left.all():
+        ab, ac = chain[1:-1] - chain[:-2], chain[2:] - chain[:-2]
+        t1, t2 = ab[:, 0] * ac[:, 1], ab[:, 1] * ac[:, 0]  # _orient is t1 - t2
+        if (t1 - t2 > 0).all():
             hull.append(chain[:-1])
             continue
-        chain = chain[np.concatenate(([True], left, [True]))]
+        certain_right = t1 - t2 < -_ORIENT_ERR * (np.abs(t1) + np.abs(t2))
+        chain = chain[np.concatenate(([True], ~certain_right, [True]))]
         xs, ys = chain.T.tolist()
         stack = [0]
         for i in range(1, len(xs)):
@@ -465,25 +469,29 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def min_enclosing_ball(points: Sequence[Sequence[float]]) -> Ball:
     """Smallest enclosing ball (disc) of a finite planar point cloud.
 
-    Move-to-front Welzl over a fixed pseudo-random order of the input, each
-    step searching the remaining points for the first one outside the
-    current ball in one array pass; recursion depth is at most 4 regardless
-    of cloud size.  Of m points, place i holds the point whose index is the
-    rank of the key splitmix64(i + splitmix64(m)) among the m keys, that is
-    pts[argsort(argsort(keys))]: the keys are distinct, so this is a
-    permutation, and salted by m, so no index keeps its relative place
-    across cloud sizes.  It is built with one argsort, as point j goes to
-    place argsort(keys)[j], the inverse permutation's scatter.  The order is
-    integer arithmetic alone, which makes the run fully reproducible without
-    a random generator.  The returned ball is the exact optimum up to
-    roundoff: at most 3 support points determine it.
+    It is the convex hull's (Chrystal, Proc. Edinburgh Math. Soc. 3, 1885):
+    move-to-front Welzl runs over the m vertices of _convex_hull relative to
+    the first, the lexicographically smallest, then added to the center, so
+    R and the center depend on the hull alone.  Each step finds the first
+    remaining point outside the current ball in one array pass; recursion
+    depth is at most 4.  Place i holds the vertex whose index is the rank of
+    the key splitmix64(i + splitmix64(m)) among the m keys: the keys are
+    distinct, so this is a permutation, built with one argsort as vertex j
+    goes to place argsort(keys)[j], and salted by m, so no index keeps its
+    relative place across hull sizes.  The order is integer arithmetic
+    alone, which makes the run reproducible without a random generator.
+    R is the exact optimum up to roundoff: at most 3 support points
+    determine it.  The center is rounded once, as the origin is added back,
+    so the ball holds the cloud up to half an ulp of each center coordinate.
     """
-    pts = _point_cloud(points)
-    m = np.array([len(pts)], dtype=np.uint64)
-    keys = _splitmix64(np.arange(len(pts), dtype=np.uint64) + _splitmix64(m))
-    coords = np.empty((2, len(pts)))
-    coords[:, np.argsort(keys)] = pts.T
-    return _welzl_mtf(coords, len(pts), [])  # a Ball: the cloud is nonempty
+    hull = _convex_hull(_point_cloud(points))
+    origin = hull[0]
+    m = np.array([len(hull)], dtype=np.uint64)
+    keys = _splitmix64(np.arange(len(hull), dtype=np.uint64) + _splitmix64(m))
+    coords = np.empty((2, len(hull)))
+    coords[:, np.argsort(keys)] = (hull - origin).T
+    ball = _welzl_mtf(coords, len(hull), [])  # a Ball: the hull is nonempty
+    return Ball(ball.center + origin, ball.radius)
 
 
 # ---------------------------------------------------------------------------

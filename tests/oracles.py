@@ -316,7 +316,7 @@ def relabelling_eigensolve(mesh, k: int) -> tuple:
     natural, order = construction_numbered(mesh), mesh._pattern.order
     nv = natural.dof_count
     stiffness, mass = two_pass_assemble(natural)
-    center = natural.vertices.mean(axis=0)
+    center = np.array([column.mean() for column in natural.vertices[order].T])
     spread = float(np.linalg.norm(natural.vertices - center, axis=1).max())
     ratio = 1.8412 / spread
     sigma = -0.2 * (ratio * ratio)

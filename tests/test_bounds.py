@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from neubound import NumericalError, bounds, geometry, qcmaps
 from neubound.special import p_zero
+from exact import degree1_upper
 from oracles import quasi_monotonicity_upper, quasidisc_bound
 
 
@@ -282,3 +284,62 @@ def test_report_with_declared_convexity():
     best = report.bounds[report.best]
     assert best["formula"] == "payne_weinberger"
     assert best["value"] == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every claim against the degree-1 upper end mu_1 <= 1 / lambda_max(sigma)
+
+def _rectangle(a: float, b: float) -> list[list[float]]:
+    return [[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]]
+
+
+_SQUARE_VERTS = _rectangle(1.0, 1.0)
+
+
+def test_the_degree1_upper_end_has_its_closed_forms():
+    # a x b rectangle: sigma = diag(a^2, b^2) / 12; unit right triangle:
+    # variances 1/18, covariance -1/36; both orientations and any vertex first
+    for verts, sigma in (
+        (_rectangle(3.0, 0.5), (Fraction(9, 12), Fraction(0), Fraction(1, 48))),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], (Fraction(1, 18), Fraction(-1, 36), Fraction(1, 18))),
+    ):
+        for variant in (verts, verts[::-1], verts[1:] + verts[:1]):
+            assert degree1_upper(variant).sigma == sigma
+    # above the closed-form mu_1: pi^2 on the unit square, 16 pi^2 / 9 on the
+    # equilateral triangle of side 1, whose sigma is I / 24
+    assert float(degree1_upper(_SQUARE_VERTS)) == 12.0 >= math.pi**2
+    assert float(degree1_upper([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])) == pytest.approx(24.0)
+    square = degree1_upper(_SQUARE_VERTS)
+    assert square.admits(12.0) and not square.admits(math.nextafter(12.0, 13.0))
+
+
+def _specs_with_true_metadata():
+    yield pytest.param(geometry.named_domain("bowtie"), id="bowtie")
+    rng = np.random.default_rng(41)
+    for i in range(6):
+        a, b = rng.uniform(0.05, 20.0, 2)
+        spec = geometry.DomainSpec(kind="polygon", vertices=_rectangle(a, b), convex=True)
+        yield pytest.param(spec, id=f"rectangle{i}")
+    for m in (5, 12, 40, 300):
+        hull = geometry._convex_hull(rng.standard_normal((m, 2)) * rng.uniform(0.1, 10.0, 2))
+        yield pytest.param(geometry.DomainSpec(kind="polygon", vertices=hull, convex=True), id=f"hull_of_{m}")
+
+
+@pytest.mark.parametrize("spec", list(_specs_with_true_metadata()))
+def test_every_claim_on_true_metadata_sits_below_the_degree1_upper_end(spec):
+    upper = degree1_upper(spec.vertices)
+    claims = [entry["value"] for entry in bounds.best_bound_report(spec).bounds if entry["applicable"]]
+    assert claims and all(upper.admits(claim) for claim in claims)
+
+
+def test_a_false_symmetry_claim_on_a_long_rectangle_exceeds_the_degree1_upper_end():
+    # a 20 x 1 rectangle is centrally symmetric, but its extension norm is not 1:
+    # the claim (p_1 / R)^2 = 0.0338 tops mu_1 = pi^2 / 400 = 0.0247 <= 1 / (400 / 12)
+    spec = geometry.DomainSpec(
+        kind="polygon", vertices=_rectangle(20.0, 1.0), symmetry_center=(10.0, 0.5), norm_sq=1.0
+    )
+    report = bounds.best_bound_report(spec)
+    claim = report.bounds[report.best]["value"]
+    upper = degree1_upper(spec.vertices)
+    assert (round(claim, 4), round(float(upper), 4)) == (0.0338, 0.03)
+    assert not upper.admits(claim)

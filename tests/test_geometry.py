@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -427,6 +429,17 @@ def test_convex_hull_matches_monotone_chain_oracle(kind):
             assert len(hull) < len(pts)
 
 
+def test_convex_hull_keeps_a_vertex_whose_turn_rounds_to_zero():
+    # (0, e)'s turn between (e, -1) and (0, 0) is e^2, which rounds to 0, and
+    # (0, 0) lies on the segment from (0, e) to (0, -1).  Dropping both in one
+    # array pass once left a hull e wide: d read e and R e / 2 for this
+    # triangle of height 1
+    e = 1.26897092e-116
+    pts = np.array([[0.0, 0.0], [0.0, -1.0], [e, -1.0], [0.0, e]])
+    assert geometry._convex_hull(pts).tobytes() == monotone_chain_hull(pts).tobytes()
+    assert (geometry.diameter(pts), geometry.min_enclosing_ball(pts).radius) == (1.0, 0.5)
+
+
 def test_min_enclosing_ball_bowtie_exact():
     points, _, _ = geometry.boundary_loop(geometry.named_domain("bowtie"), None)
     ball = geometry.min_enclosing_ball(points)
@@ -545,27 +558,28 @@ def _pinned_measurement(case: str):
 # the place order or the hull that claims to keep the measurement keeps
 # these.  The polygons and clouds rest on IEEE arithmetic alone, the
 # samplers also on the platform's float64 sin, cos, tan and exp (taken with
-# NumPy 2.4 on x86-64 Linux).  Computing R on the hull will move these on purpose
+# NumPy 2.4 on x86-64 Linux).  R and the center are taken on the hull, in
+# coordinates relative to its first vertex
 _MEASUREMENT_BITS = {
-    "bowtie": ["0x1.94c583ada5b53p+0", "0x1.aaaaaaaaaaaabp-1", "0x0.0p+0", "0x1.5555555555556p-1"],
-    "unit_disc:7": ["0x1.f329c0558e96ap+0", "0x1.0000000000001p+0", "0x1.c000000000000p-53", "0x1.0000000000000p-53"],
-    "unit_disc:256": ["0x1.0000000000000p+1", "0x1.fffffffffffffp-1", "-0x1.4000000000000p-52", "0x1.0000000000000p-52"],
-    "unit_disc:8192": ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "-0x1.0000000000000p-55", "-0x1.0000000000000p-53"],
+    "bowtie": ["0x1.94c583ada5b53p+0", "0x1.aaaaaaaaaaaaap-1", "0x0.0p+0", "0x1.5555555555556p-1"],
+    "unit_disc:7": ["0x1.f329c0558e96ap+0", "0x1.0000000000000p+0", "0x1.0000000000000p-53", "-0x1.0000000000000p-54"],
+    "unit_disc:256": ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x0.0p+0", "0x1.a62633145c070p-57"],
+    "unit_disc:8192": ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x0.0p+0", "0x1.a62633145c070p-57"],
     "half_disc:2048": ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
     "tan_disc:4096": ["0x1.8eb245cbee3a5p+1", "0x1.8eb245cbee3a5p+0", "0x0.0p+0", "0x1.e3a80a9aa5f66p-53"],
     "tan_disc:16384": ["0x1.8eb245cbee3a5p+1", "0x1.8eb245cbee3a5p+0", "0x0.0p+0", "0x1.e3a80a9aa5f66p-53"],
-    "star:1/8": ["0x1.41012d49a0699p+0", "0x1.41012d49a0699p-1", "-0x1.6e1e844cc02f5p-2", "-0x1.25eadebd42866p+0"],
+    "star:1/8": ["0x1.41012d49a0699p+0", "0x1.41012d49a069ap-1", "-0x1.6e1e844cc02f4p-2", "-0x1.25eadebd42866p+0"],
     "star:2/13": ["0x1.29eb4bfb300f5p+1", "0x1.2b0c8fbdc66d7p+0", "0x1.852667a1bc466p-1", "-0x1.95ef512d0ac76p+0"],
-    "star:3/20": ["0x1.b278129b5b5a5p+1", "0x1.b34b7c8d0f2d7p+0", "0x1.24fc58294fdcap-1", "0x1.95d4d1a2b9038p-1"],
-    "star:4/40": ["0x1.37388346c78d8p+0", "0x1.3bb0c57853f73p-1", "0x1.2cd0774837335p-1", "-0x1.0a76a22d8ef1dp-1"],
-    "star:5/75": ["0x1.3c2207525b2f9p+1", "0x1.3c332c973f7b5p+0", "0x1.c50e791959b14p-1", "0x1.00f45a130aecbp-3"],
-    "star:6/130": ["0x1.b3b084364557bp+1", "0x1.b6877b6485f53p+0", "0x1.d89019cf084f2p-1", "-0x1.c68af9de4ef36p+0"],
-    "star:7/240": ["0x1.daceab91877d8p+0", "0x1.dcfe512262c0bp-1", "-0x1.a5b642cddec54p-1", "-0x1.246726841cf20p-2"],
-    "star:8/400": ["0x1.6d71982697cb4p+1", "0x1.6ed1b6ff4c624p+0", "-0x1.7ac247f5ae698p-2", "-0x1.b0f2552587a8ap+0"],
+    "star:3/20": ["0x1.b278129b5b5a5p+1", "0x1.b34b7c8d0f2d5p+0", "0x1.24fc58294fdd0p-1", "0x1.95d4d1a2b9032p-1"],
+    "star:4/40": ["0x1.37388346c78d8p+0", "0x1.3bb0c57853f75p-1", "0x1.2cd0774837337p-1", "-0x1.0a76a22d8ef1bp-1"],
+    "star:5/75": ["0x1.3c2207525b2f9p+1", "0x1.3c332c973f7b5p+0", "0x1.c50e791959b14p-1", "0x1.00f45a130aed5p-3"],
+    "star:6/130": ["0x1.b3b084364557bp+1", "0x1.b6877b6485f54p+0", "0x1.d89019cf084f4p-1", "-0x1.c68af9de4ef38p+0"],
+    "star:7/240": ["0x1.daceab91877d8p+0", "0x1.dcfe512262c0cp-1", "-0x1.a5b642cddec5ap-1", "-0x1.246726841cf20p-2"],
+    "star:8/400": ["0x1.6d71982697cb4p+1", "0x1.6ed1b6ff4c623p+0", "-0x1.7ac247f5ae69cp-2", "-0x1.b0f2552587a8bp+0"],
     "convex:11/3": ["0x1.2d81dc841d3d2p+1", "0x1.2d81dc841d3d2p+0", "-0x1.c598d4b1cd750p+0", "-0x1.65b1eea19f4c0p+0"],
     "convex:12/17": ["0x1.74d51d4032dbdp+1", "0x1.74d95db1258aap+0", "0x1.5253b7dc12788p-1", "0x1.b251456c26341p+0"],
     "convex:13/60": ["0x1.18c9f511d8ed4p+2", "0x1.18e2e109807e3p+1", "-0x1.c8289758f7bb4p+0", "0x1.b682675a5d379p+0"],
-    "convex:14/200": ["0x1.178c49512e482p+2", "0x1.179396b5bbb6cp+1", "0x1.20c38ab1e7c38p+0", "-0x1.05fc5d2901ea2p+0"],
+    "convex:14/200": ["0x1.178c49512e482p+2", "0x1.179396b5bbb6dp+1", "0x1.20c38ab1e7c38p+0", "-0x1.05fc5d2901ea4p+0"],
     "collinear": ["0x1.9555555555537p+2", "0x1.9555555555537p+1", "0x1.f440000000000p+9", "-0x1.544f3078263acp-1"],
     "repeated_pair": ["0x1.49d93405be849p+2", "0x1.49d93405be849p+1", "0x1.c000000000000p-1", "0x1.0000000000000p-1"],
     "repeated_grid": ["0x1.0f876ccdf6cd9p+3", "0x1.0f876ccdf6cd9p+2", "0x0.0p+0", "0x0.0p+0"],
@@ -587,7 +601,8 @@ def _splitmix64_int(x: int) -> int:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 40, 1000])
 def test_min_enclosing_ball_takes_the_points_in_the_documented_order(m, monkeypatch):
-    # place i holds pts[argsort(argsort(keys))][i], keys[i] = splitmix64(i + splitmix64(m)) mod 2^64
+    # the hull's n vertices less its first, place i holding
+    # hull[argsort(argsort(keys))][i], keys[i] = splitmix64(i + splitmix64(n)) mod 2^64
     pts = np.random.default_rng(m).standard_normal((m, 2))
     seen = []
     welzl = geometry._welzl_mtf
@@ -598,24 +613,108 @@ def test_min_enclosing_ball_takes_the_points_in_the_documented_order(m, monkeypa
         return welzl(coords, end, support)
 
     monkeypatch.setattr(geometry, "_welzl_mtf", spy)
-    geometry.min_enclosing_ball(pts)
-    salt = _splitmix64_int(m)
-    keys = np.array([_splitmix64_int((i + salt) % 2**64) for i in range(m)], dtype=np.uint64)
+    ball = geometry.min_enclosing_ball(pts)
+    hull = geometry._convex_hull(pts)  # matched to monotone_chain_hull above; one point is two
+    n = len(hull)
+    salt = _splitmix64_int(n)
+    keys = np.array([_splitmix64_int((i + salt) % 2**64) for i in range(n)], dtype=np.uint64)
     assert len(seen) == 1
     coords, contiguous, end = seen[0]
-    assert contiguous and end == m  # one row per axis, each a contiguous run
-    assert np.array_equal(coords, pts[np.argsort(np.argsort(keys))].T)
+    assert contiguous and end == n  # one row per axis, each a contiguous run
+    assert np.array_equal(coords, (hull - hull[0])[np.argsort(np.argsort(keys))].T)
+    local = welzl(coords, n, [])
+    assert ball.radius == local.radius and np.array_equal(ball.center, local.center + hull[0])
 
 
 def test_min_enclosing_ball_order_invariant():
-    # the fixed internal shuffle meets each reordering in a different order
+    # the ball depends on the hull alone, whatever order the points come in
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((40, 2))
     base = geometry.min_enclosing_ball(pts)
     for _ in range(3):
         ball = geometry.min_enclosing_ball(rng.permutation(pts))
-        assert np.allclose(ball.center, base.center, atol=1e-9)
-        assert ball.radius == pytest.approx(base.radius, abs=1e-9)
+        assert np.array_equal(ball.center, base.center)
+        assert ball.radius == base.radius
+
+
+def _dyadic_star(seed: int, k: int) -> np.ndarray:
+    # _star_polygon rounded to multiples of 2^-10: moved by 2^40 or less, each
+    # coordinate stays exact, and so do its differences
+    return np.round(_star_polygon(seed, k) * 1024.0) / 1024.0
+
+
+_HULL_ONLY_CLOUDS = {
+    "bowtie": lambda: geometry.named_domain("bowtie").vertices,
+    **{f"dyadic_star_{seed}_{k}": functools.partial(_dyadic_star, seed, k) for seed, k in ((1, 7), (2, 24), (3, 90))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HULL_ONLY_CLOUDS))
+def test_min_enclosing_ball_keeps_its_bits_under_relabelling_reversal_and_repeats(name):
+    pts = _HULL_ONLY_CLOUDS[name]()
+    base = geometry.min_enclosing_ball(pts)
+    variants = [np.roll(pts, j, axis=0) for j in (1, 2, len(pts) // 2)]
+    variants += [pts[::-1], np.insert(pts, 3, pts[1], axis=0), np.concatenate((pts, pts[:2]))]
+    for variant in variants:
+        ball = geometry.min_enclosing_ball(variant)
+        assert ball.radius == base.radius and np.array_equal(ball.center, base.center)
+
+
+@pytest.mark.parametrize("name", sorted(_HULL_ONLY_CLOUDS))
+@pytest.mark.parametrize("k", [0, 1, 13, 23, 32, 40])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_min_enclosing_ball_keeps_its_bits_under_dyadic_translations(name, k, sign):
+    # the local run sees the same hull less its first vertex o, whatever the
+    # offset t: R is unchanged and the center is the local one plus o + t
+    pts = _HULL_ONLY_CLOUDS[name]()
+    t = np.array([sign * 2.0**k, -sign * 2.0 ** (k // 2)])
+    origin = geometry._convex_hull(pts)[0]
+    local = geometry.min_enclosing_ball(pts - origin)
+    moved = geometry.min_enclosing_ball(pts + t)
+    assert moved.radius == local.radius == geometry.min_enclosing_ball(pts).radius
+    assert np.array_equal(moved.center, local.center + (origin + t))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e7, 2.0**40])
+def test_a_translated_bowtie_keeps_its_enclosing_radius(offset):
+    # 1e4 + 0.5 and 1e7 + 0.5 are exact too: in absolute coordinates these
+    # read R 5.8e-13 and 6.0e-10 too low, and at 2^40 7.8e-5 too high
+    vertices = geometry.named_domain("bowtie").vertices
+    ball = geometry.min_enclosing_ball(vertices + offset)
+    assert ball.radius == 0.8333333333333333  # one ulp below 5/6
+    assert ball.center.tolist() == (geometry.min_enclosing_ball(vertices).center + offset).tolist()
+
+
+@st.composite
+def _near_collinear_clouds(draw) -> np.ndarray:
+    # points on the segment through a and b in [-1e4, 1e4]^2, each coordinate
+    # moved by up to 2 ulps, plus up to three outliers in the same box
+    coord = st.floats(-1e4, 1e4, allow_subnormal=False)
+    a, b = (np.array(draw(st.tuples(coord, coord))) for _ in range(2))
+    ts = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+    line = a + np.array(ts)[:, None] * (b - a)
+    steps = draw(st.lists(st.integers(-2, 2), min_size=line.size, max_size=line.size))
+    # a coordinate below 1e-100 moves by ulps of 1e-100: a subnormal step would
+    # make a cloud so small that R * R underflows
+    line += np.reshape(steps, line.shape) * np.spacing(np.maximum(np.abs(line), 1e-100))
+    outliers = draw(st.lists(st.tuples(coord, coord), max_size=3))
+    return np.concatenate((line, np.array(outliers).reshape(-1, 2)))
+
+
+@_PROPERTY
+@given(_near_collinear_clouds())
+@example(np.array([[0.0, 0.0], [0.0, -1.0], [1.26897092e-116, -1.0], [0.0, 1.26897092e-116]]))
+@example(np.array([[1.0, 0.0], [math.nextafter(1.0, 2.0), 0.0]]))
+def test_min_enclosing_ball_holds_a_near_collinear_cloud(pts):
+    # every input point, interior ones included, lies in the ball widened by
+    # _CONTAIN_SLACK, with the squared distances taken exactly.  The center's
+    # last rounding, half an ulp per coordinate, widens it too: two points an
+    # ulp apart at 1.0 have a midpoint that no float holds
+    ball = geometry.min_enclosing_ball(pts)
+    cx, cy = map(Fraction, ball.center.tolist())
+    rounding = Fraction(math.ulp(cx) + math.ulp(cy)) / 2
+    limit = (Fraction(ball.radius) + rounding) ** 2 * (1 + Fraction(geometry._CONTAIN_SLACK))
+    assert all((Fraction(x) - cx) ** 2 + (Fraction(y) - cy) ** 2 <= limit for x, y in pts.tolist())
 
 
 def test_min_enclosing_ball_degenerate_inputs():
@@ -658,7 +757,7 @@ def test_a_scaled_bowtie_keeps_its_enclosing_radius(k):
     s = 2.0**k
     vertices = s * geometry.named_domain("bowtie").vertices
     _, d, ball = geometry.DomainSpec(kind="polygon", vertices=vertices).measurement
-    assert (d / s, ball.radius / s) == (math.sqrt(2.5), 0.8333333333333334)
+    assert (d / s, ball.radius / s) == (math.sqrt(2.5), 0.8333333333333333)  # one ulp below 5/6
 
 
 def test_polygons_far_from_the_origin_keep_their_area():

@@ -2,10 +2,13 @@
 
 mu_1 scales as length^-2 and is unchanged by rigid motions, and so is each
 lower bound.  The domains are random star polygons about an anchor at the
-origin, with K and beta declared, so every bound formula is listed.  Only
-maps that fix the anchor are checked: scalings by powers of two, which
-must scale everything bit for bit, and the quarter and half turns and the
-axis reflections, which keep d exactly and the rest within a few ulps.
+origin, with K and beta declared, so every bound formula is listed.  Maps
+that fix the anchor are checked on the whole pipeline: scalings by powers
+of two, which must scale everything bit for bit, and the quarter and half
+turns and the axis reflections, which keep d exactly and the rest within a
+few ulps.  Translations by 2^k, k <= 40, of polygons with dyadic vertices,
+cyclic relabelling and reversal are checked on d, R and the bounds, which
+depend on the convex hull alone and so keep every bit.
 """
 
 from __future__ import annotations
@@ -106,3 +109,39 @@ def test_quarter_turns_and_reflections_keep_every_number(name, polygon):
     for spectrum, spectrum_m in zip(spectra, spectra_m):
         pairs = zip(spectrum_m.eigenvalues, spectrum.eigenvalues)
         assert all(math.isclose(a, b, rel_tol=1e-13, abs_tol=0.0) for a, b in pairs)
+
+
+def _dyadic(polygon: dict) -> dict:
+    # vertices rounded to multiples of 2^-10: a translation by 2^k, k <= 40, is exact
+    return {**polygon, "vertices": [[round(c * 1024.0) / 1024.0 for c in v] for v in polygon["vertices"]]}
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+def _geometry_and_bounds(spec_dict: dict) -> tuple:
+    spec = geometry.load_domain_spec(spec_dict)
+    _, d, ball = spec.measurement
+    return d, ball.radius, [entry["value"] for entry in bounds.best_bound_report(spec).bounds]
+
+
+@_PROPERTY
+@given(polygon=_star_polygons().map(_dyadic), k=st.integers(0, 40), signs=st.tuples(_SIGN, _SIGN))
+def test_dyadic_translations_keep_d_r_and_the_bounds_bit_for_bit(polygon, k, signs):
+    # d and R are taken on the hull, R relative to its first vertex, so an
+    # exact translation moves no bit of them or of any bound; the anchor moves along
+    tx, ty = signs[0] * 2.0**k, signs[1] * 2.0 ** (k // 2)
+    moved = {
+        **_mapped(polygon, lambda x, y: (x + tx, y + ty), False),
+        "anchor": [tx, ty],
+    }
+    assert _geometry_and_bounds(moved) == _geometry_and_bounds(polygon)
+
+
+@_PROPERTY
+@given(polygon=_star_polygons(), shift=st.integers(1, 11), reverse=st.booleans())
+def test_relabelling_and_reversal_keep_d_r_and_the_bounds_bit_for_bit(polygon, shift, reverse):
+    vertices = polygon["vertices"]
+    vertices = vertices[shift % len(vertices) :] + vertices[: shift % len(vertices)]
+    relabelled = {**polygon, "vertices": vertices[::-1] if reverse else vertices}
+    assert _geometry_and_bounds(relabelled) == _geometry_and_bounds(polygon)
