@@ -12,21 +12,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
+import importlib
 import json
 import math
 import os
 import re
 import sys
 
-from .errors import NumericalError
+from .errors import NumericalError, check_int
 
 PRECISION_ENV = "NEUBOUND_PRECISION"
-_SAMPLES_HELP = 'the spec\'s "samples": a sampler\'s boundary resolution; a polygon rejects it'
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,8 +31,8 @@ class _Parser(argparse.ArgumentParser):
         # without one, "--gamma -9.3e-05" takes -9.3e-05 for an option and fails, "expected one argument"
         self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
-    def error(self, message):  # route argparse failures to exit status 1
-        raise _UsageError(message)
+    def error(self, message):  # route argparse failures to exit status 1, as any ValueError
+        raise ValueError(message)
 
 
 def _precision() -> int:
@@ -45,10 +40,8 @@ def _precision() -> int:
     try:
         digits = int(raw)
     except ValueError:
-        raise _UsageError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
-    if not 1 <= digits <= 17:
-        raise _UsageError(f"{PRECISION_ENV} must be in [1, 17], got {digits}")
-    return digits
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+    return check_int(PRECISION_ENV, digits, 1, 17)
 
 
 def _round_floats(obj, digits: int):
@@ -86,27 +79,21 @@ def _flatten(row: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _emit(report: dict, output: str) -> None:
-    report = _round_floats(report, _precision())
+def _emit(report: dict, output: str, digits: int) -> None:
+    report = _round_floats(report, digits)
     if output == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return
     rows = _csv_rows(report)
     if rows is None:
-        raise _UsageError("this report has no tabular view; use --output json")
+        raise ValueError("this report has no tabular view; use --output json")
     import csv
 
     flat = [_flatten(r) for r in rows]
-    fields: list[str] = []
-    for r in flat:
-        for k in r:
-            if k not in fields:
-                fields.append(k)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
+    fields = list(dict.fromkeys(k for r in flat for k in r))  # each column once, in order of first use
+    writer = csv.DictWriter(sys.stdout, fieldnames=fields, restval="", lineterminator="\n")
     writer.writeheader()
     writer.writerows(flat)
-    sys.stdout.write(buf.getvalue())
 
 
 def _warn(lines) -> None:
@@ -114,34 +101,25 @@ def _warn(lines) -> None:
         sys.stderr.write(f"warning: {line}\n")
 
 
-# Each command imports the modules it calls, so a process loads NumPy and
-# SciPy only when its command needs them.  Calls go through the module
+# Each handler takes the parsed arguments and the one neubound module its
+# command calls, which main imports after parsing, so a process loads NumPy
+# and SciPy only when its command needs them.  Calls go through the module
 # attributes, which a tracer may wrap.
-def _cmd_pzero(args) -> dict:
-    from . import special
-
+def _cmd_pzero(args, special) -> dict:
     return {"n": args.n, "p": special.p_zero(args.n, tol=args.tol)}
 
 
-def _cmd_mikhlin(args) -> dict:
-    from . import extension_norms
+def _cmd_mikhlin(args, extension_norms) -> dict:
+    import dataclasses
 
     est = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
-    return {
-        "n": args.n,
-        "R": args.big_r,
-        "value_sq": est.value_sq,
-        "kind": est.kind,
-        "source": est.source,
-    }
+    return {"n": args.n, "R": args.big_r, **dataclasses.asdict(est)}
 
 
-def _cmd_mikhlin_star(args) -> dict:
-    from . import extension_norms
+def _cmd_mikhlin_star(args, extension_norms) -> dict:
+    import dataclasses
 
-    data = extension_norms.StarShapeData(
-        m1=args.m1, m2=args.m2, m3=args.m3, n=args.n, big_r=args.big_r
-    )
+    data = extension_norms.StarShapeData(m1=args.m1, m2=args.m2, m3=args.m3, n=args.n, big_r=args.big_r)
     est = extension_norms.mikhlin_star_norm_sq_bound(data)
     ball = extension_norms.mikhlin_ball_norm_sq(args.n, args.big_r)
     return {
@@ -151,18 +129,14 @@ def _cmd_mikhlin_star(args) -> dict:
         "n": args.n,
         "R": args.big_r,
         "ball_value_sq": ball.value_sq,
-        "value_sq": est.value_sq,
-        "kind": est.kind,
-        "source": est.source,
+        **dataclasses.asdict(est),
     }
 
 
-def _cmd_qc(args) -> dict:
-    from . import qcmaps
-
+def _cmd_qc(args, qcmaps) -> dict:
     if args.matrix:
         if args.beta is not None or args.gamma is not None:
-            raise _UsageError("qc takes either --matrix or --beta (with --gamma), not both")
+            raise ValueError("qc takes either --matrix or --beta (with --gamma), not both")
         matrices = [[row[:2], row[2:]] for row in args.matrix]
         if len(matrices) == 1:
             return {"kind": "affine", "K": qcmaps.affine_qc_coefficient(matrices[0])}
@@ -172,7 +146,7 @@ def _cmd_qc(args) -> dict:
             "K": qcmaps.piecewise_qc_coefficient(matrices),
         }
     if args.beta is None:
-        raise _UsageError("qc needs either --matrix or --beta")
+        raise ValueError("qc needs either --matrix or --beta")
     if args.gamma is not None:
         return {
             "kind": "spiral",
@@ -194,28 +168,19 @@ def _domain(args, **flags):
     return dataclasses.replace(spec, **flags) if flags else spec
 
 
-def _cmd_mecb(args) -> dict:
+def _cmd_mecb(args, _geometry) -> dict:  # _domain reads the spec through geometry
     spec = _domain(args, samples=args.samples)
     count, _, ball = spec.measurement
-    return {
-        "domain": spec.name,
-        "points_used": count,
-        "center": [float(c) for c in ball.center],
-        "radius": ball.radius,
-    }
+    return {"domain": spec.name, "points_used": count, "center": ball.center, "radius": ball.radius}
 
 
-def _cmd_bound(args) -> dict:
-    from . import bounds
-
+def _cmd_bound(args, bounds) -> dict:
     report = bounds.best_bound_report(_domain(args, samples=args.samples, dim=args.n))
     _warn(report.notes)
     return report.as_dict()
 
 
-def _cmd_fem(args) -> dict:
-    from . import fem
-
+def _cmd_fem(args, fem) -> dict:
     spec = _domain(args)
     top = fem.triangulate(spec, refinement=args.refinement, samples=args.samples)  # before any solve
     rows = []
@@ -229,9 +194,7 @@ def _cmd_fem(args) -> dict:
     return {"domain": spec.name, "rows": rows} if args.table else {"domain": spec.name, **rows[0]}
 
 
-def _cmd_verify(args) -> dict:
-    from . import fem
-
+def _cmd_verify(args, fem) -> dict:
     record = fem.verify_bound(
         _domain(args, samples=args.samples),
         refinement=args.refinement,
@@ -245,80 +208,76 @@ def _cmd_verify(args) -> dict:
     return record
 
 
-def _cmd_reproduce(args) -> dict:
-    from . import reproduce
-
+def _cmd_reproduce(args, reproduce) -> dict:
     report = reproduce.reproduce(args.example)
     _warn(report.get("discrepancies", []))
     return report
 
 
-_COMMANDS = {  # name: (handler, help)
-    "pzero": (_cmd_pzero, "first zero of the radial Neumann condition"),
-    "mikhlin": (_cmd_mikhlin, "squared two-ball extension norm"),
-    "mikhlin-star": (_cmd_mikhlin_star, "star-shaped extension norm bound"),
-    "qc": (_cmd_qc, "quasiconformality coefficient of a map"),
-    "mecb": (_cmd_mecb, "minimum enclosing ball of a domain's boundary"),
-    "bound": (_cmd_bound, "every applicable eigenvalue lower bound"),
-    "fem": (_cmd_fem, "finite-element Neumann eigenvalues"),
-    "verify": (_cmd_verify, "check all bounds against the mesh eigenvalue"),
-    "reproduce": (_cmd_reproduce, "recompute a worked example"),
+def _examples() -> dict:  # the keywords of reproduce's argument, which lists the examples
+    from . import reproduce  # so only reproduce's parser imports them
+
+    return {"help": f"one of: {', '.join(reproduce.example_names())}"}
+
+
+# an argument is add_argument's flag and keywords, or a function that returns the keywords
+_OUTPUT = (
+    "--output",
+    {"choices": ("json", "csv"), "default": "json", "help": "serialization format (csv only for tabular reports)"},
+)
+_DOMAIN = ("--domain", {"required": True, "help": "preset name, JSON file, or inline JSON"})
+_SAMPLES_HELP = 'the spec\'s "samples": a sampler\'s boundary resolution; a polygon rejects it'
+_SAMPLES = ("--samples", {"type": int, "help": _SAMPLES_HELP})
+_K = ("--k", {"type": int, "default": 4, "help": "how many eigenvalues, 2..10"})
+
+_COMMANDS = {  # name: (handler, the module it calls, help, its arguments after --output)
+    "pzero": (_cmd_pzero, "special", "first zero of the radial Neumann condition", (
+        ("--n", {"type": int, "required": True, "help": "ambient dimension, n >= 2"}),
+        ("--tol", {"type": float, "default": 1e-10, "help": "bisection tolerance"}),
+    )),
+    "mikhlin": (_cmd_mikhlin, "extension_norms", "squared two-ball extension norm", (
+        ("--n", {"type": int, "required": True, "help": "ambient dimension, n >= 3"}),
+        ("--R", {"dest": "big_r", "type": float, "required": True, "help": "outer radius > 1"}),
+    )),
+    "mikhlin-star": (_cmd_mikhlin_star, "extension_norms", "star-shaped extension norm bound", (
+        ("--m1", {"type": float, "required": True, "help": "lower radial bound"}),
+        ("--m2", {"type": float, "required": True, "help": "upper radial bound"}),
+        ("--m3", {"type": float, "required": True, "help": "angular derivative bound"}),
+        ("--n", {"type": int, "required": True, "help": "ambient dimension, n >= 3"}),
+        ("--R", {"dest": "big_r", "type": float, "required": True, "help": "outer radius > m2"}),
+    )),
+    "qc": (_cmd_qc, "qcmaps", "quasiconformality coefficient of a map", (
+        ("--matrix", {
+            "type": float, "nargs": 4, "action": "append", "metavar": ("A", "B", "C", "D"),
+            "help": "row-major 2x2 Jacobian; repeat for piecewise maps; not with --beta or --gamma",
+        }),
+        ("--beta", {"type": float, "help": "star-shape parameter in [0, 1)"}),
+        ("--gamma", {"type": float, "help": "spiral twist, |gamma| < beta*pi/2"}),
+    )),
+    "mecb": (_cmd_mecb, "geometry", "minimum enclosing ball of a domain's boundary", (_DOMAIN, _SAMPLES)),
+    "bound": (_cmd_bound, "bounds", "every applicable eigenvalue lower bound", (
+        _DOMAIN,
+        ("--n", {"type": int, "help": 'ambient dimension: the spec\'s "dim"'}),
+        _SAMPLES,
+    )),
+    "fem": (_cmd_fem, "fem", "finite-element Neumann eigenvalues", (
+        _DOMAIN,
+        ("--refinement", {"type": int, "default": 3, "help": "uniform refinement levels"}),
+        ("--samples", {"type": int, "help": "mesh boundary sample count"}),
+        _K,
+        ("--table", {"action": "store_true", "help": "emit a convergence table over refinements 0..R"}),
+    )),
+    "verify": (_cmd_verify, "fem", "check all bounds against the mesh eigenvalue", (
+        _DOMAIN,
+        ("--refinement", {"type": int, "default": 4, "help": "uniform refinement levels"}),
+        _SAMPLES,
+        ("--fem-samples", {"type": int, "help": "mesh boundary sample count"}),
+        _K,
+        ("--allow-violation",
+         {"action": "store_true", "help": "report violations instead of failing with exit status 2"}),
+    )),
+    "reproduce": (_cmd_reproduce, "reproduce", "recompute a worked example", (("example", _examples),)),
 }
-
-
-def _add_arguments(p: _Parser, name: str) -> None:
-    """Command name's own arguments, after the --output every command takes."""
-    p.add_argument(
-        "--output", choices=("json", "csv"), default="json",
-        help="serialization format (csv only for tabular reports)",
-    )
-    if name in ("mecb", "bound", "fem", "verify"):
-        p.add_argument("--domain", required=True, help="preset name, JSON file, or inline JSON")
-    if name == "pzero":
-        p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 2")
-        p.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
-    elif name == "mikhlin":
-        p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
-        p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > 1")
-    elif name == "mikhlin-star":
-        p.add_argument("--m1", type=float, required=True, help="lower radial bound")
-        p.add_argument("--m2", type=float, required=True, help="upper radial bound")
-        p.add_argument("--m3", type=float, required=True, help="angular derivative bound")
-        p.add_argument("--n", type=int, required=True, help="ambient dimension, n >= 3")
-        p.add_argument("--R", dest="big_r", type=float, required=True, help="outer radius > m2")
-    elif name == "qc":
-        p.add_argument(
-            "--matrix", type=float, nargs=4, action="append", metavar=("A", "B", "C", "D"),
-            help="row-major 2x2 Jacobian; repeat for piecewise maps; not with --beta or --gamma",
-        )
-        p.add_argument("--beta", type=float, help="star-shape parameter in [0, 1)")
-        p.add_argument("--gamma", type=float, help="spiral twist, |gamma| < beta*pi/2")
-    elif name == "mecb":
-        p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
-    elif name == "bound":
-        p.add_argument("--n", type=int, help='ambient dimension: the spec\'s "dim"')
-        p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
-    elif name == "fem":
-        p.add_argument("--refinement", type=int, default=3, help="uniform refinement levels")
-        p.add_argument("--samples", type=int, help="mesh boundary sample count")
-        p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
-        p.add_argument(
-            "--table", action="store_true",
-            help="emit a convergence table over refinements 0..R",
-        )
-    elif name == "verify":
-        p.add_argument("--refinement", type=int, default=4, help="uniform refinement levels")
-        p.add_argument("--samples", type=int, help=_SAMPLES_HELP)
-        p.add_argument("--fem-samples", type=int, help="mesh boundary sample count")
-        p.add_argument("--k", type=int, default=4, help="how many eigenvalues, 2..10")
-        p.add_argument(
-            "--allow-violation", action="store_true",
-            help="report violations instead of failing with exit status 2",
-        )
-    elif name == "reproduce":
-        from . import reproduce
-
-        p.add_argument("example", help=f"one of: {', '.join(reproduce.example_names())}")
 
 
 def _build_parser(names=_COMMANDS) -> _Parser:
@@ -326,10 +285,10 @@ def _build_parser(names=_COMMANDS) -> _Parser:
     parser = _Parser(prog="neubound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        handler, help_text = _COMMANDS[name]
+        _, _, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        _add_arguments(p, name)
+        for flag, keywords in (_OUTPUT, *arguments):
+            p.add_argument(flag, **(keywords() if callable(keywords) else keywords))
     return parser
 
 
@@ -340,14 +299,16 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
-        report = args.handler(args)
-        _emit(report, args.output)
+        digits = _precision()  # before the command, which may run for seconds
+        handler, module = _COMMANDS[args.command][:2]
+        report = handler(args, importlib.import_module(f".{module}", __package__))
+        _emit(report, args.output, digits)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (_UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (NumericalError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NumericalError is one
         sys.stderr.write(f"numerical error: {exc}\n")
         return 2
     return 0

@@ -31,8 +31,9 @@ def check_real(name: str, value, lo: float, hi: float = math.inf, strict: bool =
     return float(x)
 
 
-def check_int(name: str, value, lo: int) -> int:
-    """value as an int: an integer (not a bool) >= lo."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+def check_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """value as an int: an integer (not a bool) in [lo, hi], both ends included."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not lo <= value <= hi:
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)

@@ -129,8 +129,7 @@ def triangulate(
     arrays are read-only.  Only the fan is checked here, against its
     bounding box's area; the refined triangles are checked when assembled.
     """
-    if (refinement := check_int("refinement", refinement, 0)) > _MAX_REFINEMENT:
-        raise ValueError(f"refinement must be at most {_MAX_REFINEMENT}, got {refinement!r}")
+    refinement = check_int("refinement", refinement, 0, _MAX_REFINEMENT)
     if samples is None and spec.samples is not None:
         samples = min(spec.samples, _SAMPLER_MESH_BOUNDARY)
     points, params, curve = geometry.boundary_loop(spec, samples)
@@ -386,8 +385,7 @@ def neumann_eigenvalues(mesh: Mesh, k: int = 6) -> SpectrumResult:
     constant mode name the worst-shaped triangle, the usual cause.  solves
     counts the splu solves, 0 when dense.
     """
-    if (k := check_int("k", k, 2)) > _MAX_EIGS:
-        raise ValueError(f"k must be at most {_MAX_EIGS}, got {k!r}")
+    k = check_int("k", k, 2, _MAX_EIGS)
     nv = mesh.dof_count  # at most _MAX_DOF: triangulate rejects larger meshes
     if k >= nv:
         raise ValueError(f"k={k} needs a mesh with more than {k} vertices")

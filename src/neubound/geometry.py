@@ -107,7 +107,7 @@ class DomainSpec:
                 verts = verts[::-1].copy()  # normalize to counterclockwise
             if not _polygon_is_simple(verts):
                 raise ValueError("polygon boundary is self-intersecting")
-            if self.convex and np.any(_orient(verts, _next(verts), _next(_next(verts))) < 0.0):  # a clockwise turn
+            if self.convex and _turns_right(verts):
                 raise ValueError("polygon declared convex has a reflex vertex")
             verts.flags.writeable = False
             object.__setattr__(self, "vertices", verts)
@@ -117,7 +117,8 @@ class DomainSpec:
             known = ", ".join(sorted(_SAMPLER_FAMILIES))
             raise ValueError(f"unknown sampler {self.name!r}; known: {known}")
         else:
-            object.__setattr__(self, "samples", 256 if self.samples is None else _check_samples(self.samples))
+            samples = 256 if self.samples is None else check_int("samples", self.samples, 3, _MAX_SAMPLES)
+            object.__setattr__(self, "samples", samples)
         for attr in ("symmetry_center", "anchor"):
             value = getattr(self, attr)
             if value is not None:
@@ -137,12 +138,6 @@ class DomainSpec:
         d, ball = diameter(points), min_enclosing_ball(points)
         ball.center.flags.writeable = False
         return len(points), d, ball
-
-
-def _check_samples(m: int) -> int:  # the one check on a boundary sample count
-    if (m := check_int("samples", m, 3)) > _MAX_SAMPLES:
-        raise ValueError(f"at most {_MAX_SAMPLES} boundary samples, got {m}")
-    return m
 
 
 def _coords(name: str, value) -> np.ndarray:
@@ -177,6 +172,24 @@ def _shoelace(verts: np.ndarray) -> float:
 
 def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+
+
+def _turns_right(verts: np.ndarray) -> bool:
+    """Whether the loop turns clockwise at some vertex: Shewchuk's static filter
+    (_ORIENT_ERR) decides each turn it can, and Fraction the rest, exactly."""
+    a, b, c = verts, _next(verts), _next(_next(verts))
+    ab, ac = b - a, c - a
+    t1, t2 = ab[:, 0] * ac[:, 1], ab[:, 1] * ac[:, 0]  # _orient is t1 - t2
+    err = _ORIENT_ERR * (np.abs(t1) + np.abs(t2)) + 2.0**-1070  # the filter's bound, and underflow's
+    if np.any(t1 - t2 < -err):
+        return True
+    for row in np.hstack((a, b, c))[np.abs(t1 - t2) <= err].tolist():  # a turn the filter leaves open
+        from fractions import Fraction  # loaded only for such a turn
+
+        ax, ay, bx, by, cx, cy = map(Fraction, row)  # each float is a dyadic rational
+        if (bx - ax) * (cy - ay) < (by - ay) * (cx - ax):
+            return True
+    return False
 
 
 def _touches(a: np.ndarray, b: np.ndarray, c: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -305,7 +318,7 @@ def boundary_loop(spec: DomainSpec, m: int | None = None):
     to the pieces by D'Hondt on their weights, evenly spaced in parameter.
     """
     curve, breaks, corners, weights = _family(spec)
-    m = spec.samples if m is None else _check_samples(m)
+    m = spec.samples if m is None else check_int("samples", m, 3, _MAX_SAMPLES)
     if m is not None and m < len(breaks):
         raise ValueError(f"{m} boundary samples are fewer than the polygon's {len(breaks)} vertices")
     extra = m - len(breaks) if m else 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -478,3 +479,104 @@ def test_precision_env(capsys, monkeypatch):
     assert _run(capsys, "pzero", "--n", "2")[0] == 1
     monkeypatch.setenv(cli.PRECISION_ENV, "0")
     assert _run(capsys, "pzero", "--n", "2")[0] == 1
+
+
+def test_precision_is_read_before_the_command_runs(capsys, monkeypatch):
+    from neubound import fem
+
+    monkeypatch.setenv(cli.PRECISION_ENV, "frog")
+    monkeypatch.setattr(fem, "verify_bound", lambda *a, **k: pytest.fail("ran the command"))
+    code, out, err = _run(capsys, "verify", "--domain", "unit_disc")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {cli.PRECISION_ENV} must be an integer")
+
+
+# each command's arguments as (option strings, dest, default, type, required,
+# nargs, choices, metavar, help); argparse's own -h and the --output every
+# command takes come first
+_HELP_ROW = (("-h", "--help"), "help", "==SUPPRESS==", None, False, 0, None, None, "show this help message and exit")
+_OUTPUT_ROW = (
+    ("--output",), "output", "json", None, False, None, ("json", "csv"), None,
+    "serialization format (csv only for tabular reports)",
+)
+_DOMAIN_ROW = (("--domain",), "domain", None, None, True, None, None, None, "preset name, JSON file, or inline JSON")
+_SAMPLES_ROW = (
+    ("--samples",), "samples", None, int, False, None, None, None,
+    'the spec\'s "samples": a sampler\'s boundary resolution; a polygon rejects it',
+)
+_K_ROW = (("--k",), "k", 4, int, False, None, None, None, "how many eigenvalues, 2..10")
+_PARSER_PIN = {
+    "pzero": ("first zero of the radial Neumann condition", [
+        (("--n",), "n", None, int, True, None, None, None, "ambient dimension, n >= 2"),
+        (("--tol",), "tol", 1e-10, float, False, None, None, None, "bisection tolerance"),
+    ]),
+    "mikhlin": ("squared two-ball extension norm", [
+        (("--n",), "n", None, int, True, None, None, None, "ambient dimension, n >= 3"),
+        (("--R",), "big_r", None, float, True, None, None, None, "outer radius > 1"),
+    ]),
+    "mikhlin-star": ("star-shaped extension norm bound", [
+        (("--m1",), "m1", None, float, True, None, None, None, "lower radial bound"),
+        (("--m2",), "m2", None, float, True, None, None, None, "upper radial bound"),
+        (("--m3",), "m3", None, float, True, None, None, None, "angular derivative bound"),
+        (("--n",), "n", None, int, True, None, None, None, "ambient dimension, n >= 3"),
+        (("--R",), "big_r", None, float, True, None, None, None, "outer radius > m2"),
+    ]),
+    "qc": ("quasiconformality coefficient of a map", [
+        (
+            ("--matrix",), "matrix", None, float, False, 4, None, ("A", "B", "C", "D"),
+            "row-major 2x2 Jacobian; repeat for piecewise maps; not with --beta or --gamma",
+        ),
+        (("--beta",), "beta", None, float, False, None, None, None, "star-shape parameter in [0, 1)"),
+        (("--gamma",), "gamma", None, float, False, None, None, None, "spiral twist, |gamma| < beta*pi/2"),
+    ]),
+    "mecb": ("minimum enclosing ball of a domain's boundary", [_DOMAIN_ROW, _SAMPLES_ROW]),
+    "bound": ("every applicable eigenvalue lower bound", [
+        _DOMAIN_ROW,
+        (("--n",), "n", None, int, False, None, None, None, 'ambient dimension: the spec\'s "dim"'),
+        _SAMPLES_ROW,
+    ]),
+    "fem": ("finite-element Neumann eigenvalues", [
+        _DOMAIN_ROW,
+        (("--refinement",), "refinement", 3, int, False, None, None, None, "uniform refinement levels"),
+        (("--samples",), "samples", None, int, False, None, None, None, "mesh boundary sample count"),
+        _K_ROW,
+        (("--table",), "table", False, None, False, 0, None, None, "emit a convergence table over refinements 0..R"),
+    ]),
+    "verify": ("check all bounds against the mesh eigenvalue", [
+        _DOMAIN_ROW,
+        (("--refinement",), "refinement", 4, int, False, None, None, None, "uniform refinement levels"),
+        _SAMPLES_ROW,
+        (("--fem-samples",), "fem_samples", None, int, False, None, None, None, "mesh boundary sample count"),
+        _K_ROW,
+        (
+            ("--allow-violation",), "allow_violation", False, None, False, 0, None, None,
+            "report violations instead of failing with exit status 2",
+        ),
+    ]),
+    "reproduce": ("recompute a worked example", [
+        ((), "example", None, None, True, None, None, None,
+         "one of: bowtie, half_ball, mikhlin_table, pzero_table, tan_star"),
+    ]),
+}
+
+
+def test_every_command_parses_as_pinned():
+    # the whole command-line surface, flag by flag: a change to any name,
+    # default, type or help text must be a deliberate edit of _PARSER_PIN
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = {a.dest: a.help for a in commands._choices_actions}
+    assert listed == {name: help_text for name, (help_text, _) in _PARSER_PIN.items()}
+    for name, (_, rows) in _PARSER_PIN.items():
+        actions = [
+            (tuple(a.option_strings), a.dest, a.default, a.type, a.required, a.nargs, a.choices, a.metavar, a.help)
+            for a in commands.choices[name]._actions
+        ]
+        assert actions == [_HELP_ROW, _OUTPUT_ROW, *rows], name
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_help_exits_cleanly(capsys, command):
+    code, out, _ = _run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: neubound {command} ")

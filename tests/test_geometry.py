@@ -69,6 +69,75 @@ def test_declared_convexity_of_a_polygon_is_checked():
         assert geometry.DomainSpec(kind="polygon", vertices=verts, convex=True).convex is True
 
 
+def _exact_turns(verts) -> list[Fraction]:
+    """Each vertex's turn, (b - a) x (c - a) for neighbours a, c, in Fraction."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in np.asarray(verts, dtype=float).tolist()]
+    turns = []
+    for i, (bx, by) in enumerate(pts):
+        (ax, ay), (cx, cy) = pts[i - 1], pts[(i + 1) % len(pts)]
+        turns.append((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return turns
+
+
+_FLOAT_ZERO_REFLEX = [  # the turn at vertex 1 is -5.6e-9 exactly and 0.0 in float
+    [-4128.677995708111, -5309.795966603521], [2550.6932980108113, 5616.794898618045],
+    [4914.527970026278, 9483.723865185108], [4914.527970026278, 14483.723865185108],
+    [-4128.677995708111, 14483.723865185108],
+]
+
+
+def test_a_reflex_vertex_whose_float_turn_is_zero_is_not_convex():
+    assert float(_exact_turns(_FLOAT_ZERO_REFLEX)[1]) == pytest.approx(-5.6e-9, rel=0.01)
+    assert geometry._orient(*(np.array([v]) for v in _FLOAT_ZERO_REFLEX[:3]))[0] == 0.0
+    for verts in (_FLOAT_ZERO_REFLEX, _FLOAT_ZERO_REFLEX[::-1], _FLOAT_ZERO_REFLEX[2:] + _FLOAT_ZERO_REFLEX[:2]):
+        with pytest.raises(ValueError, match="declared convex has a reflex vertex"):
+            geometry.DomainSpec(kind="polygon", vertices=verts, convex=True)
+        assert geometry.DomainSpec(kind="polygon", vertices=verts).convex is None
+
+
+def test_a_reflex_turn_whose_products_underflow_is_not_convex():
+    # the products of vertex 1's turn are subnormal, so the static filter's
+    # relative bound underflows to 0; the float turn reads +5e-324, a left
+    # turn, while the exact one is a right turn of about -9e-327
+    verts = [
+        [7.145047138119551e-156, 7.775788285348917e-156], [-2.596554056528663e-156, -3.8507828218312434e-156],
+        [-5.389785706157545e-156, -7.184496217025213e-156], [1.5837915218355134e-155, -1.2239186810115244e-155],
+    ]
+    turns = _exact_turns(verts)
+    assert turns[1] < 0 < min(turns[0], turns[2], turns[3])
+    assert geometry._orient(*(np.array([v]) for v in verts[:3]))[0] == 5e-324
+    with pytest.raises(ValueError, match="declared convex has a reflex vertex"):
+        geometry.DomainSpec(kind="polygon", vertices=verts, convex=True)
+
+
+_COORD = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    a=st.tuples(_COORD, _COORD), b=st.tuples(_COORD, _COORD), t=st.floats(0.05, 0.95),
+    ulps=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+)
+def test_declared_convexity_matches_exact_turns(a, b, t, ulps):
+    # a quadrilateral a, m, b, c with m on the edge ab, then moved a few ulps
+    # either way: its turn is near zero, of either sign, and often 0.0 in float
+    a, b = np.array(a), np.array(b)
+    assume(np.hypot(*(b - a)) > 1.0)
+    m = a + t * (b - a)
+    for axis, k in enumerate(ulps):
+        for _ in range(abs(k)):
+            m[axis] = np.nextafter(m[axis], math.copysign(math.inf, k))
+    c = (a + b) / 2 + np.array([a[1] - b[1], b[0] - a[0]])  # well to the left of ab
+    verts = [a.tolist(), m.tolist(), b.tolist(), c.tolist()]
+    turns = _exact_turns(verts)
+    assert min(turns[0], turns[2], turns[3]) > 0  # only m's turn is in doubt
+    if turns[1] < 0:
+        with pytest.raises(ValueError, match="declared convex has a reflex vertex"):
+            geometry.DomainSpec(kind="polygon", vertices=verts, convex=True)
+    else:
+        assert geometry.DomainSpec(kind="polygon", vertices=verts, convex=True).convex is True
+
+
 _PROPERTY = settings(max_examples=400, derandomize=True, database=None, deadline=None)
 _GRID_POLYGONS = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=9

@@ -144,6 +144,12 @@ def _cases() -> dict[str, list[str]]:
         "unknown-key": {"kind": "named", "name": "bowtie", "radius": 1},
         "sampler-vertices": {"kind": "sampler", "name": "unit_disc", "vertices": [[0, 0], [5, 0], [5, 5]]},
         "reflex-declared-convex": {"kind": "named", "name": "bowtie", "convex": True},
+        # the turn at vertex 1 is -5.6e-9 exactly and 0.0 in float
+        "reflex-float-zero-turn-declared-convex": {"kind": "polygon", "vertices": [
+            [-4128.677995708111, -5309.795966603521], [2550.6932980108113, 5616.794898618045],
+            [4914.527970026278, 9483.723865185108], [4914.527970026278, 14483.723865185108],
+            [-4128.677995708111, 14483.723865185108],
+        ], "convex": True},
         "vertices-huge": {"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
         "K-huge-int": {"kind": "named", "name": "bowtie", "K": 10**400},
         "self-intersecting": {"kind": "polygon", "vertices": [[0, 0], [2, 2], [2, 0], [0, 1]]},

@@ -239,6 +239,9 @@ def test_bound_on_a_sampled_loop_loads_no_hull_or_sparse_module(module):
         (("pzero", "--n", "5"), "csv", False),
         (("qc", "--beta", "0.5"), "neubound.reproduce", False),
         (("qc", "--beta", "0.5"), "csv", False),
+        # the CLI imports dataclasses only for the commands that use it
+        (("pzero", "--n", "5"), "dataclasses", False),
+        (("qc", "--beta", "0.5"), "dataclasses", False),
     ],
     ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, tuple) else None,
 )
